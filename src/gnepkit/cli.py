@@ -275,8 +275,23 @@ def _configure_threads() -> None:
         pass
 
 
+def _fold_point(argv):
+    """Join `--point V` into `--point=V`, so that argparse does not read a
+    point with a negative first coordinate (`-0.05,0.3`) as an option."""
+    out = []
+    it = iter(argv)
+    for tok in it:
+        if tok == "--point":
+            val = next(it, None)
+            out.append(tok if val is None else f"--point={val}")
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_fold_point(argv))
     _configure_threads()
     try:
         return args.func(args)

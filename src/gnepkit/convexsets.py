@@ -266,7 +266,38 @@ class HPoly(ConvexBody):
         return bool(np.all(m <= lim + 1e-12))
 
     @cached_property
+    def _interval(self):
+        """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty.
+
+        The body is empty iff lo - hi exceeds the rounding threshold of
+        _lp.project_polyhedron relative to |lo| + |hi|; a smaller crossing
+        is rounding noise and collapses to the midpoint.
+        """
+        if self._poisoned:
+            return None
+        a, b = self.A[:, 0], self.b
+        up = a > 0
+        hi = float(np.min(b[up] / a[up], initial=np.inf))
+        lo = float(np.max(b[~up] / a[~up], initial=-np.inf))
+        if lo - hi > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi)):
+            return None
+        if lo > hi:
+            lo = hi = 0.5 * (lo + hi)
+        return lo, hi
+
+    @cached_property
     def _chebyshev(self):
+        if self.dim == 1:
+            if self._interval is None:
+                return None
+            lo, hi = self._interval
+            # the radius cap of _lp.chebyshev_center
+            r = min(0.5 * (hi - lo), 1e3)
+            if np.isfinite(lo) and np.isfinite(hi):
+                x = 0.5 * (lo + hi)
+            else:
+                x = lo + r if np.isfinite(lo) else hi - r if np.isfinite(hi) else 0.0
+            return np.array([x]), r
         try:
             return _lp.chebyshev_center(self.A, self.b)
         except _lp.InfeasibleLP:
@@ -282,10 +313,14 @@ class HPoly(ConvexBody):
 
     def project(self, x):
         x = _as_vec(x, self.dim)
-        if self._poisoned:
+        if self._poisoned or (self.dim == 1 and self._interval is None):
             raise EmptyBodyError("projection onto empty polyhedron")
         if self.margins(x).max(initial=-np.inf) <= 0.0:
             return x.copy()
+        # a 1-D point may be a crossing below the rounding threshold, which
+        # the least-distance program would call empty
+        if self.dim == 1 and self._interval[0] == self._interval[1]:
+            return np.array([self._interval[0]])
         try:
             return _lp.project_polyhedron(x, self.A, self.b)
         except _lp.InfeasibleLP:
@@ -296,6 +331,9 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _bbox(self):
+        if self.dim == 1:
+            lo, hi = self._interval
+            return np.array([lo]), np.array([hi])
         lo, hi = np.empty(self.dim), np.empty(self.dim)
         for j in range(self.dim):
             e = np.zeros(self.dim)
@@ -320,6 +358,9 @@ class HPoly(ConvexBody):
     def _vertices(self):
         if not self.is_bounded():
             raise EnumerationError("vertex enumeration of unbounded polyhedron")
+        if self.dim == 1:
+            lo, hi = self._interval
+            return np.array([[lo]]) if hi - lo <= _VERTEX_DEDUP else np.array([[lo], [hi]])
         return _enumerate_vertices(self.A, self.b)
 
     def vertices(self):
@@ -804,6 +845,14 @@ def support_max(body: ConvexBody, c) -> float:
     if isinstance(body, Ball):
         return float(c @ body.center + body.radius * np.linalg.norm(c))
     h = body.hrep()
+    if body.dim == 1 and h is not None:
+        lo, hi = body.bounding_box()
+        if c[0] == 0.0:
+            return 0.0
+        val = c[0] * (hi[0] if c[0] > 0 else lo[0])
+        if not np.isfinite(val):
+            raise _lp.UnboundedLP("support of unbounded interval")
+        return float(val)
     if h is None:
         raise ValueError(f"support_max unsupported for kind={body.kind!r}")
     C, d = body.equalities()

@@ -316,21 +316,28 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
         if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
             # trips the self-preference guard; graded variants cannot trip it
             pref_set(pm, x, tol.eps_open, seed)
+        # an empty slice surfaces while building it, in the closed-form
+        # (EmptyBodyError) or LP (InfeasibleLP) support of the improvement,
+        # or as a quadratic improvement without a KKT point
+        empty = False
         try:
             K = constraint_body(game, i, x)
-        except EmptyBodyError:
+            feas[i] = max(
+                membership_violation(K, pm.own(x)),
+                membership_violation(pm.ambient, pm.own(x)),
+            )
+            empt[i], a_i = max_improvement(pm, x, K, tol.eps_open, seed)
+        except (EmptyBodyError, _lp.InfeasibleLP):
+            empty = True
+        except UnboundedPreferenceError as e:
+            empty = K.is_empty(eps_open=0.0)
+            if not empty:
+                empt[i], a_i = np.inf, False
+                notes.append(f"player {i}: {e}")
+        if empty:
             feas[i], empt[i] = np.inf, 0.0
             notes.append(f"player {i}: constraint slice empty")
             continue
-        feas[i] = max(
-            membership_violation(K, pm.own(x)),
-            membership_violation(pm.ambient, pm.own(x)),
-        )
-        try:
-            empt[i], a_i = max_improvement(pm, x, K, tol.eps_open, seed)
-        except UnboundedPreferenceError as e:
-            empt[i], a_i = np.inf, False
-            notes.append(f"player {i}: {e}")
         approx = approx or a_i
     ok = bool(np.all(feas <= tol.eps_feas) and np.all(empt <= tol.eps_open))
     return EquilibriumCertificate(

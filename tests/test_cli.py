@@ -64,6 +64,22 @@ def test_verify_equilibrium_exit_codes(splitting, tmp_path):
     assert cert["is_equilibrium"] is False
 
 
+def test_verify_empty_slice_exit_4(splitting, tmp_path):
+    assert run("verify", splitting, "--point=1.2,0.5", "--out-dir", tmp_path / "e") == 4
+    cert = json.loads((tmp_path / "e" / "certificate.json").read_text())
+    assert cert["feasibility_slacks"][1] == "Infinity"
+    assert cert["is_equilibrium"] is False
+
+
+def test_point_with_negative_first_coordinate(splitting, exchange, tmp_path):
+    assert run("verify", splitting, "--point", "-0.05,0.3",
+               "--out-dir", tmp_path / "v") == 4
+    cert = json.loads((tmp_path / "v" / "certificate.json").read_text())
+    assert cert["point"] == [-0.05, 0.3]
+    assert run("economy", exchange, "--check-only", "--point", "-0.05,1,0,0,0.5,0.5",
+               "--out-dir", tmp_path / "e") == 4
+
+
 def test_verify_dim_mismatch_exit_5(splitting, tmp_path):
     assert run("verify", splitting, "--point", "0.5",
                "--out-dir", tmp_path / "c") == 5

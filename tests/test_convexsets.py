@@ -121,6 +121,124 @@ def test_hpoly_projection_onto_empty_raises():
         P.project(np.array([0.5]))
 
 
+# The slab {x <= 0, x >= g} crosses by g when g > 0.  A crossing below the
+# least-distance rounding threshold (7.5e-17, which a solver point produced,
+# or 1e-12) is a point; 1e-9 and 1e-7 are empty.  Inside that band the NNLS
+# of _lp.project_polyhedron sees the crossing at the scale of the start
+# point's distance, so its verdict depends on the start (nnls_agrees False).
+@pytest.mark.parametrize("g,empty,nnls_agrees", [
+    (-1e-6, False, True),
+    (-1e-9, False, True),
+    (0.0, False, True),
+    (7.5e-17, False, False),
+    (1e-12, False, False),
+    (1e-9, True, True),
+    (1e-7, True, True),
+])
+def test_interval_slab_one_emptiness_verdict(g, empty, nnls_agrees):
+    from gnepkit import _lp
+
+    A, b = np.array([[1.0], [-1.0]]), np.array([0.0, -g])
+    P = HPoly(A, b)
+    starts = [-5.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 5.0]
+    assert P.is_empty(eps_open=0.0) is empty
+    if nnls_agrees:
+        for y in starts:
+            try:
+                _lp.project_polyhedron(np.array([y]), A, b)
+                nnls_empty = False
+            except _lp.InfeasibleLP:
+                nnls_empty = True
+            assert nnls_empty is empty, y
+    if empty:
+        assert P.vertices().shape == (0, 1)
+        assert P.interior_point() is None
+        with pytest.raises(EmptyBodyError):
+            P.bounding_box()
+        for c in (1.0, -1.0):
+            with pytest.raises(EmptyBodyError):
+                support_max(P, np.array([c]))
+        for y in starts:
+            with pytest.raises(EmptyBodyError):
+                P.project(np.array([y]))
+        return
+    lo, hi = (v[0] for v in P.bounding_box())
+    assert lo <= hi and lo == pytest.approx(min(g, 0.0), abs=1e-12)
+    want = [[lo]] if hi - lo <= 1e-9 else [[lo], [hi]]
+    assert np.array_equal(P.vertices(), want)
+    assert support_max(P, np.array([1.0])) == hi
+    assert support_max(P, np.array([-1.0])) == -lo
+    ip = P.interior_point()
+    assert (ip is not None) == bool(hi - lo > 2e-9)
+    for y in starts:
+        assert P.project(np.array([y]))[0] == pytest.approx(np.clip(y, lo, hi), abs=1e-12)
+
+
+def _one_d_family(rng):
+    """Seeded 1-D bodies: bounded, one-sided, point-sized, and intersections
+    with a Box and with a 1-D Simplex; rows are not unit-normalized."""
+    out = []
+    for _ in range(20):
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        up = rng.uniform(0.0, 1.0, int(rng.integers(1, 4)))
+        dn = rng.uniform(0.0, 1.0, int(rng.integers(1, 4)))
+        sc_up = rng.uniform(0.2, 5.0, up.size)
+        sc_dn = rng.uniform(0.2, 5.0, dn.size)
+        rows = np.concatenate([sc_up, -sc_dn])[:, None]
+        rhs = np.concatenate([sc_up * (hi + up), -sc_dn * (lo - dn)])
+        out.append(HPoly(rows, rhs))
+        out.append(HPoly(sc_up[:, None], sc_up * (hi + up)))
+        out.append(HPoly(-sc_dn[:, None], -sc_dn * (lo - dn)))
+        out.append(HPoly([[2.0], [-3.0]], [2.0 * lo, -3.0 * lo]))
+        out.append(Intersection((Box([lo - 0.5], [hi + 0.5]), HPoly(rows, rhs))))
+        s = rng.uniform(0.1, 2.0)
+        out.append(Intersection((Simplex(1, s), HPoly([[1.0], [-1.0]], [s + up[0], dn[0] - s]))))
+    return out
+
+
+def test_interval_closed_forms_match_exact_reference(monkeypatch):
+    from gnepkit import _lp
+    from gnepkit.convexsets import EnumerationError, _enumerate_vertices
+
+    bodies = _one_d_family(np.random.default_rng(3))
+    refs = []
+    for B in bodies:
+        A, b, _ = B.hrep()
+        C, d = B.equalities()
+        eq = (C, d) if len(d) else (None, None)
+        sup = []
+        for c in (1.0, -1.0):
+            try:
+                sup.append(_lp.max_linear([c], A, b, *eq)[0])
+            except _lp.UnboundedLP:
+                sup.append(np.inf)
+        bounded = bool(np.all(np.isfinite(sup)))
+        refs.append((sup, _enumerate_vertices(A, b) if bounded else None))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("1-D body query ran an LP")
+
+    monkeypatch.setattr(_lp, "solve_lp", no_lp)
+    for k, (B, (sup, V)) in enumerate(zip(bodies, refs)):
+        lo, hi = B.bounding_box()
+        assert hi[0] == pytest.approx(sup[0], abs=1e-9), k
+        assert lo[0] == pytest.approx(-sup[1], abs=1e-9), k
+        assert not B.is_empty()
+        for c, s in zip((2.5, -0.5), sup):
+            if np.isfinite(s):
+                assert support_max(B, np.array([c])) == pytest.approx(abs(c) * s, abs=1e-9), k
+            else:
+                with pytest.raises(_lp.UnboundedLP):
+                    support_max(B, np.array([c]))
+        if V is None:
+            with pytest.raises(EnumerationError):
+                B.vertices()
+        else:
+            assert np.allclose(B.vertices(), V, atol=1e-9), k
+        ip = B.interior_point()
+        assert ip is None or (lo[0] < ip[0] < hi[0])
+
+
 def test_intersection_merges_polyhedral_parts():
     I = Intersection((unit_square(), HPoly([[1.0, 1.0]], [1.0])))
     assert I.contains([0.2, 0.2])

@@ -116,6 +116,53 @@ def test_infeasible_point_rejected():
     assert max(cert.feasibility_slacks) > 1e-3
 
 
+def _rival_empties_first_slice(own_body, utility):
+    # x_0 + x_last <= 1 with x_last = 1.5 leaves player 0 no feasible point
+    n = own_body.dim + 1
+    return jointly_convex_game(
+        [own_body, Box([0.0], [2.0])], [utility, LinearUtility([1.0])],
+        HPoly([np.ones(n)], [1.0]),
+    ), np.concatenate([np.zeros(own_body.dim), [1.5]])
+
+
+@pytest.mark.parametrize("case", ["1d-closed-form", "2d-lp", "quadratic"])
+def test_empty_slice_reported_infeasible(case):
+    if case == "1d-closed-form":
+        # slice {0 <= z <= -0.2}: the closed-form support raises EmptyBodyError
+        g, x, player = gi.splitting_game(), np.array([1.2, 0.5]), 1
+    elif case == "2d-lp":
+        # the support LP raises InfeasibleLP
+        g, x = _rival_empties_first_slice(Box([0.0, 0.0], [1.0, 1.0]),
+                                          LinearUtility([1.0, 1.0]))
+        player = 0
+    else:
+        # the improvement QP finds no KKT point
+        g, x = _rival_empties_first_slice(Box([0.0], [1.0]),
+                                          QuadUtility(-np.eye(2), np.array([1.0, 0.0])))
+        player = 0
+    cert = verify_equilibrium(g, x)
+    assert not cert.is_equilibrium
+    assert cert.feasibility_slacks[player] == np.inf
+    assert cert.notes == (f"player {player}: constraint slice empty",)
+
+
+def test_verify_1d_game_runs_no_lp(monkeypatch):
+    from gnepkit import _lp
+
+    g = gi.splitting_game()  # building it enumerates the 2-D shared set
+    calls = []
+    solve_lp = _lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(_lp, "solve_lp", counted)
+    cert = verify_equilibrium(g, np.array([0.5, 0.5]))
+    assert cert.is_equilibrium
+    assert calls == []
+
+
 def test_certificate_serializes():
     g = gi.splitting_game()
     d = verify_equilibrium(g, np.array([0.5, 0.5])).to_dict()
