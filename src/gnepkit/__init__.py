@@ -8,7 +8,6 @@ oracle, first-principles certificates, and an exchange-economy reduction.
 
 __version__ = "0.1.0"
 
-from ._kernels import kernel_backend
 from .convexsets import (
     Ball,
     Box,
@@ -93,7 +92,6 @@ from .solvers import (
 
 __all__ = [
     "__version__",
-    "kernel_backend",
     # bodies
     "ConvexBody", "Box", "Simplex", "HPoly", "Ball", "Intersection",
     "ConeSection", "box", "simplex", "halfspaces", "ball", "intersect",

@@ -1,33 +1,19 @@
 """Simplex projection kernel used in solver inner loops.
 
-The kernel has a pure-numpy implementation and (when numba is importable)
-a compiled twin.  The active backend is chosen once at import time; set
-``GNEPKIT_PURE_NUMPY=1`` to force the numpy path.  Both backends must agree
-to machine precision -- the test suite and ``benchmarks/bench_kernels.py``
-compare them directly via :data:`IMPLEMENTATIONS`.  Polyhedral projection is
-exact and lives in :func:`gnepkit._lp.project_polyhedron`.
+Polyhedral projection is exact and lives in
+:func:`gnepkit._lp.project_polyhedron`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCED_NUMPY = os.environ.get("GNEPKIT_PURE_NUMPY", "0") == "1"
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via GNEPKIT_PURE_NUMPY
-    _HAVE_NUMBA = False
-
-_USE_NUMBA = _HAVE_NUMBA and not _FORCED_NUMPY
-
-
-def _project_simplex_np(y: np.ndarray, scale: float) -> np.ndarray:
+def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) = scale}, scale > 0."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if scale <= 0.0:
+        raise ValueError("simplex scale must be positive")
     u = np.sort(y)[::-1]
     css = np.cumsum(u) - scale
     ks = np.arange(1, y.size + 1)
@@ -35,44 +21,3 @@ def _project_simplex_np(y: np.ndarray, scale: float) -> np.ndarray:
     k = ks[u - css / ks > 0.0][-1]
     tau = css[k - 1] / k
     return np.maximum(y - tau, 0.0)
-
-
-def _project_simplex_loop(y, scale):
-    n = y.size
-    u = np.sort(y)[::-1]
-    css = 0.0
-    tau = 0.0
-    for i in range(n):
-        css += u[i]
-        t = (css - scale) / (i + 1.0)
-        if u[i] - t > 0.0:
-            tau = t
-    out = np.empty(n)
-    for i in range(n):
-        v = y[i] - tau
-        out[i] = v if v > 0.0 else 0.0
-    return out
-
-
-IMPLEMENTATIONS = {"numpy": _project_simplex_np}
-
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = numba.njit(cache=True)(_project_simplex_loop)
-
-_simplex_impl = IMPLEMENTATIONS["numba" if _USE_NUMBA else "numpy"]
-
-
-def kernel_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
-
-
-def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if scale <= 0.0:
-        raise ValueError("simplex scale must be positive")
-    return _simplex_impl(y, float(scale))
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active backend (no-op for numpy)."""
-    project_simplex(np.array([0.3, -0.1, 0.9]), 1.0)

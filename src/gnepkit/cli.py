@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success/equilibrium, 2 parse or instance error, 3 solver
-failure (including the self-preference guard), 4 verified non-equilibrium,
-5 dimension mismatch, 6 problem too large for the grid oracle.  Unexpected
-internal errors exit 1.
+Exit codes: 0 success/equilibrium, 2 parse or instance error (raised while
+loading the instance or reading --point/--point-file), 3 solver failure
+(including the self-preference guard and an empty constraint set met while
+solving), 4 verified non-equilibrium, 5 dimension mismatch, 6 problem too
+large for the grid oracle.  Unexpected internal errors exit 1.
 
 Every command writes a manifest.json listing its inputs, configuration, and
 output files.  All JSON outputs are canonical (sorted keys, compact, no
@@ -14,6 +15,7 @@ reproduces them byte for byte; only the manifest's wall_time_s field varies.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -23,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .convexsets import EnumerationError
+from .convexsets import EmptyBodyError, EnumerationError
 from .economy import (
     EconomyError,
     EconomyInstance,
@@ -102,6 +104,22 @@ class _DimMismatch(ValueError):
     pass
 
 
+class _InputError(Exception):
+    """The instance file or the point could not be read, or is invalid."""
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Mark errors raised while loading and parsing as input errors (exit 2),
+    apart from those main reports with their own exit code."""
+    try:
+        yield
+    except (json.JSONDecodeError, _DimMismatch):
+        raise
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise _InputError(e) from e
+
+
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         method=args.method,
@@ -122,7 +140,8 @@ def _trace_csv(trace) -> str:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    game = _load_game(args)
+    with _reading_input():
+        game = _load_game(args)
     config = _solver_config(args)
     use_qvi = args.qvi or not game.jointly_convex
     res = solve_qvi(game, config) if use_qvi else solve_vi(game, config)
@@ -139,8 +158,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    game = _load_game(args)
-    x = _parse_point(args, game.n)
+    with _reading_input():
+        game = _load_game(args)
+        x = _parse_point(args, game.n)
     cert = verify_equilibrium(game, x, Tolerances(), seed=args.seed)
     _write(args.out_dir, "certificate.json", canonical_dumps(cert.to_dict()))
     _manifest(args, "verify", {"seed": args.seed}, ["certificate.json"], t0)
@@ -161,7 +181,8 @@ def _oracle_csv(result, n_players: int) -> str:
 
 def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
-    game = _load_game(args)
+    with _reading_input():
+        game = _load_game(args)
     if game.n > 4:
         raise EnumerationError(f"oracle supports joint dimension <= 4, got {game.n}")
     result = grid_oracle(game, h=args.h, seed=args.seed,
@@ -185,12 +206,14 @@ def _diagnostics_csv(econ, outcome) -> str:
 
 def cmd_economy(args) -> int:
     t0 = time.perf_counter()
-    econ = load_instance(args.instance)
-    if not isinstance(econ, EconomyInstance):
-        raise ValueError("economy command needs an economy instance")
+    with _reading_input():
+        econ = load_instance(args.instance)
+        if not isinstance(econ, EconomyInstance):
+            raise ValueError("economy command needs an economy instance")
+        if args.check_only:
+            game = to_gnep(econ)
+            x = _parse_point(args, game.n)
     if args.check_only:
-        game = to_gnep(econ)
-        x = _parse_point(args, game.n)
         outcome = outcome_from_point(econ, game, x)
         converged = True
     else:
@@ -259,22 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _configure_threads() -> None:
-    raw = os.environ.get("GNEP_NUM_THREADS")
-    if not raw:
-        return
-    try:
-        k = max(1, int(raw))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(k)
-    except ImportError:
-        pass
-
-
 def _fold_point(argv):
     """Join `--point V` into `--point=V`, so that argparse does not read a
     point with a negative first coordinate (`-0.05,0.3`) as an option."""
@@ -292,7 +299,6 @@ def _fold_point(argv):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_fold_point(argv))
-    _configure_threads()
     try:
         return args.func(args)
     except json.JSONDecodeError as e:
@@ -302,15 +308,15 @@ def main(argv=None) -> int:
     except _DimMismatch as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIM_MISMATCH
-    except SelfPreferenceError as e:
+    except (_InputError, EconomyError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except (SelfPreferenceError, EmptyBodyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except EnumerationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (EconomyError, FileNotFoundError, KeyError, TypeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     except Exception as e:  # pragma: no cover - unexpected internal failure
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -63,18 +63,9 @@ ConstraintMap = (SharedSlice, FixedConstraint, ParametricConstraint)
 class Tolerances:
     eps_feas: float = 1e-7
     eps_open: float = 1e-7
-    eps_act: float = 1e-8
-    eps_sat: float = 1e-9
-    residual_tol: float = 1e-6
 
     def to_dict(self):
-        return {
-            "eps_feas": self.eps_feas,
-            "eps_open": self.eps_open,
-            "eps_act": self.eps_act,
-            "eps_sat": self.eps_sat,
-            "residual_tol": self.residual_tol,
-        }
+        return {"eps_feas": self.eps_feas, "eps_open": self.eps_open}
 
 
 @dataclass(frozen=True)

@@ -121,19 +121,13 @@ def evaluate_T(game, x, eps_sat: float = EPS_SATIATION, seed: int = 0) -> Operat
     return OperatorEval(tuple(blocks), tuple(starts))
 
 
-def select(op: OperatorEval, rule: str = "min_norm_hull") -> np.ndarray:
-    """One concrete t in T(x); whole-space blocks contribute 0 (0 is in T there)."""
+def select(op: OperatorEval) -> np.ndarray:
+    """One concrete t in T(x): the min-norm point of each block's generator
+    hull; whole-space blocks contribute 0 (0 is in T there)."""
     t = np.zeros(op.dim)
     for i, cone in enumerate(op.blocks):
         sl = op.block_slice(i)
         if cone.whole_space or cone.n_generators == 0:
             continue
-        if rule == "first":
-            t[sl] = cone.generators[0]
-        elif rule == "centroid":
-            t[sl] = cone.generators.mean(axis=0)
-        elif rule == "min_norm_hull":
-            t[sl] = cone.min_norm_point()
-        else:
-            raise ValueError(f"unknown selection rule {rule!r}")
+        t[sl] = cone.min_norm_point()
     return t

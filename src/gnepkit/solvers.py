@@ -22,7 +22,8 @@ each player's improvement set), sharing no code path with the residual.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ from .game import (
 )
 from .operators import OperatorEval, evaluate_T, select
 from .preferences import (
+    EPS_SATIATION,
     LinearUtility,
     QuadUtility,
     _own_quadratic,
@@ -47,34 +49,24 @@ from .preferences import (
 )
 
 
+# iterations between periodic residual probes
+_RESIDUAL_EVERY = 25
+# a step (or a 2-cycle) shorter than this is a stall
+_STEP_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "projection"  # or "extragradient"
     alpha: float = 0.5
-    selection: str = "min_norm_hull"
     max_iters: int = 5000
     residual_tol: float = 1e-6
-    step_tol: float = 1e-10
     restarts: int = 8
     seed: int = 0
     trace: bool = False
-    residual_every: int = 25
-    eps_sat: float = 1e-9
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "selection": self.selection,
-            "max_iters": self.max_iters,
-            "residual_tol": self.residual_tol,
-            "step_tol": self.step_tol,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "trace": self.trace,
-            "residual_every": self.residual_every,
-            "eps_sat": self.eps_sat,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -197,26 +189,19 @@ _QVI_VERTEX_CAP = 4096
 def _body_vertices(body: ConvexBody, rng) -> np.ndarray:
     try:
         vs = body.closure().vertices()
-        if len(vs):
-            return vs
     except EnumerationError:
-        pass
-    return body.boundary_samples(rng, 64)
+        return body.boundary_samples(rng, 64)
+    if not len(vs):
+        raise EmptyBodyError("vertex set of an empty body")
+    return vs
 
 
 def _product_vertices(bodies, rng):
     per = [_body_vertices(b, rng) for b in bodies]
-    total = 1
-    for p in per:
-        total *= len(p)
-    if total > _QVI_VERTEX_CAP:
-        # deterministic thinning, block by block
-        while total > _QVI_VERTEX_CAP:
-            j = int(np.argmax([len(p) for p in per]))
-            per[j] = per[j][:: 2]
-            total = 1
-            for p in per:
-                total *= len(p)
+    # deterministic thinning, block by block
+    while math.prod(len(p) for p in per) > _QVI_VERTEX_CAP:
+        j = int(np.argmax([len(p) for p in per]))
+        per[j] = per[j][::2]
     out = per[0]
     for p in per[1:]:
         out = np.hstack(
@@ -250,134 +235,143 @@ def _random_start(game: GameInstance, rng) -> np.ndarray:
     return x0
 
 
-def _project_problem(game, x, t, alpha, problem):
-    if problem == "vi":
-        return game.shared_set.project(x - alpha * t)
-    blocks = []
-    for i, pm in enumerate(game.preferences):
-        target = pm.own(x) - alpha * t[pm.block]
-        # a wandering rival profile can empty this player's slice; fall back
-        # to the ambient set so the iteration can recover
+class _SharedSetVI:
+    """VI(T, X): projection onto the shared set X, whose vertices are fixed."""
+
+    name = "vi"
+
+    def __init__(self, game, rng):
+        self.game = game
+        self._vertices = _body_vertices(game.shared_set, rng)
+
+    def project(self, x, t, alpha):
+        return self.game.shared_set.project(x - alpha * t)
+
+    def vertices(self, x):
+        return self._vertices
+
+    def feasible(self, x, eps) -> bool:
+        return True
+
+
+class _MovingSlicesQVI:
+    """QVI(T, K): blockwise projection onto the slices K_i(x), which move with x."""
+
+    name = "qvi"
+
+    def __init__(self, game, rng):
+        self.game = game
+        self._rng = rng
+
+    def project(self, x, t, alpha):
+        game = self.game
+        blocks = []
+        for i, pm in enumerate(game.preferences):
+            target = pm.own(x) - alpha * t[pm.block]
+            # a wandering rival profile can empty this player's slice; fall
+            # back to the ambient set so the iteration can recover
+            try:
+                body = constraint_body(game, i, x)
+                blocks.append(body.project(target))
+            except EmptyBodyError:
+                blocks.append(pm.ambient.closure().project(target))
+        return game.join(blocks)
+
+    def vertices(self, x):
+        """None signals an empty constraint slice (x is QVI-infeasible)."""
         try:
-            body = constraint_body(game, i, x)
-            blocks.append(body.project(target))
+            bodies = [constraint_body(self.game, i, x) for i in range(self.game.n_players)]
+            return _product_vertices(bodies, self._rng)
         except EmptyBodyError:
-            blocks.append(pm.ambient.closure().project(target))
-    return game.join(blocks)
+            return None
+
+    def feasible(self, x, eps) -> bool:
+        for i, pm in enumerate(self.game.preferences):
+            try:
+                body = constraint_body(self.game, i, x)
+            except EmptyBodyError:
+                return False
+            if membership_violation(body, pm.own(x)) > eps:
+                return False
+        return True
 
 
-def _problem_vertices(game, x, problem, rng):
-    """None signals an empty constraint slice (the point is QVI-infeasible)."""
-    if problem == "vi":
-        return _body_vertices(game.shared_set, rng)
-    try:
-        bodies = [constraint_body(game, i, x) for i in range(game.n_players)]
-        return _product_vertices(bodies, rng)
-    except EmptyBodyError:
-        return None
-
-
-def _qvi_feasible(game, x, eps) -> bool:
-    for i, pm in enumerate(game.preferences):
-        try:
-            body = constraint_body(game, i, x)
-        except EmptyBodyError:
-            return False
-        if membership_violation(body, pm.own(x)) > eps:
-            return False
-    return True
-
-
-def _run_from(game, x0, config: SolverConfig, problem: str, rng, tol: Tolerances):
+def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
     x = np.asarray(x0, dtype=float)
     alpha = config.alpha
     halvings = 0
     best_r, best_x, best_it = np.inf, x.copy(), 0
     trace = [] if config.trace else None
-    static_verts = _problem_vertices(game, x, problem, rng) if problem == "vi" else None
     x_prev = None
     approx = False
 
-    def verts(xc):
-        return static_verts if problem == "vi" else _problem_vertices(game, xc, problem, rng)
+    def probe(k, op_c, xc):
+        """Residual at xc, recorded as the best point when feasible; returns
+        (r, accepted).  The closing probe (k == max_iters) is not traced."""
+        nonlocal best_r, best_x, best_it
+        V = problem.vertices(xc)
+        r = np.inf if V is None else residual_with_filter(op_c, xc, V, config.residual_tol)[0]
+        feas_ok = problem.feasible(xc, tol.eps_feas)
+        if trace is not None and k < config.max_iters:
+            trace.append({"iter": k, "residual": float(r), "alpha": alpha})
+        if r < best_r and feas_ok:
+            best_r, best_x, best_it = r, xc.copy(), k
+        return r, r <= config.residual_tol and feas_ok
 
-    def probe_residual(op_c, xc):
-        V = verts(xc)
-        if V is None:
-            return np.inf
-        r_c, _ = residual_with_filter(op_c, xc, V, config.residual_tol)
-        return r_c
+    def halve():
+        nonlocal alpha, halvings
+        alpha *= 0.5
+        halvings += 1
+        return alpha < 1e-8 or halvings > 60
 
     last_probe_r = np.inf
     for k in range(config.max_iters):
-        op = evaluate_T(game, x, eps_sat=config.eps_sat, seed=config.seed)
+        op = evaluate_T(game, x, seed=config.seed)
         approx = approx or op.approximate
-        t = select(op, config.selection)
+        t = select(op)
 
-        probe = (k % config.residual_every == 0) or np.linalg.norm(t) <= 1e-14
-        if probe:
-            r = probe_residual(op, x)
-            feas_ok = problem == "vi" or _qvi_feasible(game, x, tol.eps_feas)
-            if trace is not None:
-                trace.append({"iter": k, "residual": float(r), "alpha": alpha})
-            if r < best_r and feas_ok:
-                best_r, best_x, best_it = r, x.copy(), k
-            if r <= config.residual_tol and feas_ok:
+        if k % _RESIDUAL_EVERY == 0 or np.linalg.norm(t) <= 1e-14:
+            r, accepted = probe(k, op, x)
+            if accepted:
                 return x, r, k, True, trace, approx
             # normalized directions limit-cycle at radius ~alpha near interior
             # maxima; damp whenever a probe shows no progress
-            if k > 0 and r >= last_probe_r - 1e-12:
-                alpha *= 0.5
-                halvings += 1
-                if alpha < 1e-8 or halvings > 60:
-                    break
+            if k > 0 and r >= last_probe_r - 1e-12 and halve():
+                break
             last_probe_r = r
 
         if config.method == "extragradient":
-            y = _project_problem(game, x, t, alpha, problem)
-            op_y = evaluate_T(game, y, eps_sat=config.eps_sat, seed=config.seed)
-            t2 = select(op_y, config.selection)
-            x_new = _project_problem(game, x, t2, alpha, problem)
+            y = problem.project(x, t, alpha)
+            t2 = select(evaluate_T(game, y, seed=config.seed))
+            x_new = problem.project(x, t2, alpha)
         else:
-            x_new = _project_problem(game, x, t, alpha, problem)
+            x_new = problem.project(x, t, alpha)
 
-        step = float(np.linalg.norm(x_new - x))
-        cycling = x_prev is not None and np.linalg.norm(x_new - x_prev) <= config.step_tol
-        if step <= config.step_tol or cycling:
-            r = probe_residual(op, x)
-            feas_ok = problem == "vi" or _qvi_feasible(game, x, tol.eps_feas)
-            if trace is not None:
-                trace.append({"iter": k, "residual": float(r), "alpha": alpha})
-            if r < best_r and feas_ok:
-                best_r, best_x, best_it = r, x.copy(), k
-            if r <= config.residual_tol and feas_ok:
+        cycling = x_prev is not None and np.linalg.norm(x_new - x_prev) <= _STEP_TOL
+        if np.linalg.norm(x_new - x) <= _STEP_TOL or cycling:
+            r, accepted = probe(k, op, x)
+            if accepted:
                 return x, r, k, True, trace, approx
             # fixed point (or 2-cycle) of this step size that is not a
             # solution: shrink the step and keep going
-            alpha *= 0.5
-            halvings += 1
-            if alpha < 1e-8 or halvings > 60:
+            if halve():
                 break
         x_prev = x
         x = x_new
 
-    r = probe_residual(op, x)
-    feas_ok = problem == "vi" or _qvi_feasible(game, x, tol.eps_feas)
-    if r < best_r and feas_ok:
-        best_r, best_x, best_it = r, x.copy(), config.max_iters
+    probe(config.max_iters, op, x)
     return best_x, best_r, best_it, best_r <= config.residual_tol, trace, approx
 
 
-def _solve(game: GameInstance, config: SolverConfig, problem: str,
+def _solve(game: GameInstance, config: SolverConfig, problem_type,
            tol: Tolerances) -> SolveResult:
     rng = np.random.default_rng(config.seed)
-    starts = [_default_start(game)]
-    attempts = max(1, config.restarts)
     best = None
-    for attempt in range(attempts):
-        x0 = starts[0] if attempt == 0 else _random_start(game, rng)
-        x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, rng, tol)
-        cand = SolveResult(x, r, iters, ok, attempt + 1, problem,
+    for attempt in range(max(1, config.restarts)):
+        x0 = _default_start(game) if attempt == 0 else _random_start(game, rng)
+        problem = problem_type(game, rng)
+        x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol)
+        cand = SolveResult(x, r, iters, ok, attempt + 1, problem.name,
                            trace=trace, approximate=approx)
         if best is None or cand.residual < best.residual:
             best = cand
@@ -392,32 +386,36 @@ def solve_vi(game: GameInstance, config: SolverConfig = SolverConfig(),
     """Solve VI(T, shared set) for a jointly convex game."""
     if not game.jointly_convex:
         raise ValueError("solve_vi needs a jointly convex game (shared set)")
-    return _solve(game, config, "vi", tol)
+    return _solve(game, config, _SharedSetVI, tol)
 
 
 def solve_qvi(game: GameInstance, config: SolverConfig = SolverConfig(),
               tol: Tolerances = Tolerances()) -> SolveResult:
     """Solve QVI(T, K): blockwise projections onto the moving constraint sets."""
-    return _solve(game, config, "qvi", tol)
+    return _solve(game, config, _MovingSlicesQVI, tol)
 
 
-def vi_residual(game: GameInstance, x, seed: int = 0, eps_sat: float = 1e-9):
-    """(r, t) of the hull residual at x over the shared set's vertices."""
-    if not game.jointly_convex:
-        raise ValueError("vi_residual needs a jointly convex game")
+def _residual_at(game, x, problem_type, seed, eps_sat):
     rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
     op = evaluate_T(game, x, eps_sat=eps_sat, seed=seed)
-    V = _body_vertices(game.shared_set, rng)
-    return hull_residual(op, x, V)
-
-
-def qvi_residual(game: GameInstance, x, seed: int = 0, eps_sat: float = 1e-9):
-    rng = np.random.default_rng(seed)
-    op = evaluate_T(game, x, eps_sat=eps_sat, seed=seed)
-    V = _problem_vertices(game, np.asarray(x, dtype=float), "qvi", rng)
+    V = problem_type(game, rng).vertices(x)
     if V is None:
         return np.inf, None
     return hull_residual(op, x, V)
+
+
+def vi_residual(game: GameInstance, x, seed: int = 0, eps_sat: float = EPS_SATIATION):
+    """(r, t) of the hull residual at x over the shared set's vertices."""
+    if not game.jointly_convex:
+        raise ValueError("vi_residual needs a jointly convex game")
+    return _residual_at(game, x, _SharedSetVI, seed, eps_sat)
+
+
+def qvi_residual(game: GameInstance, x, seed: int = 0, eps_sat: float = EPS_SATIATION):
+    """(r, t) of the hull residual at x over the current slices' vertices;
+    (inf, None) when a slice is empty."""
+    return _residual_at(game, x, _MovingSlicesQVI, seed, eps_sat)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from gnepkit import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # jit compilation must not be billed to any timed test
-    _kernels.warmup()
-
 
 @pytest.fixture
 def rng():

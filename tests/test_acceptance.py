@@ -1,7 +1,7 @@
 """Acceptance gate: ten checks, one pass/fail line each.
 
-Budgets are wall-clock seconds measured after the session-wide kernel
-warmup; tolerances are pinned in-line and must not be loosened.
+Budgets are wall-clock seconds of each check's own loop; tolerances are
+pinned in-line and must not be loosened.
 """
 
 import json

@@ -152,3 +152,31 @@ def test_bundled_instance_files_load():
     assert names
     for n in names:
         load_instance(os.path.join(INST, n))
+
+
+
+def _split_file(tmp_path, budget=1.0, lo=0.0):
+    """Splitting game on boxes [lo, 1] with shared set {x >= 0, x1 + x2 <= budget}."""
+    r = 2 ** -0.5
+    players = [{"ambient": {"kind": "box", "lo": [lo], "hi": [1.0]},
+                "block_start": i, "player": i,
+                "variant": {"kind": "linear", "c": [1.0 - i, float(i)]}} for i in (0, 1)]
+    game = {"type": "game", "schema_version": 1, "name": "split",
+            "constraints": [{"kind": "shared_slice"}] * 2, "players": players,
+            "shared_set": {"kind": "hpoly", "A": [[-1.0, 0.0], [0.0, -1.0], [r, r]],
+                           "b": [0.0, 0.0, r * budget], "strict": [0, 0, 0]}}
+    p = tmp_path / f"split_{budget}_{lo}.json"
+    p.write_text(json.dumps(game))
+    return p
+
+
+def test_empty_shared_set_is_a_solver_failure_exit_3(tmp_path):
+    assert run("solve", _split_file(tmp_path), "--out-dir", tmp_path / "ok") == 0
+    empty = _split_file(tmp_path, budget=-1.0)
+    assert run("solve", empty, "--out-dir", tmp_path / "vi") == 3
+    assert run("solve", empty, "--qvi", "--out-dir", tmp_path / "qvi") == 3
+    assert run("verify", empty, "--point", "0.5,0.5", "--out-dir", tmp_path / "v") == 4
+
+
+def test_box_with_lo_above_hi_exit_2(tmp_path):
+    assert run("solve", _split_file(tmp_path, lo=2.0), "--out-dir", tmp_path / "o") == 2

@@ -1,9 +1,5 @@
 """Projection kernels against exact small-problem oracles."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -79,24 +75,3 @@ def test_dykstra_interior_point_unmoved():
     b = np.array([1.0, 1.0, 0.0, 0.0])
     y = np.array([0.4, 0.7])
     assert np.allclose(_lp.project_polyhedron(y, A, b), y, atol=1e-12)
-
-
-def test_backends_agree(rng):
-    np_impl = _kernels.IMPLEMENTATIONS["numpy"]
-    alt = _kernels.IMPLEMENTATIONS.get("numba")
-    if alt is None:
-        pytest.skip("numba unavailable")
-    for _ in range(25):
-        y = rng.uniform(-2, 2, 4)
-        assert np.allclose(np_impl(y, 1.0), alt(y, 1.0), atol=1e-12)
-
-
-def test_pure_numpy_env_flag_selects_fallback():
-    code = ("import gnepkit; import numpy as np; "
-            "print(gnepkit.kernel_backend()); "
-            "print(gnepkit._kernels.project_simplex(np.array([2.0, -1.0]), 1.0))")
-    env = dict(os.environ, GNEPKIT_PURE_NUMPY="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.splitlines()[0].strip() == "numpy"
-    assert "[1. 0.]" in out.stdout

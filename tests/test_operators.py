@@ -63,9 +63,7 @@ def test_simplex_vertex_satiation():
 def test_select_rules():
     g = gi.splitting_game()
     op = evaluate_T(g, np.array([0.3, 0.3]))
-    for rule in ("first", "centroid", "min_norm_hull"):
-        t = select(op, rule)
-        assert np.allclose(t, [-1.0, -1.0], atol=1e-9)
+    assert np.allclose(select(op), [-1.0, -1.0], atol=1e-9)
 
 
 def test_select_whole_space_contributes_zero():
@@ -76,7 +74,7 @@ def test_select_whole_space_contributes_zero():
     g = GameInstance((pm,), (FixedConstraint(Box([0.0], [1.0])),), None, "sat")
     op = evaluate_T(g, np.array([0.5]))
     assert op.any_whole_space
-    assert np.allclose(select(op, "min_norm_hull"), [0.0])
+    assert np.allclose(select(op), [0.0])
 
 
 def test_operator_eval_block_slices():

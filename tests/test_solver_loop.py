@@ -1,0 +1,218 @@
+"""Characterisation of the solver loop: every probe site, pinned.
+
+Each case fixes the iteration at which a run stopped, the attempt it came
+from, its convergence flag, every trace row, and the returned point and
+residual.  Together the cases reach the periodic probe (every splitting and
+random game), the stall and 2-cycle probe (``simplex_argmax`` with
+extragradient, ``random_jointly_convex(5)``, ``random_qvi(0)``), the final
+probe after the loop runs out (the iteration cap) or breaks on the halving
+cap (``random_qvi(103)``, which never converges and whose best point comes
+from its third attempt, so restarts and best-of-attempts are covered too).
+Any change to the order of projections, residuals, halvings or rng draws
+shows up here.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+import gnepkit as gk
+from gnepkit import instances as gi
+
+INF = float("inf")
+
+
+@dataclass
+class Case:
+    name: str
+    game: object
+    problem: str
+    config: dict
+    iterations: int
+    restarts_used: int
+    converged: bool
+    point: list
+    residual: float
+    trace: list
+
+
+CASES = [
+    Case(
+        "splitting-vi-projection", gi.splitting_game, "vi", {},
+        iterations=0, restarts_used=1, converged=True,
+        point=[0.5, 0.5],
+        residual=0.0,
+        trace=[
+            (0, 0.0, 0.5),
+        ],
+    ),
+    Case(
+        "splitting-vi-extragradient", gi.splitting_game, "vi", {"method": "extragradient"},
+        iterations=0, restarts_used=1, converged=True,
+        point=[0.5, 0.5],
+        residual=0.0,
+        trace=[
+            (0, 0.0, 0.5),
+        ],
+    ),
+    Case(
+        "simplex-argmax-vi", gi.simplex_argmax_game, "vi", {},
+        iterations=2, restarts_used=1, converged=True,
+        point=[0.0, 1.0],
+        residual=0.0,
+        trace=[
+            (0, 0.7071067811865475, 0.5),
+            (2, 0.0, 0.5),
+        ],
+    ),
+    Case(
+        "simplex-argmax-vi-extragradient", gi.simplex_argmax_game, "vi", {"method": "extragradient"},
+        iterations=29, restarts_used=1, converged=True,
+        point=[1.349976810393967e-07, 0.999999865002319],
+        residual=1.9091555141092123e-07,
+        trace=[
+            (0, 0.7071067811865475, 0.5),
+            (1, 0.20710678118654754, 0.5),
+            (2, 0.20710678118654754, 0.25),
+            (4, 0.08210678118654753, 0.125),
+            (6, 0.019606781186547524, 0.0625),
+            (7, 0.019606781186547524, 0.03125),
+            (9, 0.003981781186547542, 0.015625),
+            (10, 0.003981781186547542, 0.0078125),
+            (12, 7.553118654752697e-05, 0.00390625),
+            (13, 7.553118654752697e-05, 0.001953125),
+            (14, 7.553118654752697e-05, 0.0009765625),
+            (15, 7.553118654752697e-05, 0.00048828125),
+            (16, 7.553118654752697e-05, 0.000244140625),
+            (17, 7.553118654752697e-05, 0.0001220703125),
+            (19, 1.4496030297521824e-05, 6.103515625e-05),
+            (20, 1.4496030297521824e-05, 3.0517578125e-05),
+            (21, 1.4496030297521824e-05, 1.52587890625e-05),
+            (23, 6.866635766241741e-06, 7.62939453125e-06),
+            (25, 3.0519385006409522e-06, 3.814697265625e-06),
+            (25, 3.0519385006409522e-06, 3.814697265625e-06),
+            (27, 1.1445898678209316e-06, 1.9073486328125e-06),
+            (29, 1.9091555141092123e-07, 9.5367431640625e-07),
+        ],
+    ),
+    Case(
+        "random-jointly-convex-5", lambda: gi.random_jointly_convex(5), "vi", {"residual_tol": 5e-07, "restarts": 4},
+        iterations=35, restarts_used=1, converged=True,
+        point=[0.7437891413776148, 0.0, 1.0],
+        residual=0.0,
+        trace=[
+            (0, 1.5, 0.5),
+            (2, 0.37132316330988524, 0.5),
+            (6, 0.24999999999999978, 0.25),
+            (8, 0.12499999999999986, 0.125),
+            (11, 0.1250000000000001, 0.0625),
+            (14, 0.1250000000000001, 0.03125),
+            (17, 0.1250000000000001, 0.015625),
+            (19, 0.11718750000000011, 0.0078125),
+            (22, 0.11718750000000011, 0.00390625),
+            (24, 0.11523437500000011, 0.001953125),
+            (25, 0.25804191330988524, 0.0009765625),
+            (27, 0.11523437500000011, 0.0009765625),
+            (30, 0.11523437500000011, 0.00048828125),
+            (33, 0.11523437500000011, 0.000244140625),
+            (35, 0.0, 0.0001220703125),
+        ],
+    ),
+    Case(
+        "union-chase-qvi", gi.union_chase_game, "qvi", {},
+        iterations=1, restarts_used=1, converged=True,
+        point=[1.0],
+        residual=0.0,
+        trace=[
+            (0, 0.5, 0.5),
+            (1, 0.0, 0.5),
+        ],
+    ),
+    Case(
+        "random-qvi-0", lambda: gi.random_qvi(0), "qvi", {"residual_tol": 5e-07, "restarts": 4},
+        iterations=40, restarts_used=1, converged=True,
+        point=[0.35100857518967105, 0.053563539901225254, 0.16792679133621125],
+        residual=7.925661604166522e-17,
+        trace=[
+            (0, 1.2137704444737747, 0.5),
+            (3, 2.5, 0.5),
+            (8, 1.835244873499657, 0.25),
+            (11, 1.5441101806810507, 0.125),
+            (14, 1.4737194796417274, 0.0625),
+            (17, 1.4737194796417274, 0.03125),
+            (20, 0.5952039845521075, 0.015625),
+            (23, 1.475869873499657, 0.0078125),
+            (25, 0.43043108669561225, 0.00390625),
+            (26, 1.4542039098456145, 0.00390625),
+            (29, 1.3163585978759476, 0.001953125),
+            (32, 0.41351694146894996, 0.0009765625),
+            (35, 0.42556322490656495, 0.00048828125),
+            (38, 0.45136020320224896, 0.000244140625),
+            (40, 7.925661604166522e-17, 0.0001220703125),
+        ],
+    ),
+    Case(
+        "random-qvi-0-iteration-cap", lambda: gi.random_qvi(0), "qvi", {"residual_tol": 5e-07, "restarts": 1, "max_iters": 10},
+        iterations=10, restarts_used=1, converged=False,
+        point=[0.35454861425217105, 0.16122955552622525, 0.26692581477371125],
+        residual=0.5828746465872783,
+        trace=[
+            (0, 1.2137704444737747, 0.5),
+            (3, 2.5, 0.5),
+            (8, 1.835244873499657, 0.25),
+        ],
+    ),
+    Case(
+        "random-qvi-103", lambda: gi.random_qvi(103), "qvi", {"residual_tol": 5e-07, "restarts": 4},
+        iterations=0, restarts_used=3, converged=False,
+        point=[0.5894993063834051, 0.9759244865800032, 0.7648792065195125],
+        residual=0.5839408452537573,
+        trace=[
+            (0, 0.5839408452537573, 0.5),
+            (18, INF, 0.5),
+            (21, INF, 0.25),
+            (24, INF, 0.125),
+            (25, INF, 0.0625),
+            (29, INF, 0.03125),
+            (32, INF, 0.015625),
+            (34, INF, 0.0078125),
+            (36, INF, 0.00390625),
+            (39, INF, 0.001953125),
+            (42, INF, 0.0009765625),
+            (45, INF, 0.00048828125),
+            (48, INF, 0.000244140625),
+            (50, INF, 0.0001220703125),
+            (50, INF, 6.103515625e-05),
+            (51, INF, 3.0517578125e-05),
+            (51, INF, 1.52587890625e-05),
+            (52, INF, 7.62939453125e-06),
+            (52, INF, 3.814697265625e-06),
+            (53, INF, 1.9073486328125e-06),
+            (53, INF, 9.5367431640625e-07),
+            (54, INF, 4.76837158203125e-07),
+            (54, INF, 2.384185791015625e-07),
+            (55, INF, 1.1920928955078125e-07),
+            (55, INF, 5.960464477539063e-08),
+            (56, INF, 2.9802322387695312e-08),
+            (56, INF, 1.4901161193847656e-08),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_solver_loop_is_pinned(case):
+    solve = gk.solve_vi if case.problem == "vi" else gk.solve_qvi
+    res = solve(case.game(), gk.SolverConfig(trace=True, **case.config),
+                gk.Tolerances(eps_open=1e-6))
+    assert res.problem == case.problem
+    assert res.iterations == case.iterations
+    assert res.restarts_used == case.restarts_used
+    assert res.converged == case.converged
+    assert np.allclose(res.point, case.point, rtol=0.0, atol=1e-12)
+    assert res.residual == pytest.approx(case.residual, rel=0.0, abs=1e-12)
+    rows = [(r["iter"], r["residual"], r["alpha"]) for r in res.trace]
+    assert [(k, a) for k, _, a in rows] == [(k, a) for k, _, a in case.trace]
+    assert [r for _, r, _ in rows] == pytest.approx(
+        [r for _, r, _ in case.trace], rel=0.0, abs=1e-12)
