@@ -25,6 +25,7 @@ from .convexsets import (
     halfspaces,
     hull_body,
     intersect,
+    maximize,
     normal_cone_generators,
     polar_check,
     separate,
@@ -95,7 +96,7 @@ __all__ = [
     # bodies
     "ConvexBody", "Box", "Simplex", "HPoly", "Ball", "Intersection",
     "ConeSection", "box", "simplex", "halfspaces", "ball", "intersect",
-    "hull_body", "support_max", "body_from_dict", "separate",
+    "hull_body", "maximize", "support_max", "body_from_dict", "separate",
     "normal_cone_generators", "polar_check",
     "EmptyBodyError", "EnumerationError", "InteriorPointError",
     # preferences

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels, _lp
+from . import _lp
 
 DEFAULT_EPS_OPEN = 1e-7
 EPS_ACTIVE = 1e-8
@@ -192,7 +192,7 @@ class Simplex(ConvexBody):
         return bool(np.all(x >= -slack) and abs(x.sum() - self.scale) <= slack + 1e-9 * self.scale)
 
     def project(self, x):
-        return _kernels.project_simplex(_as_vec(x, self.dim), self.scale)
+        return project_simplex(_as_vec(x, self.dim), self.scale)
 
     def hrep(self):
         A = -np.eye(self.dim)
@@ -571,9 +571,6 @@ def intersect(*parts) -> Intersection:
     return Intersection(tuple(parts))
 
 
-_KINDS = {"box": Box, "simplex": Simplex, "hpoly": HPoly, "ball": Ball}
-
-
 def body_from_dict(d: dict) -> ConvexBody:
     kind = d["kind"]
     if kind == "box":
@@ -591,6 +588,20 @@ def body_from_dict(d: dict) -> ConvexBody:
 
 # --------------------------------------------------------------------------
 # projection helpers
+
+
+def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum(x) = scale}, scale > 0."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if scale <= 0.0:
+        raise ValueError("simplex scale must be positive")
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u) - scale
+    ks = np.arange(1, y.size + 1)
+    # the index set {j : u_j > (css_j)/j} is a prefix; take its last element
+    k = ks[u - css / ks > 0.0][-1]
+    tau = css[k - 1] / k
+    return np.maximum(y - tau, 0.0)
 
 
 def _dykstra_bodies(parts, y, max_sweeps=10_000, tol=1e-10):
@@ -687,12 +698,6 @@ class ConeSection:
             return np.zeros(self.dim)
         return _min_norm_hull_point(self.generators)
 
-    def support_min(self, d: np.ndarray) -> float:
-        """min over generators of <g, d>; +inf convention for empty list."""
-        if self.n_generators == 0:
-            return 0.0
-        return float(np.min(self.generators @ d))
-
     def to_dict(self):
         return {
             "dim": self.dim,
@@ -733,7 +738,7 @@ def _min_norm_hull_point(G, tol=1e-10):
     return best
 
 
-def separate(body: ConvexBody, y, eps_act: float = EPS_ACTIVE):
+def separate(body: ConvexBody, y):
     """A unit functional y* with <y*, z - y> <= 0 for all z in cl(body).
 
     Exterior points get the normalized projection residual; boundary points
@@ -746,7 +751,7 @@ def separate(body: ConvexBody, y, eps_act: float = EPS_ACTIVE):
     rn = np.linalg.norm(r)
     if rn > 1e-9:
         return r / rn
-    gens = _active_normals(body, p, eps_act)
+    gens = _active_normals(body, p)
     if not len(gens):
         raise InteriorPointError("separate() needs y outside the interior")
     avg = np.mean(gens, axis=0)
@@ -756,7 +761,7 @@ def separate(body: ConvexBody, y, eps_act: float = EPS_ACTIVE):
     return gens[0]
 
 
-def _active_normals(body: ConvexBody, p, eps_act):
+def _active_normals(body: ConvexBody, p):
     """Unit outward normals of faces active at feasible point p."""
     out = []
     h = body.hrep()
@@ -764,7 +769,7 @@ def _active_normals(body: ConvexBody, p, eps_act):
         A, b, _ = h
         m = A @ p - b
         for i in range(len(b)):
-            if m[i] >= -eps_act * (1.0 + abs(b[i])):
+            if m[i] >= -EPS_ACTIVE * (1.0 + abs(b[i])):
                 out.append(A[i])
     C, d = body.equalities()
     for i in range(len(d)):
@@ -772,18 +777,18 @@ def _active_normals(body: ConvexBody, p, eps_act):
         out.append(-C[i])
     if isinstance(body, Ball):
         r = np.linalg.norm(p - body.center)
-        if r >= body.radius - eps_act * (1.0 + body.radius) and r > 1e-12:
+        if r >= body.radius - EPS_ACTIVE * (1.0 + body.radius) and r > 1e-12:
             out.append((p - body.center) / r)
     if isinstance(body, Intersection) and body._merged is None:
         for part in body.parts:
             if part.hrep() is None and not isinstance(part, Ball):
                 continue
-            out.extend(_active_normals(part, p, eps_act))
+            out.extend(_active_normals(part, p))
         # deduplicate handled by caller via ConeSection
     return np.array(out).reshape(-1, body.dim)
 
 
-def normal_cone_generators(body: ConvexBody, y, eps_act: float = EPS_ACTIVE) -> ConeSection:
+def normal_cone_generators(body: ConvexBody, y) -> ConeSection:
     """Unit generators of N_body(y) ∩ S[0,1] (convex hull taken downstream).
 
     Empty body -> whole space (the convention that makes satiated players
@@ -798,7 +803,7 @@ def normal_cone_generators(body: ConvexBody, y, eps_act: float = EPS_ACTIVE) -> 
     p = body.project(y)
     r = y - p
     rn = np.linalg.norm(r)
-    actives = _active_normals(body, p, eps_act)
+    actives = _active_normals(body, p)
     if rn <= 1e-9:
         return ConeSection.from_vectors(actives, body.dim)
     rhat = r / rn
@@ -809,7 +814,7 @@ def normal_cone_generators(body: ConvexBody, y, eps_act: float = EPS_ACTIVE) -> 
     gens = np.array(gens)
     try:
         vs = body.closure().vertices()
-    except (EnumerationError, NotImplementedError):
+    except EnumerationError:
         vs = None
     if vs is not None and len(vs):
         ok = [g for g in gens if np.max(vs @ g) - g @ y <= 1e-8]
@@ -827,37 +832,57 @@ def polar_check(cone: ConeSection, d, tol: float = 1e-9) -> bool:
     return bool(np.max(cone.generators @ d) <= tol)
 
 
-def project(body: ConvexBody, y) -> np.ndarray:
-    return body.project(y)
+def maximize(body: ConvexBody, c, Q=None):
+    """(value, argmax) of max 0.5 z'Qz + <c, z> over the closure of body.
+
+    Q absent or zero (every entry at most 1e-13) is the support function:
+    closed forms for Box, Simplex, Ball and 1-D polyhedra, else one LP.  A
+    nonzero Q must be negative semidefinite; exact KKT enumeration over the
+    rows and equalities answers it (hrep() rows are the closure's: only the
+    strict flags differ).  Raises UnboundedLP when the maximum is unbounded,
+    EnumerationError when the body has neither a closed form nor an
+    H-representation.
+    """
+    c = _as_vec(c, body.dim)
+    quadratic = Q is not None and np.abs(Q).max(initial=0.0) > 1e-13
+    if not quadratic:
+        if isinstance(body, Box):
+            lo, hi = body.lo, body.hi
+            val = np.sum(np.where(c >= 0, c * hi, c * lo))
+            if not np.isfinite(val):
+                raise _lp.UnboundedLP("support of unbounded box")
+            return float(val), np.where(c >= 0, hi, lo)
+        if isinstance(body, Simplex):
+            j = int(np.argmax(c))
+            return float(body.scale * c[j]), body.scale * np.eye(body.dim)[j]
+        if isinstance(body, Ball):
+            n = np.linalg.norm(c)
+            z = body.center + (body.radius / n) * c if n > 0 else body.center.copy()
+            return float(c @ body.center + body.radius * n), z
+    h = body.hrep()
+    if h is None:
+        raise EnumerationError(f"no maximization over kind={body.kind!r}")
+    if not quadratic and body.dim == 1:
+        lo, hi = body.bounding_box()
+        if c[0] == 0.0:
+            return 0.0, np.clip(np.zeros(1), lo, hi)
+        z = hi if c[0] > 0 else lo
+        val = c[0] * z[0]
+        if not np.isfinite(val):
+            raise _lp.UnboundedLP("support of unbounded interval")
+        return float(val), z
+    C, d = body.equalities()
+    eq = (C, d) if len(d) else (None, None)
+    if quadratic:
+        val, z = _lp.max_concave_quad(Q, c, h[0], h[1], *eq)
+    else:
+        val, z = _lp.max_linear(c, h[0], h[1], *eq)
+    return float(val), z
 
 
 def support_max(body: ConvexBody, c) -> float:
     """max over the closure of <c, z>; raises UnboundedLP when unbounded."""
-    c = _as_vec(c, body.dim)
-    if isinstance(body, Box):
-        lo, hi = body.lo, body.hi
-        val = np.sum(np.where(c >= 0, c * hi, c * lo))
-        if not np.isfinite(val):
-            raise _lp.UnboundedLP("support of unbounded box")
-        return float(val)
-    if isinstance(body, Simplex):
-        return float(body.scale * np.max(c))
-    if isinstance(body, Ball):
-        return float(c @ body.center + body.radius * np.linalg.norm(c))
-    h = body.hrep()
-    if body.dim == 1 and h is not None:
-        lo, hi = body.bounding_box()
-        if c[0] == 0.0:
-            return 0.0
-        val = c[0] * (hi[0] if c[0] > 0 else lo[0])
-        if not np.isfinite(val):
-            raise _lp.UnboundedLP("support of unbounded interval")
-        return float(val)
-    if h is None:
-        raise ValueError(f"support_max unsupported for kind={body.kind!r}")
-    C, d = body.equalities()
-    val, _ = _lp.max_linear(c, h[0], h[1], C if len(d) else None, d if len(d) else None)
-    return float(val)
+    return maximize(body, c)[0]
 
 
 def hull_body(points: np.ndarray) -> ConvexBody:

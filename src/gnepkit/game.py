@@ -25,12 +25,14 @@ from .convexsets import (
     EnumerationError,
     HPoly,
     Intersection,
+    maximize,
 )
 from .preferences import (
     LinearUtility,
     PreferenceMap,
     QuadUtility,
     UnboundedPreferenceError,
+    _own_quadratic,
     embed_variant,
     max_improvement,
     pref_set,
@@ -114,13 +116,6 @@ class GameInstance:
     @property
     def jointly_convex(self) -> bool:
         return self.shared_set is not None
-
-    def choice_sets(self):
-        return [pm.ambient for pm in self.preferences]
-
-    def split(self, x):
-        x = np.asarray(x, dtype=float)
-        return [x[pm.block] for pm in self.preferences]
 
     def join(self, blocks):
         return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
@@ -478,25 +473,11 @@ def _improve_block_lp(pm: PreferenceMap, x, body: ConvexBody, nx):
     dom = Intersection((body, shrink))
     if dom.is_empty(eps_open=0.0):
         return None, None
-    v = pm.variant
-    if isinstance(v, (LinearUtility, QuadUtility)):
-        A2, a1, _ = _own_quad(pm, x)
-        h = dom.closure().hrep()
-        if h is None:
-            return None, None
-        C, dq = dom.equalities()
-        best, z_i = _lp.max_concave_quad(
-            A2, a1, h[0], h[1], C if len(dq) else None, dq if len(dq) else None
-        )
-        return best, z_i
+    if isinstance(pm.variant, (LinearUtility, QuadUtility)):
+        A2, a1, _ = _own_quadratic(pm, x)
+        return maximize(dom, a1, A2)
     # set-valued variants are served by the probe paths
     return None, None
-
-
-def _own_quad(pm, x):
-    from .preferences import _own_quadratic
-
-    return _own_quadratic(pm, x)
 
 
 def _joint_improvement_lp(game: GameInstance, x, bodies, nx):
@@ -518,7 +499,7 @@ def _joint_improvement_lp(game: GameInstance, x, bodies, nx):
     for pm, body in zip(game.preferences, bodies):
         v = pm.variant
         if isinstance(v, LinearUtility):
-            A2, a1, a0 = _own_quad(pm, x)
+            A2, a1, a0 = _own_quadratic(pm, x)
             if np.linalg.norm(a1) <= 1e-13:
                 continue
             add(-a1[None, :], [a0], [True], pm.block)

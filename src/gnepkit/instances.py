@@ -87,16 +87,6 @@ def union_chase_game() -> GameInstance:
     return GameInstance((pm,), (FixedConstraint(Box([0.0], [1.0])),), None, "union-chase")
 
 
-def self_preference_trap() -> GameInstance:
-    """Constant two-piece union whose hull swallows interior points: the
-    guard must refuse to analyze it at e.g. x = 0.5."""
-    lo_piece = PolyhedralPref.constant([[1.0]], [0.2])
-    hi_piece = PolyhedralPref.constant([[-1.0]], [-0.8])
-    var = UnionPref((lo_piece, hi_piece))
-    pm = PreferenceMap(0, 0, Box([0.0], [1.0]), var)
-    return GameInstance((pm,), (FixedConstraint(Box([0.0], [1.0])),), None, "trap")
-
-
 def coercive_inward_game() -> GameInstance:
     """Unbounded orthant, utilities pulling every block toward the origin."""
     shared = HPoly([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])

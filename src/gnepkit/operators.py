@@ -19,14 +19,12 @@ import numpy as np
 from . import convexsets
 from .convexsets import ConeSection, ConvexBody
 from .preferences import (
-    EPS_SATIATION,
     LinearUtility,
     PreferenceMap,
     QuadUtility,
     convexified_set,
     is_satiated,
     own_gradient,
-    region_is_empty,
 )
 
 _GRADED = (LinearUtility, QuadUtility)
@@ -71,8 +69,7 @@ def tangent_projector(body: ConvexBody) -> np.ndarray:
     return P
 
 
-def normal_map(pm: PreferenceMap, x, eps_sat: float = EPS_SATIATION,
-               eps_act: float = convexsets.EPS_ACTIVE, seed: int = 0) -> ConeSection:
+def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
     """Section of N_{co P_i(x)}(x_i) ∩ S[0,1] as unit generators.
 
     Graded variants: satiation means an empty preferred set, hence the whole
@@ -89,21 +86,21 @@ def normal_map(pm: PreferenceMap, x, eps_sat: float = EPS_SATIATION,
     reduced = not np.allclose(P_t, np.eye(d))
 
     if isinstance(pm.variant, _GRADED):
-        if is_satiated(pm, x, eps_sat, seed=seed):
+        if is_satiated(pm, x, seed=seed):
             return ConeSection.whole(d)
         g = P_t @ own_gradient(pm, x)
         gens = [-g]
-        gens.extend(convexsets._active_normals(pm.ambient, xi, eps_act))
+        gens.extend(convexsets._active_normals(pm.ambient, xi))
         if reduced:
             gens = [P_t @ v for v in gens]
         return ConeSection.from_vectors(gens, d)
 
     region = convexified_set(pm, x, seed=seed)
     approx = bool(getattr(region, "approximate", False))
-    if region_is_empty(region):
+    if region.is_empty():
         return ConeSection.whole(d)
     body = region.body if hasattr(region, "body") else region
-    cone = convexsets.normal_cone_generators(body, xi, eps_act)
+    cone = convexsets.normal_cone_generators(body, xi)
     if cone.whole_space:
         return ConeSection.whole(d)
     gens = cone.generators
@@ -112,12 +109,12 @@ def normal_map(pm: PreferenceMap, x, eps_sat: float = EPS_SATIATION,
     return ConeSection.from_vectors(gens, d, approximate=approx or cone.approximate)
 
 
-def evaluate_T(game, x, eps_sat: float = EPS_SATIATION, seed: int = 0) -> OperatorEval:
+def evaluate_T(game, x, seed: int = 0) -> OperatorEval:
     """All player blocks of T at the joint point x."""
     blocks, starts = [], []
     for pm in game.preferences:
         starts.append(pm.block_start)
-        blocks.append(normal_map(pm, x, eps_sat=eps_sat, seed=seed))
+        blocks.append(normal_map(pm, x, seed=seed))
     return OperatorEval(tuple(blocks), tuple(starts))
 
 

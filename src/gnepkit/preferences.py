@@ -25,16 +25,14 @@ import numpy as np
 from . import _lp
 from .convexsets import (
     DEFAULT_EPS_OPEN,
-    Ball,
     Box,
     ConvexBody,
     EmptyBodyError,
     EnumerationError,
     HPoly,
     Intersection,
-    Simplex,
     hull_body,
-    support_max,
+    maximize,
 )
 
 EPS_SATIATION = 1e-9
@@ -280,14 +278,8 @@ class QuadRegion:
         return self.value(z) > eps_open - eps
 
     def max_value(self) -> float:
-        h = self.ambient.closure().hrep()
-        if h is None:
-            raise ValueError("QuadRegion emptiness needs a polyhedral ambient")
-        C, d = self.ambient.equalities()
         try:
-            val, _ = _lp.max_concave_quad(
-                self.A2, self.a1, h[0], h[1], C if len(d) else None, d if len(d) else None
-            )
+            val, _ = maximize(self.ambient, self.a1, self.A2)
         except _lp.UnboundedLP as e:
             raise UnboundedPreferenceError(str(e)) from None
         return val + self.a0
@@ -339,7 +331,7 @@ def _ambient_candidates(ambient: ConvexBody, rng: np.random.Generator, budget: i
         vs = ambient.closure().vertices()
         if len(vs):
             pts.append(vs)
-    except (EnumerationError, NotImplementedError):
+    except EnumerationError:
         pass
     ip = ambient.interior_point()
     if ip is not None:
@@ -471,12 +463,6 @@ class SampledHull:
         return False
 
 
-def region_is_empty(region, eps_open: float = DEFAULT_EPS_OPEN) -> bool:
-    if isinstance(region, ConvexBody):
-        return region.is_empty(eps_open)
-    return region.is_empty(eps_open)
-
-
 # --------------------------------------------------------------------------
 # improvement slack (shared by the verifier and satiation checks)
 
@@ -485,8 +471,8 @@ def max_improvement(pm: PreferenceMap, x, over: ConvexBody,
                     eps_open: float = DEFAULT_EPS_OPEN, seed: int = 0):
     """(slack, approximate): how strongly the player can improve inside `over`.
 
-    Graded variants report sup u(x_{-i}, z) - u(x) -- exact, via support
-    functions or active-set QP.  Polyhedral variants report the largest
+    Graded variants report sup u(x_{-i}, z) - u(x) -- exact, via
+    convexsets.maximize.  Polyhedral variants report the largest
     margin by which some z clears every strict row (row-normalized units).
     The oracle variant reports 1.0 when any sampled z is preferred, else 0.0,
     and flags itself approximate.  P_i(x) ∩ over is empty (up to eps_open)
@@ -498,24 +484,12 @@ def max_improvement(pm: PreferenceMap, x, over: ConvexBody,
 
     if isinstance(v, (LinearUtility, QuadUtility)):
         A2, a1, a0 = _own_quadratic(pm, x)
-        if np.abs(A2).max(initial=0.0) <= 1e-13:
-            try:
-                val = support_max(over, a1)
-            except _lp.UnboundedLP:
-                raise UnboundedPreferenceError(
-                    f"player {pm.player}: linear improvement unbounded"
-                ) from None
-            return float(val + a0), False
-        h = over.closure().hrep()
-        if h is None:
-            raise ValueError("quadratic improvement needs a polyhedral domain")
-        C, d_eq = over.equalities()
         try:
-            val, _ = _lp.max_concave_quad(
-                A2, a1, h[0], h[1], C if len(d_eq) else None, d_eq if len(d_eq) else None
-            )
-        except _lp.UnboundedLP as e:
-            raise UnboundedPreferenceError(str(e)) from None
+            val, _ = maximize(over, a1, A2)
+        except _lp.UnboundedLP:
+            raise UnboundedPreferenceError(
+                f"player {pm.player}: improvement unbounded"
+            ) from None
         return float(val + a0), False
 
     if isinstance(v, PolyhedralPref):
@@ -562,10 +536,10 @@ def _poly_slack(rows, over: ConvexBody) -> float:
     return float(s)
 
 
-def is_satiated(pm: PreferenceMap, x, eps_sat: float = EPS_SATIATION, seed: int = 0) -> bool:
+def is_satiated(pm: PreferenceMap, x, seed: int = 0) -> bool:
     """No improvement anywhere in the player's own choice set."""
     slack, _ = max_improvement(pm, x, pm.ambient, seed=seed)
-    return slack <= eps_sat
+    return slack <= EPS_SATIATION
 
 
 # --------------------------------------------------------------------------
@@ -716,7 +690,7 @@ def _joint_corners(bodies, cap: int = 32):
     for b in bodies:
         try:
             vs = b.closure().vertices()
-        except (EnumerationError, NotImplementedError):
+        except EnumerationError:
             return None
         if not len(vs):
             return None

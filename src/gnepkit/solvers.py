@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import _lp
-from .convexsets import ConvexBody, EmptyBodyError, EnumerationError
+from .convexsets import ConvexBody, EmptyBodyError, EnumerationError, maximize
 from .game import (
     FixedConstraint,
     GameInstance,
@@ -40,13 +40,7 @@ from .game import (
     verify_equilibrium,
 )
 from .operators import OperatorEval, evaluate_T, select
-from .preferences import (
-    EPS_SATIATION,
-    LinearUtility,
-    QuadUtility,
-    _own_quadratic,
-    max_improvement,
-)
+from .preferences import LinearUtility, QuadUtility, _own_quadratic, max_improvement
 
 
 # iterations between periodic residual probes
@@ -358,7 +352,10 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
                 break
         x_prev = x
         x = x_new
-
+    else:
+        # out of iterations: probe the last iterate with T taken there
+        op = evaluate_T(game, x, seed=config.seed)
+        approx = approx or op.approximate
     probe(config.max_iters, op, x)
     return best_x, best_r, best_it, best_r <= config.residual_tol, trace, approx
 
@@ -395,27 +392,27 @@ def solve_qvi(game: GameInstance, config: SolverConfig = SolverConfig(),
     return _solve(game, config, _MovingSlicesQVI, tol)
 
 
-def _residual_at(game, x, problem_type, seed, eps_sat):
+def _residual_at(game, x, problem_type, seed):
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    op = evaluate_T(game, x, eps_sat=eps_sat, seed=seed)
+    op = evaluate_T(game, x, seed=seed)
     V = problem_type(game, rng).vertices(x)
     if V is None:
         return np.inf, None
     return hull_residual(op, x, V)
 
 
-def vi_residual(game: GameInstance, x, seed: int = 0, eps_sat: float = EPS_SATIATION):
+def vi_residual(game: GameInstance, x, seed: int = 0):
     """(r, t) of the hull residual at x over the shared set's vertices."""
     if not game.jointly_convex:
         raise ValueError("vi_residual needs a jointly convex game")
-    return _residual_at(game, x, _SharedSetVI, seed, eps_sat)
+    return _residual_at(game, x, _SharedSetVI, seed)
 
 
-def qvi_residual(game: GameInstance, x, seed: int = 0, eps_sat: float = EPS_SATIATION):
+def qvi_residual(game: GameInstance, x, seed: int = 0):
     """(r, t) of the hull residual at x over the current slices' vertices;
     (inf, None) when a slice is empty."""
-    return _residual_at(game, x, _MovingSlicesQVI, seed, eps_sat)
+    return _residual_at(game, x, _MovingSlicesQVI, seed)
 
 
 # --------------------------------------------------------------------------
@@ -590,24 +587,17 @@ def _improvements_for_player(game: GameInstance, pm, nodes_f: np.ndarray,
             return fast
     for _, idx in _rival_groups(nodes_f, pm.block):
         rep = nodes_f[idx[0]]
+        # an empty slice scores inf, whether building it, its closed-form
+        # support, the support LP or the QP finds it empty
         try:
             K = constraint_body(game, i, rep)
-        except EmptyBodyError:
+            if graded:
+                A2, a1, _ = _own_quadratic(pm, rep)
+                M, _ = maximize(K, a1, A2)
+        except (EmptyBodyError, _lp.InfeasibleLP, _lp.UnboundedLP):
             out[idx] = np.inf
             continue
         if graded:
-            A2, a1, _ = _own_quadratic(pm, rep)
-            h = K.closure().hrep()
-            if h is None:
-                raise EnumerationError("oracle needs polyhedral constraint slices")
-            C, d = K.equalities()
-            try:
-                M, _ = _lp.max_concave_quad(
-                    A2, a1, h[0], h[1], C if len(d) else None, d if len(d) else None
-                )
-            except _lp.UnboundedLP:
-                out[idx] = np.inf
-                continue
             Z = nodes_f[idx][:, pm.block]
             vals = 0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z) + Z @ a1
             out[idx] = M - vals

@@ -47,6 +47,12 @@ def test_solve_extragradient_flag(splitting, tmp_path):
                "--out-dir", tmp_path / "o") == 0
 
 
+def test_solve_max_iters_zero(tmp_path):
+    # the start of the splitting game is a solution: the closing probe accepts it
+    assert run("solve", os.path.join(INST, "splitting_game.json"), "--max-iters", 0,
+               "--out-dir", tmp_path / "o") == 0
+
+
 def test_solve_trace_csv(splitting, tmp_path):
     out = tmp_path / "o"
     assert run("solve", splitting, "--trace", "--out-dir", out) == 0

@@ -13,11 +13,13 @@ from gnepkit.convexsets import (
     Box,
     ConeSection,
     EmptyBodyError,
+    EnumerationError,
     HPoly,
     Intersection,
     InteriorPointError,
     Simplex,
     hull_body,
+    maximize,
     normal_cone_generators,
     polar_check,
     separate,
@@ -295,11 +297,68 @@ def test_support_max_closed_forms(body, c, want):
 
 
 def test_support_max_matches_vertex_scan(rng):
-    P = triangle()
-    V = P.vertices()
+    # maximize's value and argmax against a vertex scan; support_max is its value
+    bodies = [
+        triangle(),
+        Box([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0]),
+        Simplex(3, 2.0),
+        HPoly([[1.0], [-2.0]], [0.7, 1.0]),
+        Intersection((Box([-1.0], [1.0]), HPoly([[3.0]], [0.9]))),
+        HPoly(triangle().A, triangle().b, strict=[True, False, True]),
+        Intersection((Simplex(3), HPoly([[1.0, 0.0, 0.0]], [0.4]))),
+    ]
+    for P in bodies:
+        V = P.closure().vertices()
+        for _ in range(25):
+            c = rng.standard_normal(P.dim)
+            val, z = maximize(P, c)
+            assert support_max(P, c) == val
+            assert val == pytest.approx((V @ c).max(), abs=1e-8)
+            assert np.allclose(z, V[np.argmax(V @ c)], atol=1e-8)
+    # a ball against a fine scan of its boundary circle
+    B = Ball([0.5, -1.0], 2.0)
+    t = np.linspace(0.0, 2 * np.pi, 100_001)
+    circle = B.center + B.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
     for _ in range(25):
         c = rng.standard_normal(2)
-        assert support_max(P, c) == pytest.approx((V @ c).max(), abs=1e-8)
+        val, z = maximize(B, c)
+        assert val == pytest.approx((circle @ c).max(), abs=1e-8)
+        assert np.allclose(z, circle[np.argmax(circle @ c)], atol=1e-4)
+        assert c @ z == pytest.approx(val, abs=1e-12)
+
+
+def test_maximize_quadratic_matches_grid(rng):
+    # exact KKT maximum against a dense grid, as for _lp.max_concave_quad
+    g = np.linspace(-1.0, 1.0, 401)
+    grid = np.stack([m.ravel() for m in np.meshgrid(g, g, indexing="ij")], axis=1)
+    for P in (Box([-0.5, -1.0], [1.0, 0.25]), triangle()):
+        Z = grid[[P.contains(z, eps=1e-12) for z in grid]]
+        for _ in range(10):
+            G = rng.standard_normal((2, 2))
+            Q = -(G @ G.T) - 0.1 * np.eye(2)
+            c = rng.uniform(-2.0, 2.0, 2)
+            val, z = maximize(P, c, Q)
+            vals = 0.5 * np.einsum("ki,ij,kj->k", Z, Q, Z) + Z @ c
+            assert vals.max() - 1e-9 <= val <= vals.max() + 0.05
+            assert val == pytest.approx(0.5 * z @ Q @ z + c @ z, abs=1e-12)
+            assert P.contains(z, eps=1e-9)
+
+
+def test_maximize_errors():
+    from gnepkit import _lp
+
+    orthant = HPoly([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+    with pytest.raises(_lp.UnboundedLP):
+        maximize(orthant, [1.0, 0.5])
+    with pytest.raises(_lp.UnboundedLP):
+        maximize(orthant, [0.0, 1.0], np.diag([-1.0, 0.0]))
+    with pytest.raises(_lp.UnboundedLP):
+        maximize(Box([0.0], [np.inf]), [1.0])
+    with pytest.raises(_lp.UnboundedLP):
+        maximize(HPoly([[-1.0]], [0.0]), [1.0], np.zeros((1, 1)))
+    with pytest.raises(EnumerationError):
+        maximize(Intersection((Ball([0.0, 0.0], 1.0), unit_square())), [1.0, 0.0],
+                 -np.eye(2))
 
 
 # -- separation -------------------------------------------------------------

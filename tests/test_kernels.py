@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gnepkit import _kernels, _lp
+from gnepkit import _lp
+from gnepkit.convexsets import project_simplex
 
 
 def _project_simplex_oracle(y, scale=1.0):
@@ -38,7 +39,7 @@ def test_simplex_projection_matches_kkt_oracle(d, rng):
     for _ in range(50):
         y = rng.uniform(-2, 2, d)
         scale = float(rng.uniform(0.5, 3.0))
-        got = _kernels.project_simplex(y, scale)
+        got = project_simplex(y, scale)
         want = _project_simplex_oracle(y, scale)
         assert np.allclose(got, want, atol=1e-9)
         assert got.min() >= -1e-12
@@ -47,7 +48,7 @@ def test_simplex_projection_matches_kkt_oracle(d, rng):
 
 def test_simplex_projection_fixed_point():
     z = np.array([0.2, 0.3, 0.5])
-    assert np.allclose(_kernels.project_simplex(z), z, atol=1e-12)
+    assert np.allclose(project_simplex(z), z, atol=1e-12)
 
 
 def _project_poly_oracle(A, b, y):

@@ -5,7 +5,8 @@ from, its convergence flag, every trace row, and the returned point and
 residual.  Together the cases reach the periodic probe (every splitting and
 random game), the stall and 2-cycle probe (``simplex_argmax`` with
 extragradient, ``random_jointly_convex(5)``, ``random_qvi(0)``), the final
-probe after the loop runs out (the iteration cap) or breaks on the halving
+probe after the loop runs out (an iteration cap of 10 or of 0; such a run
+must report the residual of the point it returns) or breaks on the halving
 cap (``random_qvi(103)``, which never converges and whose best point comes
 from its third attempt, so restarts and best-of-attempts are covered too).
 Any change to the order of projections, residuals, halvings or rng draws
@@ -55,6 +56,13 @@ CASES = [
         trace=[
             (0, 0.0, 0.5),
         ],
+    ),
+    Case(
+        "splitting-vi-max-iters-0", gi.splitting_game, "vi", {"max_iters": 0},
+        iterations=0, restarts_used=1, converged=True,
+        point=[0.5, 0.5],
+        residual=0.0,
+        trace=[],
     ),
     Case(
         "simplex-argmax-vi", gi.simplex_argmax_game, "vi", {},
@@ -156,7 +164,7 @@ CASES = [
         "random-qvi-0-iteration-cap", lambda: gi.random_qvi(0), "qvi", {"residual_tol": 5e-07, "restarts": 1, "max_iters": 10},
         iterations=10, restarts_used=1, converged=False,
         point=[0.35454861425217105, 0.16122955552622525, 0.26692581477371125],
-        residual=0.5828746465872783,
+        residual=0.7707752564117922,
         trace=[
             (0, 1.2137704444737747, 0.5),
             (3, 2.5, 0.5),
@@ -203,8 +211,10 @@ CASES = [
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_solver_loop_is_pinned(case):
-    solve = gk.solve_vi if case.problem == "vi" else gk.solve_qvi
-    res = solve(case.game(), gk.SolverConfig(trace=True, **case.config),
+    solve, residual = ((gk.solve_vi, gk.vi_residual) if case.problem == "vi"
+                       else (gk.solve_qvi, gk.qvi_residual))
+    game = case.game()
+    res = solve(game, gk.SolverConfig(trace=True, **case.config),
                 gk.Tolerances(eps_open=1e-6))
     assert res.problem == case.problem
     assert res.iterations == case.iterations
@@ -216,3 +226,6 @@ def test_solver_loop_is_pinned(case):
     assert [(k, a) for k, _, a in rows] == [(k, a) for k, _, a in case.trace]
     assert [r for _, r, _ in rows] == pytest.approx(
         [r for _, r, _ in case.trace], rel=0.0, abs=1e-12)
+    if res.iterations == case.config.get("max_iters"):
+        # a run that ran out reports the residual of the point it returns
+        assert res.residual == pytest.approx(residual(game, res.point)[0], rel=0.0, abs=1e-12)

@@ -101,6 +101,18 @@ def test_oracle_splitting_h005_certifies_face():
     assert not orc.disagreements
 
 
+def test_oracle_linear_game_runs_no_qp(monkeypatch):
+    # linear utilities take the support function, not active-set enumeration
+    from gnepkit import _lp
+
+    calls = []
+    real = _lp.max_concave_quad
+    monkeypatch.setattr(_lp, "max_concave_quad", lambda *a, **k: calls.append(1) or real(*a, **k))
+    orc = grid_oracle(gi.splitting_game(), h=0.05)
+    assert len(orc.certified) == 21 and not orc.disagreements
+    assert calls == []
+
+
 def test_oracle_nodes_sorted_lexicographically():
     orc = grid_oracle(gi.splitting_game(), h=0.05, cross_check=False)
     as_tuples = [tuple(n) for n in np.round(orc.certified, 9)]
