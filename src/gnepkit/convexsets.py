@@ -634,7 +634,12 @@ def _enumerate_vertices(A, b, feas_tol=1e-8):
             out.append(v)
     if not out:
         return np.zeros((0, n))
-    vs = np.array(out)
+    return _sorted_unique(np.array(out))
+
+
+def _sorted_unique(vs):
+    """Rows of vs sorted lexicographically, near-duplicates (within
+    _VERTEX_DEDUP) dropped: the order vertices() promises."""
     vs = vs[np.lexsort(vs.T[::-1])]
     keep = [0]
     for i in range(1, len(vs)):
@@ -693,9 +698,17 @@ class ConeSection:
         return len(self.generators)
 
     def min_norm_point(self) -> np.ndarray:
-        """Min-norm point of co(generators); 0 for whole_space or zero cone."""
+        """Min-norm point of co(generators); 0 for whole_space or zero cone.
+
+        One generator is its own hull; a 1-D hull with generators of both
+        signs contains 0.  Anything else goes to the enumeration.
+        """
         if self.whole_space or self.n_generators == 0:
             return np.zeros(self.dim)
+        if self.n_generators == 1:
+            return self.generators[0].copy()
+        if self.dim == 1 and self.generators.min() < 0.0 < self.generators.max():
+            return np.zeros(1)
         return _min_norm_hull_point(self.generators)
 
     def to_dict(self):
@@ -837,21 +850,21 @@ def maximize(body: ConvexBody, c, Q=None):
 
     Q absent or zero (every entry at most 1e-13) is the support function:
     closed forms for Box, Simplex, Ball and 1-D polyhedra, else one LP.  A
-    nonzero Q must be negative semidefinite; exact KKT enumeration over the
-    rows and equalities answers it (hrep() rows are the closure's: only the
-    strict flags differ).  Raises UnboundedLP when the maximum is unbounded,
-    EnumerationError when the body has neither a closed form nor an
-    H-representation.
+    nonzero Q must be negative semidefinite.  A diagonal Q over a Box or a
+    1-D polyhedron separates into one clip per coordinate; any other Q is
+    answered by exact KKT enumeration over the rows and equalities (hrep()
+    rows are the closure's: only the strict flags differ).  Raises
+    UnboundedLP when the maximum is unbounded, EnumerationError when the
+    body has neither a closed form nor an H-representation.
     """
     c = _as_vec(c, body.dim)
     quadratic = Q is not None and np.abs(Q).max(initial=0.0) > 1e-13
-    if not quadratic:
-        if isinstance(body, Box):
-            lo, hi = body.lo, body.hi
-            val = np.sum(np.where(c >= 0, c * hi, c * lo))
-            if not np.isfinite(val):
-                raise _lp.UnboundedLP("support of unbounded box")
-            return float(val), np.where(c >= 0, hi, lo)
+    if quadratic:
+        Q = np.asarray(Q, dtype=float)
+        q = np.diag(Q)
+        separable = np.count_nonzero(Q) == np.count_nonzero(q) and np.all(q <= 0.0)
+    else:
+        q, separable = np.zeros(body.dim), True
         if isinstance(body, Simplex):
             j = int(np.argmax(c))
             return float(body.scale * c[j]), body.scale * np.eye(body.dim)[j]
@@ -859,18 +872,18 @@ def maximize(body: ConvexBody, c, Q=None):
             n = np.linalg.norm(c)
             z = body.center + (body.radius / n) * c if n > 0 else body.center.copy()
             return float(c @ body.center + body.radius * n), z
+    if separable and isinstance(body, Box):
+        z = _argmax_separable(c, q, body.lo, body.hi)
+        val = 0.5 * z @ Q @ z + c @ z if quadratic else np.sum(c * z)
+        return float(val), z
     h = body.hrep()
     if h is None:
         raise EnumerationError(f"no maximization over kind={body.kind!r}")
-    if not quadratic and body.dim == 1:
-        lo, hi = body.bounding_box()
-        if c[0] == 0.0:
-            return 0.0, np.clip(np.zeros(1), lo, hi)
-        z = hi if c[0] > 0 else lo
-        val = c[0] * z[0]
-        if not np.isfinite(val):
-            raise _lp.UnboundedLP("support of unbounded interval")
-        return float(val), z
+    if separable and body.dim == 1:
+        z = _argmax_separable(c, q, *body.bounding_box())
+        if quadratic:
+            return float(0.5 * z @ Q @ z + c @ z), z
+        return (float(c[0] * z[0]) if c[0] != 0.0 else 0.0), z
     C, d = body.equalities()
     eq = (C, d) if len(d) else (None, None)
     if quadratic:
@@ -878,6 +891,23 @@ def maximize(body: ConvexBody, c, Q=None):
     else:
         val, z = _lp.max_linear(c, h[0], h[1], *eq)
     return float(val), z
+
+
+def _argmax_separable(c, q, lo, hi):
+    """argmax of sum_j 0.5 q_j z_j^2 + c_j z_j over the box [lo, hi], q <= 0.
+
+    Each coordinate is its own 1-D problem: the clipped stationary point when
+    q_j < 0, else the end point that c_j points to, or clip(0, lo_j, hi_j)
+    when c_j == 0, which is finite whatever the bounds.  Raises UnboundedLP
+    when such an end point is infinite.
+    """
+    z = np.where(c > 0, hi, np.where(c < 0, lo, np.clip(0.0, lo, hi)))
+    curved = q < 0
+    if curved.any():
+        z = np.where(curved, np.clip(-c / np.where(curved, q, -1.0), lo, hi), z)
+    if not np.all(np.isfinite(z)):
+        raise _lp.UnboundedLP("maximum over an unbounded box or interval")
+    return z
 
 
 def support_max(body: ConvexBody, c) -> float:
@@ -901,8 +931,11 @@ def hull_body(points: np.ndarray) -> ConvexBody:
     if rank >= 2 and rank == dim:
         from scipy.spatial import ConvexHull
 
-        eq = ConvexHull(pts).equations
-        return HPoly(eq[:, :-1], -eq[:, -1])
+        hull = ConvexHull(pts)
+        body = HPoly(hull.equations[:, :-1], -hull.equations[:, -1])
+        # qhull's vertices spare vertices() its boundedness LPs and enumeration
+        object.__setattr__(body, "_vertices", _sorted_unique(pts[hull.vertices]))
+        return body
     if rank == 0:
         p = pts[0]
         return Box(p, p)

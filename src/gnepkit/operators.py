@@ -82,16 +82,15 @@ def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
     x = np.asarray(x, dtype=float)
     xi = pm.own(x)
     d = pm.block_dim
-    P_t = tangent_projector(pm.ambient)
-    reduced = not np.allclose(P_t, np.eye(d))
+    # the projector is the identity unless the choice set has equalities
+    P_t = tangent_projector(pm.ambient) if len(pm.ambient.equalities()[1]) else None
 
     if isinstance(pm.variant, _GRADED):
         if is_satiated(pm, x, seed=seed):
             return ConeSection.whole(d)
-        g = P_t @ own_gradient(pm, x)
-        gens = [-g]
+        gens = [-own_gradient(pm, x)]
         gens.extend(convexsets._active_normals(pm.ambient, xi))
-        if reduced:
+        if P_t is not None:
             gens = [P_t @ v for v in gens]
         return ConeSection.from_vectors(gens, d)
 
@@ -104,7 +103,7 @@ def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
     if cone.whole_space:
         return ConeSection.whole(d)
     gens = cone.generators
-    if reduced:
+    if P_t is not None:
         gens = [P_t @ v for v in gens]
     return ConeSection.from_vectors(gens, d, approximate=approx or cone.approximate)
 

@@ -274,6 +274,38 @@ def test_hull_body_square(rng):
     assert not H.contains([1.2, 0.5])
 
 
+def test_hull_body_keeps_qhull_vertices():
+    # the criterion-1 draws: stored vertices against enumeration from the rows.
+    # qhull splits a facet into coplanar simplices, and a subset of their rows
+    # can be singular only up to rounding; the enumeration then also returns
+    # non-vertex points on edges.  So: every stored vertex is enumerated and
+    # has dim independent tight rows, and every other enumerated point has
+    # fewer.
+    from gnepkit.convexsets import _enumerate_vertices
+
+    def tight_rank(body, v):
+        return np.linalg.matrix_rank(body.A[np.abs(body.A @ v - body.b) <= 1e-9])
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        dim = int(rng.integers(1, 5))
+        pts = rng.uniform(-1, 1, size=(dim + 1 + int(rng.integers(0, 4)), dim))
+        try:
+            body = hull_body(pts)
+        except EnumerationError:
+            continue
+        if not isinstance(body, HPoly) or "_vertices" not in vars(body):
+            continue
+        V, W = body.vertices(), _enumerate_vertices(body.A, body.b)
+        stored = [np.linalg.norm(V - w, axis=1).min() <= 1e-9 for w in W]
+        assert sum(stored) == len(V)
+        for w, is_vertex in zip(W, stored):
+            assert (tight_rank(body, w) == dim) == is_vertex, w
+        checked += 1
+    assert checked > 150
+
+
 def test_hull_body_degenerate_segment():
     H = hull_body(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
     assert H.contains([0.5, 0.5, 0.0])
@@ -359,6 +391,101 @@ def test_maximize_errors():
     with pytest.raises(EnumerationError):
         maximize(Intersection((Ball([0.0, 0.0], 1.0), unit_square())), [1.0, 0.0],
                  -np.eye(2))
+
+
+def _separable_family(rng, q_lo, q_hi):
+    """Diagonal Q <= 0 over boxes in 1-4 D and over 1-D polyhedra.
+
+    Box coordinates with q_j == 0 get a nonzero c_j, so every argmax is
+    unique; 1-D draws have q in [q_lo, q_hi].
+    """
+    out = []
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        lo = rng.uniform(-2.0, 1.0, d)
+        hi = lo + rng.uniform(0.0, 2.0, d)
+        q = -rng.uniform(q_lo, q_hi, d)
+        if d > 1:
+            q[rng.uniform(size=d) < 0.4] = 0.0
+        c = rng.uniform(-3.0, 3.0, d)
+        c[(q == 0) & (np.abs(c) < 0.1)] = 1.0
+        out.append((Box(lo, hi), c, np.diag(q)))
+    for _ in range(60):
+        lo = rng.uniform(-2.0, 1.0)
+        hi = lo + rng.uniform(0.0, 2.0)
+        a = rng.uniform(0.5, 3.0)
+        Q = np.array([[-rng.uniform(q_lo, q_hi)]])
+        c = rng.uniform(-3.0, 3.0, 1)
+        out.extend([
+            (HPoly([[a], [-a]], [a * hi, -a * lo]), c, Q),
+            (Intersection((Box([lo - 0.5], [hi]), HPoly([[-a]], [-a * lo]))), c, Q),
+            (Box([lo], [np.inf]), c, Q),                # one-sided intervals
+            (HPoly([[a]], [a * hi]), c, Q),
+            (Box([lo], [lo]), c, Q),                    # point intervals
+            (HPoly([[1.0], [-1.0]], [hi, -hi]), c, Q),
+        ])
+    return out
+
+
+def test_maximize_separable_matches_enumerator():
+    # the per-coordinate clips against the active-set enumeration they replace
+    from gnepkit import _lp
+
+    rng = np.random.default_rng(17)
+    # |q| < 1: the enumerator's KKT solve pivots on the bound's row and lands
+    # exactly on the bound, so 1-D bodies agree bit for bit
+    for body, c, Q in _separable_family(rng, 0.05, 0.95):
+        A, b, _ = body.hrep()
+        want_val, want_z = _lp.max_concave_quad(Q, c, A, b)
+        val, z = maximize(body, c, Q)
+        if body.dim == 1:
+            assert (val, z[0]) == (want_val, want_z[0]), body
+        else:
+            assert val == pytest.approx(want_val, abs=1e-12), body
+            assert np.allclose(z, want_z, rtol=0.0, atol=1e-12), body
+    # |q| >= 1: the enumerator can pivot on q and stop an ulp off the bound;
+    # the clip returns the bound itself
+    for body, c, Q in _separable_family(rng, 1.0, 5.0):
+        A, b, _ = body.hrep()
+        want_val, want_z = _lp.max_concave_quad(Q, c, A, b)
+        val, z = maximize(body, c, Q)
+        assert val == pytest.approx(want_val, abs=1e-12), body
+        assert np.allclose(z, want_z, rtol=0.0, atol=1e-12), body
+        if body.dim == 1:
+            assert z[0] == np.clip(-c[0] / Q[0, 0], *body.bounding_box()), body
+
+
+def test_maximize_separable_runs_no_enumeration(monkeypatch):
+    from gnepkit import _lp
+
+    def no_qp(*args, **kwargs):
+        raise AssertionError("separable maximization enumerated active sets")
+
+    monkeypatch.setattr(_lp, "max_concave_quad", no_qp)
+    for body, c, Q in _separable_family(np.random.default_rng(18), 0.05, 5.0):
+        maximize(body, c, Q)
+    with pytest.raises(_lp.UnboundedLP):   # q_j == 0 with c_j pointing at inf
+        maximize(Box([0.0, 0.0], [1.0, np.inf]), [1.0, 2.0], np.diag([-1.0, 0.0]))
+    with pytest.raises(_lp.UnboundedLP):
+        maximize(Box([0.0, -np.inf], [1.0, 0.0]), [1.0, -2.0], np.diag([-1.0, 0.0]))
+
+
+def test_maximize_box_zero_gradient_ignores_infinite_bounds():
+    # c_j == 0 against an infinite bound once gave 0 * inf = nan and raised
+    X = Box([0.0, 0.0], [1.0, np.inf])
+    val, z = maximize(X, [1.0, 0.0])
+    assert val == 1.0 and np.array_equal(z, [1.0, 0.0])
+    val, z = maximize(X, [1.0, 0.0], np.diag([-0.5, 0.0]))
+    assert val == 0.75 and np.array_equal(z, [1.0, 0.0])
+    # finite bounds keep the old value bit for bit, zero terms' signs included
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        lo = rng.uniform(-2.0, 1.0, d)
+        hi = lo + rng.uniform(0.0, 2.0, d)
+        c = rng.choice([-1.5, -0.0, 0.0, 2.0], d)
+        old = np.sum(np.where(c >= 0, c * hi, c * lo))
+        assert maximize(Box(lo, hi), c)[0].hex() == float(old).hex()
 
 
 # -- separation -------------------------------------------------------------
@@ -491,6 +618,20 @@ def test_min_norm_point_wolfe_condition(rng):
         p = C.min_norm_point()
         # optimality of the hull point: <g, p> >= |p|^2 for every generator
         assert np.all(C.generators @ p >= p @ p - 1e-7)
+
+
+def test_min_norm_point_closed_forms_match_enumeration():
+    from gnepkit.convexsets import _min_norm_hull_point
+
+    rng = np.random.default_rng(23)
+    cones = [ConeSection.from_vectors(rng.uniform(0.1, 10.0) * rng.standard_normal(d), d)
+             for d in (1, 2, 3, 4) for _ in range(500)]
+    cones += [ConeSection.from_vectors([[s * rng.uniform(0.1, 10.0)],
+                                        [-s * rng.uniform(0.1, 10.0)]], 1)
+              for s in (1.0, -1.0) for _ in range(50)]
+    for C in cones:
+        want = _min_norm_hull_point(C.generators)
+        assert C.min_norm_point().tobytes() == want.tobytes(), C.generators
 
 
 def test_polar_check():

@@ -109,6 +109,17 @@ def test_one_sided_equilibrium_certified():
     assert cert.is_equilibrium
 
 
+def test_zero_gradient_on_unbounded_axis_certified():
+    # c_j == 0 along an infinite bound contributes 0, not 0 * inf = nan
+    X = Box([0.0, 0.0], [1.0, np.inf])
+    g = GameInstance((PreferenceMap(0, 0, X, LinearUtility([1.0, 0.0])),),
+                     (FixedConstraint(X),), None, "zero-gradient")
+    cert = verify_equilibrium(g, np.array([1.0, 5.0]))
+    assert cert.is_equilibrium
+    assert list(cert.emptiness_slacks) == [0.0]
+    assert not any("improvement unbounded" in n for n in cert.notes)
+
+
 def test_infeasible_point_rejected():
     g = gi.splitting_game()
     cert = verify_equilibrium(g, np.array([0.8, 0.8]))
@@ -136,7 +147,7 @@ def test_empty_slice_reported_infeasible(case):
                                           LinearUtility([1.0, 1.0]))
         player = 0
     else:
-        # the improvement QP finds no KKT point
+        # the 1-D quadratic's closed form raises EmptyBodyError
         g, x = _rival_empties_first_slice(Box([0.0], [1.0]),
                                           QuadUtility(-np.eye(2), np.array([1.0, 0.0])))
         player = 0

@@ -113,6 +113,21 @@ def test_oracle_linear_game_runs_no_qp(monkeypatch):
     assert calls == []
 
 
+def test_vi_with_quadratic_players_runs_no_qp(monkeypatch):
+    # 1-D quadratic best responses (satiation test, verifier) are clips
+    from gnepkit import _lp
+    from gnepkit.preferences import QuadUtility
+
+    g = gi.random_jointly_convex(0)
+    assert any(isinstance(pm.variant, QuadUtility) for pm in g.preferences)
+    calls = []
+    real = _lp.max_concave_quad
+    monkeypatch.setattr(_lp, "max_concave_quad", lambda *a, **k: calls.append(1) or real(*a, **k))
+    res = solve_vi(g, SolverConfig(residual_tol=5e-7, restarts=4))
+    assert res.converged and res.certificate.is_equilibrium
+    assert calls == []
+
+
 def test_oracle_nodes_sorted_lexicographically():
     orc = grid_oracle(gi.splitting_game(), h=0.05, cross_check=False)
     as_tuples = [tuple(n) for n in np.round(orc.certified, 9)]
