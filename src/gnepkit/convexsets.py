@@ -59,6 +59,9 @@ class ConvexBody:
         """Euclidean projection onto the closure."""
         raise NotImplementedError
 
+    # True when a zero row empties the body (see HPoly); hrep() omits that row
+    _poisoned = False
+
     def hrep(self):
         """(A, b, strict) with unit rows, or None when not polyhedral."""
         return None
@@ -237,13 +240,10 @@ class HPoly(ConvexBody):
             if self.strict is None
             else np.asarray(self.strict, dtype=bool).reshape(A.shape[0])
         )
-        norms = np.linalg.norm(A, axis=1)
-        keep = norms > 1e-13
+        norms, keep = _unit_norms(A)
         # zero rows are vacuous (b >= 0) or poison the whole body (b < 0)
         degenerate = ~keep & ((b < -1e-13) | (strict & (b <= 1e-13)))
         A, b, strict, norms = A[keep], b[keep], strict[keep], norms[keep]
-        # rows already at unit norm stay bit-identical (save/load idempotence)
-        norms = np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, norms)
         object.__setattr__(self, "A", A / norms[:, None])
         object.__setattr__(self, "b", b / norms)
         object.__setattr__(self, "strict", strict)
@@ -299,9 +299,12 @@ class HPoly(ConvexBody):
                 x = lo + r if np.isfinite(lo) else hi - r if np.isfinite(hi) else 0.0
             return np.array([x]), r
         try:
-            return _lp.chebyshev_center(self.A, self.b)
+            x, r = _lp.chebyshev_center(self.A, self.b)
         except _lp.InfeasibleLP:
             return None
+        # the LP meets its r >= 0 bound only up to its feasibility tolerance:
+        # a negative radius is a crossing of the rows, so the body is empty
+        return None if r < 0 else (x, r)
 
     def is_empty(self, eps_open=DEFAULT_EPS_OPEN):
         if self._poisoned or self._chebyshev is None:
@@ -315,12 +318,11 @@ class HPoly(ConvexBody):
         x = _as_vec(x, self.dim)
         if self._poisoned or (self.dim == 1 and self._interval is None):
             raise EmptyBodyError("projection onto empty polyhedron")
+        if self.dim == 1:
+            # the closed form that decides 1-D emptiness also projects
+            return np.clip(x, *self._interval)
         if self.margins(x).max(initial=-np.inf) <= 0.0:
             return x.copy()
-        # a 1-D point may be a crossing below the rounding threshold, which
-        # the least-distance program would call empty
-        if self.dim == 1 and self._interval[0] == self._interval[1]:
-            return np.array([self._interval[0]])
         try:
             return _lp.project_polyhedron(x, self.A, self.b)
         except _lp.InfeasibleLP:
@@ -478,7 +480,17 @@ class Intersection(ConvexBody):
                 rows.extend([C, -C])
                 rhs.extend([d, -d])
                 strict.extend([np.zeros(len(d), bool)] * 2)
+            if p._poisoned:
+                # hrep() leaves out the zero row that empties the part; one
+                # such row empties the merged body by the same rule
+                rows.append(np.zeros((1, self.dim)))
+                rhs.append([-1.0])
+                strict.append([False])
         return HPoly(np.vstack(rows), np.concatenate(rhs), np.concatenate(strict))
+
+    @property
+    def _poisoned(self):
+        return self._merged is not None and self._merged._poisoned
 
     def contains(self, x, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
         return all(p.contains(x, eps, eps_open) for p in self.parts)
@@ -620,6 +632,12 @@ def _dykstra_bodies(parts, y, max_sweeps=10_000, tol=1e-10):
 
 
 def _enumerate_vertices(A, b, feas_tol=1e-8):
+    """Feasible points where n independent rows are tight.
+
+    A row subset that is singular only up to rounding (rows repeating a
+    plane) still solves, to some point of a face; the rank of the rows tight
+    there tells such a point from a vertex.
+    """
     m, n = A.shape
     if _lp._ncr(m, n) > _VERTEX_SUBSET_CAP:
         raise EnumerationError(f"too many row subsets ({m} choose {n})")
@@ -630,11 +648,21 @@ def _enumerate_vertices(A, b, feas_tol=1e-8):
             v = np.linalg.solve(sub, b[list(S)])
         except np.linalg.LinAlgError:
             continue
-        if np.all(A @ v - b <= feas_tol * (1.0 + np.abs(b))):
+        gap = A @ v - b
+        tol = feas_tol * (1.0 + np.abs(b))
+        if np.all(gap <= tol) and np.linalg.matrix_rank(A[np.abs(gap) <= tol]) == n:
             out.append(v)
     if not out:
         return np.zeros((0, n))
     return _sorted_unique(np.array(out))
+
+
+def _unit_norms(A):
+    """(norms, keep): the row norms of A, with rows already at unit norm
+    taken as exactly 1 so that dividing leaves them bit-identical (save/load
+    idempotence), and the mask of rows long enough to keep."""
+    norms = np.linalg.norm(A, axis=1)
+    return np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, norms), norms > 1e-13
 
 
 def _sorted_unique(vs):
@@ -854,8 +882,9 @@ def maximize(body: ConvexBody, c, Q=None):
     1-D polyhedron separates into one clip per coordinate; any other Q is
     answered by exact KKT enumeration over the rows and equalities (hrep()
     rows are the closure's: only the strict flags differ).  Raises
-    UnboundedLP when the maximum is unbounded, EnumerationError when the
-    body has neither a closed form nor an H-representation.
+    UnboundedLP when the maximum is unbounded, EmptyBodyError when a zero
+    row empties the polyhedron, EnumerationError when the body has neither a
+    closed form nor an H-representation.
     """
     c = _as_vec(c, body.dim)
     quadratic = Q is not None and np.abs(Q).max(initial=0.0) > 1e-13
@@ -879,6 +908,8 @@ def maximize(body: ConvexBody, c, Q=None):
     h = body.hrep()
     if h is None:
         raise EnumerationError(f"no maximization over kind={body.kind!r}")
+    if body._poisoned:
+        raise EmptyBodyError("maximization over an empty polyhedron")
     if separable and body.dim == 1:
         z = _argmax_separable(c, q, *body.bounding_box())
         if quadratic:

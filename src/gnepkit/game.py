@@ -12,6 +12,7 @@ definition, so solver output can be certified independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ from .convexsets import (
     EnumerationError,
     HPoly,
     Intersection,
+    _unit_norms,
     maximize,
 )
 from .preferences import (
@@ -120,6 +122,34 @@ class GameInstance:
     def join(self, blocks):
         return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
 
+    @cached_property
+    def _slice_rows(self):
+        """Per player, the rows of K_i(x) that do not move with x, or None
+        when the shared set or X_i is not polyhedral.
+
+        K_i(x) = {z in X_i : A_i z <= b - A_{-i} x_{-i}}: X_i's rows come
+        first, then the shared set's rows split at the block with the own
+        part unit-normalised.  A row whose own part is zero is left out: it
+        binds only the rivals, and a rival that breaks it is infeasible in
+        its own slice.  Each entry is (A, strict, b_X, b, rival, scale);
+        only the right-hand side (b - rival @ x) / scale moves.
+        """
+        out = []
+        for pm in self.preferences:
+            shared = _split_rows(self.shared_set, pm.block)
+            ambient = _split_rows(pm.ambient, slice(0, pm.block_dim))
+            if shared is None or ambient is None:
+                out.append(None)
+                continue
+            own, rival, b, strict = shared
+            norms, keep = _unit_norms(own)
+            out.append((
+                np.vstack([ambient[0], own[keep] / norms[keep, None]]),
+                np.concatenate([ambient[3], strict[keep]]),
+                ambient[2], b[keep], rival[keep], norms[keep],
+            ))
+        return tuple(out)
+
 
 def _lifted_ambient_poly(prefs, n):
     """Product of the ambient sets as joint H-rows (equalities as +/- pairs);
@@ -180,12 +210,38 @@ def jointly_convex_game(choice_sets, variants, shared_set, name="") -> GameInsta
 # constraint evaluation
 
 
+def _split_rows(body: ConvexBody, block: slice):
+    """A polyhedral body's rows, equalities as +/- pairs, split at block:
+    (own, rival, b, strict), where own is A[:, block] and rival is A with
+    the block's columns zeroed, so that the slice at x is
+    {z : own z <= b - rival @ x}.  An intersection stacks its parts' rows.
+    None when the body is not polyhedral."""
+    if isinstance(body, Intersection):
+        parts = [_split_rows(p, block) for p in body.parts]
+        if any(p is None for p in parts):
+            return None
+        return tuple(np.concatenate(cols) for cols in zip(*parts))
+    h = body.hrep()
+    if h is None:
+        return None
+    A, b, strict = h
+    C, d = body.equalities()
+    if len(d):
+        A = np.vstack([A, C, -C])
+        b = np.concatenate([b, d, -d])
+        strict = np.concatenate([strict, np.zeros(2 * len(d), bool)])
+    rival = A.copy()
+    rival[:, block] = 0.0
+    return A[:, block], rival, b, strict
+
+
 def slice_body(body: ConvexBody, x, block: slice) -> ConvexBody:
     """{z : x with block replaced by z lies in body}, over the block coords."""
     x = np.asarray(x, dtype=float)
-    d = block.stop - block.start
-    if isinstance(body, Box):
-        return Box(body.lo[block], body.hi[block])
+    rows = _split_rows(body, block)
+    if rows is not None:
+        own, rival, b, strict = rows
+        return HPoly(own, b - rival @ x, strict)
     if isinstance(body, Ball):
         rest = np.delete(x, np.arange(block.start, block.stop)) - np.delete(
             body.center, np.arange(block.start, block.stop)
@@ -196,39 +252,25 @@ def slice_body(body: ConvexBody, x, block: slice) -> ConvexBody:
         return Ball(body.center[block], float(np.sqrt(r2)))
     if isinstance(body, Intersection):
         return Intersection(tuple(slice_body(p, x, block) for p in body.parts))
-    h = body.hrep()
-    if h is None:
-        raise ValueError(f"cannot slice kind={body.kind!r}")
-    A, b, strict = h
-    A_own = A[:, block]
-    rhs = b - A @ x + A_own @ x[block]
-    rows = [A_own]
-    rhs_all = [rhs]
-    strict_all = [strict]
-    C, dvals = body.equalities()
-    if len(dvals):
-        C_own = C[:, block]
-        e_rhs = dvals - C @ x + C_own @ x[block]
-        rows.extend([C_own, -C_own])
-        rhs_all.extend([e_rhs, -e_rhs])
-        strict_all.extend([np.zeros(len(dvals), bool)] * 2)
-    return HPoly(np.vstack(rows), np.concatenate(rhs_all), np.concatenate(strict_all))
-
-
-def slice_constraint(game: GameInstance, i: int, x) -> ConvexBody:
-    """The shared-set slice K_i(x), intersected with X_i."""
-    pm = game.preferences[i]
-    inner = slice_body(game.shared_set, x, pm.block)
-    return Intersection((pm.ambient, inner))
+    raise ValueError(f"cannot slice kind={body.kind!r}")
 
 
 def constraint_body(game: GameInstance, i: int, x) -> ConvexBody:
+    """K_i(x).  A polyhedral shared-set slice is one HPoly on the player's
+    fixed rows (GameInstance._slice_rows) with the right-hand side at x;
+    any other shared set is sliced and intersected with X_i."""
     c = game.constraints[i]
+    x = np.asarray(x, dtype=float)
     if isinstance(c, SharedSlice):
-        return slice_constraint(game, i, x)
+        rows = game._slice_rows[i]
+        if rows is None:
+            pm = game.preferences[i]
+            return Intersection((pm.ambient, slice_body(game.shared_set, x, pm.block)))
+        A, strict, b_X, b, rival, scale = rows
+        return HPoly(A, np.concatenate([b_X, (b - rival @ x) / scale]), strict)
     if isinstance(c, FixedConstraint):
         return c.body
-    return c.build(np.asarray(x, dtype=float))
+    return c.build(x)
 
 
 def membership_violation(body: ConvexBody, z) -> float:

@@ -262,12 +262,14 @@ class _MovingSlicesQVI:
         blocks = []
         for i, pm in enumerate(game.preferences):
             target = pm.own(x) - alpha * t[pm.block]
-            # a wandering rival profile can empty this player's slice; fall
-            # back to the ambient set so the iteration can recover
             try:
-                body = constraint_body(game, i, x)
-                blocks.append(body.project(target))
+                blocks.append(constraint_body(game, i, x).project(target))
             except EmptyBodyError:
+                # a wandering rival profile has emptied this player's slice,
+                # so x has left the shared set: take the step onto the shared
+                # set instead, or onto X_i when there is none
+                if game.jointly_convex:
+                    return game.shared_set.project(x - alpha * t)
                 blocks.append(pm.ambient.closure().project(target))
         return game.join(blocks)
 

@@ -18,6 +18,7 @@ from gnepkit.convexsets import (
     Intersection,
     InteriorPointError,
     Simplex,
+    body_from_dict,
     hull_body,
     maximize,
     normal_cone_generators,
@@ -176,6 +177,67 @@ def test_interval_slab_one_emptiness_verdict(g, empty, nnls_agrees):
         assert P.project(np.array([y]))[0] == pytest.approx(np.clip(y, lo, hi), abs=1e-12)
 
 
+# The 2-D slab {x <= 0, x >= g, 0 <= y <= 1}.  The Chebyshev LP meets its
+# r >= 0 bound only up to its tolerance and returns r = -g/2 for small g;
+# a negative radius is empty, r = -0.0 (g = 0, a segment) is not.
+@pytest.mark.parametrize("g,empty", [
+    (-1e-6, False), (0.0, False), (1e-12, True), (1e-9, True), (1e-7, True), (1e-3, True),
+])
+def test_slab_2d_one_emptiness_verdict(g, empty):
+    P = HPoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -g, 1.0, 0.0])
+    assert P.is_empty(eps_open=0.0) is empty
+    if empty:
+        assert P.vertices().shape == (0, 2)
+        assert P.interior_point() is None
+        with pytest.raises(EmptyBodyError):
+            P.bounding_box()
+        return
+    V = P.vertices()
+    assert len(V) == (2 if g == 0.0 else 4)
+    assert np.allclose(V[:, 0].min(), min(g, 0.0), atol=1e-12)
+
+
+def test_poisoned_part_empties_intersection():
+    # S = {x0 <= 1, x1 <= 1, x0 + x1 <= 1.5} at x1 = 1.7: the rival breaks
+    # x1 <= 1, so the slice over x0 is empty whatever x0 is
+    from gnepkit.game import slice_body
+
+    S = HPoly([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5])
+    I = Intersection((Box([-0.5], [1.5]), slice_body(S, [0.2, 1.7], slice(0, 1))))
+    assert I.is_empty()
+    assert I.vertices().shape == (0, 1)
+    assert not any(I.contains([z]) for z in np.linspace(-1.0, 2.0, 31))
+    with pytest.raises(EmptyBodyError):
+        I.project(np.array([2.0]))
+    with pytest.raises(EmptyBodyError):
+        support_max(I, np.array([1.0]))
+    # in 2-D the maximum is an LP over the kept rows, blind to the zero row
+    P = HPoly([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 1.0, -1.0])
+    with pytest.raises(EmptyBodyError):
+        support_max(P, np.array([1.0, 1.0]))
+
+
+def test_interval_projection_is_a_clip():
+    # equal to np.clip on the closed-form interval, bit for bit, and to the
+    # least-distance program to 1e-15 of the sizes involved: that program
+    # rounds at the scale of |y| (up to 9 ulps here), the clip returns the
+    # bound itself
+    from gnepkit import _lp
+
+    rng = np.random.default_rng(5)
+    checked = 0
+    for B in _one_d_family(rng):
+        P = B._merged if isinstance(B, Intersection) else B
+        lo, hi = P._interval
+        for y in rng.uniform(-6.0, 6.0, 8):
+            z = B.project(np.array([y]))
+            assert np.array_equal(z, np.clip([y], lo, hi))
+            ref = _lp.project_polyhedron(np.array([y]), P.A, P.b)
+            assert abs(z[0] - ref[0]) <= 1e-15 * (1.0 + abs(y) + abs(z[0]))
+            checked += 1
+    assert checked == 960
+
+
 def _one_d_family(rng):
     """Seeded 1-D bodies: bounded, one-sided, point-sized, and intersections
     with a Box and with a 1-D Simplex; rows are not unit-normalized."""
@@ -274,20 +336,9 @@ def test_hull_body_square(rng):
     assert not H.contains([1.2, 0.5])
 
 
-def test_hull_body_keeps_qhull_vertices():
-    # the criterion-1 draws: stored vertices against enumeration from the rows.
-    # qhull splits a facet into coplanar simplices, and a subset of their rows
-    # can be singular only up to rounding; the enumeration then also returns
-    # non-vertex points on edges.  So: every stored vertex is enumerated and
-    # has dim independent tight rows, and every other enumerated point has
-    # fewer.
-    from gnepkit.convexsets import _enumerate_vertices
-
-    def tight_rank(body, v):
-        return np.linalg.matrix_rank(body.A[np.abs(body.A @ v - body.b) <= 1e-9])
-
+def _criterion_1_hulls():
+    """The full-dimensional hull bodies of the criterion-1 draws."""
     rng = np.random.default_rng(11)
-    checked = 0
     for _ in range(300):
         dim = int(rng.integers(1, 5))
         pts = rng.uniform(-1, 1, size=(dim + 1 + int(rng.integers(0, 4)), dim))
@@ -295,13 +346,32 @@ def test_hull_body_keeps_qhull_vertices():
             body = hull_body(pts)
         except EnumerationError:
             continue
-        if not isinstance(body, HPoly) or "_vertices" not in vars(body):
-            continue
+        if isinstance(body, HPoly) and "_vertices" in vars(body):
+            yield body
+
+
+def test_hull_body_keeps_qhull_vertices():
+    # qhull splits a facet into coplanar simplices, so a row subset can be
+    # singular only up to rounding; enumeration from the rows still returns
+    # exactly the stored vertices
+    from gnepkit.convexsets import _enumerate_vertices
+
+    checked = 0
+    for body in _criterion_1_hulls():
         V, W = body.vertices(), _enumerate_vertices(body.A, body.b)
-        stored = [np.linalg.norm(V - w, axis=1).min() <= 1e-9 for w in W]
-        assert sum(stored) == len(V)
-        for w, is_vertex in zip(W, stored):
-            assert (tight_rank(body, w) == dim) == is_vertex, w
+        assert V.shape == W.shape and np.allclose(V, W, atol=1e-9)
+        checked += 1
+    assert checked > 150
+
+
+def test_hull_body_round_trip_enumerates_qhull_vertices():
+    # a hull rebuilt from its dict has no stored vertices and enumerates
+    checked = 0
+    for body in _criterion_1_hulls():
+        back = body_from_dict(body.to_dict())
+        assert "_vertices" not in vars(back)
+        V, W = body.vertices(), back.vertices()
+        assert V.shape == W.shape and np.allclose(V, W, atol=1e-9)
         checked += 1
     assert checked > 150
 

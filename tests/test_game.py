@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnepkit.convexsets import Ball, Box, HPoly, Intersection
+from gnepkit.convexsets import Ball, Box, HPoly, Intersection, Simplex
 from gnepkit.game import (
     FixedConstraint,
     GameInstance,
@@ -45,6 +45,77 @@ def test_slice_empty_when_rivals_outside():
     T = HPoly([[1.0, 1.0]], [1.0])
     S = slice_body(T, np.array([0.0, 1.5]), slice(0, 1))
     assert not S.contains([0.0])  # needs x1 <= -0.5, clipped below by nothing
+
+
+def _strict_equality_game():
+    """Two 2-D players over an HPoly with strict rows and an equality as a
+    +/- pair, inside a Box and a Simplex(2, 1.5) that it pokes out of, so
+    the shared set becomes an Intersection with the lifted ambients."""
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((5, 4))
+    a = rng.standard_normal(4)
+    A = np.vstack([A, a, -a])
+    x0 = np.array([0.3, 0.2, 0.75, 0.75])
+    b = A @ x0 + np.concatenate([rng.uniform(0.1, 0.5, 5), [0.0, 0.0]])
+    strict = np.array([True, False, True, False, False, False, False])
+    return jointly_convex_game(
+        [Box([-1.0, -1.0], [2.0, 2.0]), Simplex(2, 1.5)],
+        [LinearUtility([1.0, -1.0]), LinearUtility([0.5, 1.0])],
+        HPoly(A, b, strict),
+    ), x0
+
+
+def _slice_families():
+    for s in range(12):
+        g = gi.random_jointly_convex(s)
+        yield g, np.full(g.n, 0.5)
+    for s in range(40):
+        g = gi.random_qvi(s)
+        if g.jointly_convex:
+            yield g, np.full(g.n, 0.5)
+    yield _strict_equality_game()
+    # a shared set with equalities(): the budget line x_0 + x_1 = 1
+    yield jointly_convex_game([Box([0.0], [1.0])] * 2, [LinearUtility([1.0])] * 2,
+                              Simplex(2)), np.array([0.25, 0.75])
+
+
+def test_cached_slice_rows_match_intersection_bit_for_bit():
+    # K_i(x) from the cached rows against X_i ∩ slice_body merged, at a
+    # feasible point and at wandering ones.  Where a rival breaks a row with
+    # no own part, the exact slice is empty (poisoned) and K_i(x) keeps the
+    # rows the player can move: the same A, b and strict
+    rng = np.random.default_rng(9)
+    poisoned = played = 0
+    for g, x_feas in _slice_families():
+        assert g.shared_set.contains(x_feas)
+        for x in [x_feas] + list(rng.uniform(-1.0, 2.0, (6, g.n))):
+            for i, pm in enumerate(g.preferences):
+                K = constraint_body(g, i, x)
+                M = Intersection((pm.ambient, slice_body(g.shared_set, x, pm.block)))._merged
+                assert isinstance(K, HPoly) and not K._poisoned
+                for field in ("A", "b", "strict"):
+                    assert getattr(K, field).tobytes() == getattr(M, field).tobytes()
+                poisoned += M._poisoned
+                played += 1
+    assert 0 < poisoned < played
+
+
+def test_rival_breaking_its_own_row_is_the_rivals_infeasibility():
+    # S = {x0 <= 1, x1 <= 1, x0 + x1 <= 1.5} at x1 = 1.7: the exact slice
+    # over x0 is empty, as the rival breaks x1 <= 1.  K_0(x) keeps the rows
+    # player 0 can move, [-0.5, -0.2], and the break shows in player 1's slack
+    g = jointly_convex_game(
+        [Box([-0.5], [1.5])] * 2, [LinearUtility([1.0])] * 2,
+        HPoly([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5]),
+    )
+    x = np.array([-0.3, 1.7])
+    assert slice_body(g.shared_set, x, slice(0, 1)).is_empty()
+    lo, hi = constraint_body(g, 0, x).bounding_box()
+    assert lo == pytest.approx([-0.5]) and hi == pytest.approx([-0.2])
+    cert = verify_equilibrium(g, x)
+    assert cert.feasibility_slacks[0] <= 0.0
+    assert cert.feasibility_slacks[1] == pytest.approx(0.7)
+    assert cert.emptiness_slacks[0] == pytest.approx(0.1)
 
 
 def test_membership_violation_values():

@@ -7,10 +7,11 @@ random game), the stall and 2-cycle probe (``simplex_argmax`` with
 extragradient, ``random_jointly_convex(5)``, ``random_qvi(0)``), the final
 probe after the loop runs out (an iteration cap of 10 or of 0; such a run
 must report the residual of the point it returns) or breaks on the halving
-cap (``random_qvi(103)``, which never converges and whose best point comes
-from its third attempt, so restarts and best-of-attempts are covered too).
-Any change to the order of projections, residuals, halvings or rng draws
-shows up here.
+cap (``random_qvi(21)`` with extragradient, which never converges and whose
+best point comes from its fourth attempt, so restarts and best-of-attempts
+are covered too).  ``random_qvi(103)`` leaves the shared set at its first
+step and takes the shared-set fallback of the QVI projection.  Any change
+to the order of projections, residuals, halvings or rng draws shows up here.
 """
 
 from dataclasses import dataclass
@@ -173,37 +174,50 @@ CASES = [
     ),
     Case(
         "random-qvi-103", lambda: gi.random_qvi(103), "qvi", {"residual_tol": 5e-07, "restarts": 4},
-        iterations=0, restarts_used=3, converged=False,
-        point=[0.5894993063834051, 0.9759244865800032, 0.7648792065195125],
-        residual=0.5839408452537573,
+        iterations=2, restarts_used=1, converged=True,
+        point=[0.3398438171269619, 0.23630957827397175, 0.49313368779656885],
+        residual=0.0,
         trace=[
-            (0, 0.5839408452537573, 0.5),
-            (18, INF, 0.5),
-            (21, INF, 0.25),
-            (24, INF, 0.125),
-            (25, INF, 0.0625),
-            (29, INF, 0.03125),
-            (32, INF, 0.015625),
-            (34, INF, 0.0078125),
-            (36, INF, 0.00390625),
-            (39, INF, 0.001953125),
-            (42, INF, 0.0009765625),
-            (45, INF, 0.00048828125),
-            (48, INF, 0.000244140625),
-            (50, INF, 0.0001220703125),
-            (50, INF, 6.103515625e-05),
-            (51, INF, 3.0517578125e-05),
-            (51, INF, 1.52587890625e-05),
-            (52, INF, 7.62939453125e-06),
-            (52, INF, 3.814697265625e-06),
-            (53, INF, 1.9073486328125e-06),
-            (53, INF, 9.5367431640625e-07),
-            (54, INF, 4.76837158203125e-07),
-            (54, INF, 2.384185791015625e-07),
-            (55, INF, 1.1920928955078125e-07),
-            (55, INF, 5.960464477539063e-08),
-            (56, INF, 2.9802322387695312e-08),
-            (56, INF, 1.4901161193847656e-08),
+            (0, 0.6962967638232751, 0.5),
+            (2, 0.0, 0.5),
+        ],
+    ),
+    Case(
+        "random-qvi-21-extragradient", lambda: gi.random_qvi(21), "qvi",
+        {"residual_tol": 5e-07, "restarts": 4, "method": "extragradient"},
+        iterations=68, restarts_used=4, converged=False,
+        point=[0.6356391491688835, 0.07613815071499697],
+        residual=0.04241722571079428,
+        trace=[
+            (0, 0.8008889003195794, 0.5),
+            (2, 0.29179022955124073, 0.5),
+            (5, 0.29179022955124073, 0.25),
+            (9, 0.16679022955124076, 0.125),
+            (13, 0.10429022955124076, 0.0625),
+            (17, 0.07304022955124076, 0.03125),
+            (21, 0.05741522955124075, 0.015625),
+            (25, 0.04960272955124075, 0.0078125),
+            (25, 0.04960272955124075, 0.0078125),
+            (29, 0.04569647955124075, 0.00390625),
+            (33, 0.04374335455124075, 0.001953125),
+            (37, 0.04276679205124075, 0.0009765625),
+            (40, 0.04276679205124075, 0.00048828125),
+            (44, 0.04252265142624075, 0.000244140625),
+            (47, 0.04252265142624075, 0.0001220703125),
+            (49, 0.04246161626999075, 6.103515625e-05),
+            (50, 0.04246161626999075, 3.0517578125e-05),
+            (51, 0.04243109869186575, 3.0517578125e-05),
+            (52, 0.04243109869186575, 1.52587890625e-05),
+            (54, 0.0424234692973345, 7.62939453125e-06),
+            (56, 0.04241965460006888, 3.814697265625e-06),
+            (58, 0.042417747251436065, 1.9073486328125e-06),
+            (59, 0.042417747251436065, 9.5367431640625e-07),
+            (61, 0.04241727041427786, 4.76837158203125e-07),
+            (62, 0.04241727041427786, 2.384185791015625e-07),
+            (63, 0.04241727041427786, 1.1920928955078125e-07),
+            (64, 0.04241727041427786, 5.960464477539063e-08),
+            (66, 0.042417240611955474, 2.9802322387695312e-08),
+            (68, 0.04241722571079428, 1.4901161193847656e-08),
         ],
     ),
 ]

@@ -91,6 +91,17 @@ def test_restarts_reported():
     assert 1 <= res.restarts_used <= 3
 
 
+# Jointly convex members of random_qvi beyond criterion 4's seeds 0-99 whose
+# blockwise steps leave the shared set so far that a slice is empty.  A step
+# onto X_i for that player, in place of the step onto the shared set, leaves
+# both unsolved.
+@pytest.mark.parametrize("seed", [103, 299])
+def test_qvi_certifies_games_whose_steps_leave_the_shared_set(seed):
+    res = solve_qvi(gi.random_qvi(seed), SolverConfig(residual_tol=5e-7, restarts=4),
+                    Tolerances(eps_open=1e-6))
+    assert res.converged and res.certificate.is_equilibrium
+
+
 # -- grid oracle ---------------------------------------------------------------
 
 
