@@ -287,6 +287,8 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _chebyshev(self):
+        if self._poisoned:
+            return None
         if self.dim == 1:
             if self._interval is None:
                 return None
@@ -389,6 +391,9 @@ class HPoly(ConvexBody):
     def closure(self):
         if not self.strict.any():
             return self
+        if self._poisoned:
+            # the closure of an empty body is empty: keep a zero row that says so
+            return HPoly(np.vstack([self.A, np.zeros(self.dim)]), np.append(self.b, -1.0))
         return HPoly(self.A, self.b, None)
 
     def to_dict(self):

@@ -11,8 +11,9 @@ VI restricted to the enumerated vertex set exactly, and solving the VI is a
 *sufficient* condition for equilibrium; the converse direction is not claimed
 and genuinely fails on easy examples.
 
-The QVI route projects blockwise onto the moving sets K_i(x) and measures the
-same residual over the current product of constraint vertices.
+The QVI route projects blockwise onto the moving sets K_i(x).  Both co T(x)
+and K(x) are products over the blocks, so its residual is a sum of one term
+per block: a closed form for one generator or a 1-D block, else one small LP.
 
 The grid oracle is the independent ground truth: it enumerates grid nodes
 and applies the equilibrium definition directly (feasibility + emptiness of
@@ -22,7 +23,6 @@ each player's improvement set), sharing no code path with the residual.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -174,10 +174,7 @@ def residual_with_filter(op, x, V, tol):
 
 
 # --------------------------------------------------------------------------
-# vertex suppliers
-
-
-_QVI_VERTEX_CAP = 4096
+# vertex suppliers and per-block residual terms
 
 
 def _body_vertices(body: ConvexBody, rng) -> np.ndarray:
@@ -190,43 +187,54 @@ def _body_vertices(body: ConvexBody, rng) -> np.ndarray:
     return vs
 
 
-def _product_vertices(bodies, rng):
-    per = [_body_vertices(b, rng) for b in bodies]
-    # deterministic thinning, block by block
-    while math.prod(len(p) for p in per) > _QVI_VERTEX_CAP:
-        j = int(np.argmax([len(p) for p in per]))
-        per[j] = per[j][::2]
-    out = per[0]
-    for p in per[1:]:
-        out = np.hstack(
-            [np.repeat(out, len(p), axis=0), np.tile(p, (len(out), 1))]
-        )
-    return out
+def _block_terms(K: ConvexBody, cone, xi, rng):
+    """(lower bound, exact term, t_i, vertices) of one block of the QVI residual.
+
+    The bound is the block's part of _residual_prefilter; the term is min over
+    t_i in co G_i of max over v in K of <t_i, x_i - v>, or None when only the
+    block's own LP gives it.  Raises EmptyBodyError when K's closure is empty.
+    """
+    if cone.n_generators == 1:
+        # both are <g, x_i> + sigma_K(-g), with no vertices
+        g, C = cone.generators[0], K.closure()
+        # a non-polyhedral body's only emptiness verdict is its vertex set's
+        if C.hrep() is not None and C.is_empty():
+            raise EmptyBodyError("support over an empty body")
+        try:
+            r = float(g @ xi) + maximize(C, -g)[0]
+            return r, r, g, None
+        except _lp.UnboundedLP:
+            return np.inf, np.inf, g, None
+        except EnumerationError:
+            pass
+    V = _body_vertices(K, rng)
+    lb = _residual_prefilter(OperatorEval((cone,), (0,)), xi, V)
+    if cone.n_generators <= 1 and not cone.whole_space:
+        # co G_i is one point: 0 for the zero cone, else the generator
+        return lb, lb, cone.min_norm_point(), V
+    if cone.dim == 1:
+        # the whole space or unit generators of both signs: co G_i = [-1, 1];
+        # max_v t (x_i - v) is convex in t with its only kink at 0
+        W = xi[0] - V[:, 0]
+        vals = [float(np.max(-W)), 0.0, float(np.max(W))]
+        k = int(np.argmin(vals))
+        return lb, vals[k], np.array([k - 1.0]), V
+    return lb, None, None, V
 
 
 # --------------------------------------------------------------------------
 # iteration core
 
 
-def _default_start(game: GameInstance) -> np.ndarray:
+def _start(game: GameInstance, attempt: int, rng) -> np.ndarray:
+    """Attempt 0 starts at interior points of the X_i, later attempts at
+    random points; either goes onto the shared set when there is one."""
     blocks = []
     for pm in game.preferences:
-        c = pm.ambient.interior_point()
-        if c is None:
-            c = pm.ambient.project(np.zeros(pm.block_dim))
-        blocks.append(c)
+        c = pm.ambient.interior_point() if attempt == 0 else pm.ambient.sample(rng, 1)[0]
+        blocks.append(pm.ambient.project(np.zeros(pm.block_dim)) if c is None else c)
     x0 = game.join(blocks)
-    if game.jointly_convex:
-        return game.shared_set.project(x0)
-    return x0
-
-
-def _random_start(game: GameInstance, rng) -> np.ndarray:
-    blocks = [pm.ambient.sample(rng, 1)[0] for pm in game.preferences]
-    x0 = game.join(blocks)
-    if game.jointly_convex:
-        x0 = game.shared_set.project(x0)
-    return x0
+    return game.shared_set.project(x0) if game.jointly_convex else x0
 
 
 class _SharedSetVI:
@@ -241,11 +249,9 @@ class _SharedSetVI:
     def project(self, x, t, alpha):
         return self.game.shared_set.project(x - alpha * t)
 
-    def vertices(self, x):
-        return self._vertices
-
-    def feasible(self, x, eps) -> bool:
-        return True
+    def probe(self, op, x, tol=np.inf, eps=np.inf):
+        """(r, t, feasible) at x; see residual_with_filter."""
+        return (*residual_with_filter(op, x, self._vertices, tol), True)
 
 
 class _MovingSlicesQVI:
@@ -273,23 +279,30 @@ class _MovingSlicesQVI:
                 blocks.append(pm.ambient.closure().project(target))
         return game.join(blocks)
 
-    def vertices(self, x):
-        """None signals an empty constraint slice (x is QVI-infeasible)."""
+    def probe(self, op, x, tol=np.inf, eps=np.inf):
+        """(r, t, feasible) at x: r is the sum of the blocks' lower bounds when
+        that exceeds tol (t is then None), else the residual; (inf, None,
+        False) when a slice is empty."""
         try:
-            bodies = [constraint_body(self.game, i, x) for i in range(self.game.n_players)]
-            return _product_vertices(bodies, self._rng)
+            slices = [constraint_body(self.game, i, x) for i in range(self.game.n_players)]
+            terms = [_block_terms(K, op.blocks[i], x[op.block_slice(i)], self._rng)
+                     for i, K in enumerate(slices)]
         except EmptyBodyError:
-            return None
-
-    def feasible(self, x, eps) -> bool:
-        for i, pm in enumerate(self.game.preferences):
-            try:
-                body = constraint_body(self.game, i, x)
-            except EmptyBodyError:
-                return False
-            if membership_violation(body, pm.own(x)) > eps:
-                return False
-        return True
+            return np.inf, None, False
+        feasible = all(membership_violation(K, pm.own(x)) <= eps
+                       for K, pm in zip(slices, self.game.preferences))
+        lb = sum(term[0] for term in terms)
+        if lb > tol:
+            return lb, None, feasible
+        r, t = 0.0, np.zeros(op.dim)
+        for i, (_, r_i, t_i, V) in enumerate(terms):
+            sl = op.block_slice(i)
+            if r_i is None:
+                t_i = hull_residual(OperatorEval((op.blocks[i],), (0,)), x[sl], V)[1]
+                r_i = float(np.max((x[sl] - V) @ t_i))
+            r += r_i
+            t[sl] = t_i
+        return max(r, 0.0), t, feasible
 
 
 def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
@@ -305,9 +318,7 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
         """Residual at xc, recorded as the best point when feasible; returns
         (r, accepted).  The closing probe (k == max_iters) is not traced."""
         nonlocal best_r, best_x, best_it
-        V = problem.vertices(xc)
-        r = np.inf if V is None else residual_with_filter(op_c, xc, V, config.residual_tol)[0]
-        feas_ok = problem.feasible(xc, tol.eps_feas)
+        r, _, feas_ok = problem.probe(op_c, xc, config.residual_tol, tol.eps_feas)
         if trace is not None and k < config.max_iters:
             trace.append({"iter": k, "residual": float(r), "alpha": alpha})
         if r < best_r and feas_ok:
@@ -367,7 +378,7 @@ def _solve(game: GameInstance, config: SolverConfig, problem_type,
     rng = np.random.default_rng(config.seed)
     best = None
     for attempt in range(max(1, config.restarts)):
-        x0 = _default_start(game) if attempt == 0 else _random_start(game, rng)
+        x0 = _start(game, attempt, rng)
         problem = problem_type(game, rng)
         x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol)
         cand = SolveResult(x, r, iters, ok, attempt + 1, problem.name,
@@ -395,13 +406,9 @@ def solve_qvi(game: GameInstance, config: SolverConfig = SolverConfig(),
 
 
 def _residual_at(game, x, problem_type, seed):
-    rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    op = evaluate_T(game, x, seed=seed)
-    V = problem_type(game, rng).vertices(x)
-    if V is None:
-        return np.inf, None
-    return hull_residual(op, x, V)
+    problem = problem_type(game, np.random.default_rng(seed))
+    return problem.probe(evaluate_T(game, x, seed=seed), x)[:2]
 
 
 def vi_residual(game: GameInstance, x, seed: int = 0):
@@ -412,8 +419,8 @@ def vi_residual(game: GameInstance, x, seed: int = 0):
 
 
 def qvi_residual(game: GameInstance, x, seed: int = 0):
-    """(r, t) of the hull residual at x over the current slices' vertices;
-    (inf, None) when a slice is empty."""
+    """(r, t) of the hull residual at x over the slices K_i(x), summed block
+    by block; (inf, None) when a slice is empty."""
     return _residual_at(game, x, _MovingSlicesQVI, seed)
 
 
@@ -491,22 +498,25 @@ def _block_grid(body: ConvexBody, h: float) -> np.ndarray:
     return pts[mask]
 
 
+def _inside_mask(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
+    """Rows of pts in the closure of body, to 1e-9: by its rows and
+    equalities when it is polyhedral, else by its own membership test."""
+    h = body.closure().hrep()
+    if h is None:
+        inside = np.array([body.contains(z, 1e-9, 0.0) for z in pts], dtype=bool)
+    else:
+        inside = np.all(pts @ h[0].T - h[1] <= 1e-9, axis=1)
+    C, d = body.equalities()
+    return inside & np.all(np.abs(pts @ C.T - d) <= 1e-9, axis=1)
+
+
 def _feasible_mask(game: GameInstance, nodes: np.ndarray) -> np.ndarray:
     mask = np.ones(len(nodes), dtype=bool)
     for i, (pm, con) in enumerate(zip(game.preferences, game.constraints)):
         if isinstance(con, SharedSlice):
             continue
-        blk = nodes[:, pm.block]
         if isinstance(con, FixedConstraint):
-            h = con.body.closure().hrep()
-            if h is not None:
-                A, b, _ = h
-                mask &= np.all(blk @ A.T - b <= 1e-9, axis=1)
-            C, d = con.body.equalities()
-            if len(d):
-                mask &= np.all(np.abs(blk @ C.T - d) <= 1e-9, axis=1)
-            if h is None:
-                mask &= np.array([con.body.contains(z, 1e-9, 0.0) for z in blk])
+            mask &= _inside_mask(con.body, nodes[:, pm.block])
         else:  # Parametric
             if con.batch_feasible is not None:
                 mask &= np.asarray(con.batch_feasible(nodes), dtype=bool)
@@ -517,17 +527,7 @@ def _feasible_mask(game: GameInstance, nodes: np.ndarray) -> np.ndarray:
                     if membership_violation(body, nodes[idx][pm.block]) > 1e-9:
                         mask[idx] = False
     if game.jointly_convex:
-        h = game.shared_set.hrep()
-        if h is not None:
-            A, b, _ = h
-            mask &= np.all(nodes @ A.T - b <= 1e-9, axis=1)
-            C, d = game.shared_set.equalities()
-            if len(d):
-                mask &= np.all(np.abs(nodes @ C.T - d) <= 1e-9, axis=1)
-        else:
-            mask &= np.array(
-                [game.shared_set.contains(p, eps=1e-9, eps_open=0.0) for p in nodes]
-            )
+        mask &= _inside_mask(game.shared_set, nodes)
     return mask
 
 
@@ -539,10 +539,7 @@ def _rival_groups(nodes: np.ndarray, block: slice):
     if rivals.shape[1] == 0:
         return [(None, np.arange(len(nodes)))]
     _, inverse = np.unique(np.round(rivals, 12), axis=0, return_inverse=True)
-    groups = []
-    for g in range(inverse.max() + 1):
-        groups.append((g, np.nonzero(inverse == g)[0]))
-    return groups
+    return [(g, np.nonzero(inverse == g)[0]) for g in range(inverse.max() + 1)]
 
 
 def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:

@@ -217,6 +217,35 @@ def test_poisoned_part_empties_intersection():
         support_max(P, np.array([1.0, 1.0]))
 
 
+# Two 2-D bodies that a violated zero row empties: the unit square with
+# 0 <= -1, and {x0 < 1, x1 <= 1} with 0 <= -1.  The kept rows alone are
+# nonempty, so any query that reads only them answers for a nonempty body.
+@pytest.mark.parametrize("P", [
+    HPoly([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]],
+          [1.0, 1.0, 0.0, 0.0, -1.0]),
+    HPoly([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 1.0, -1.0],
+          strict=[True, False, False]),
+], ids=["closed", "strict"])
+def test_poisoned_hpoly_one_emptiness_verdict(P):
+    from gnepkit.solvers import _body_vertices
+
+    rng = np.random.default_rng(0)
+    for body in (P, P.closure()):
+        assert body.is_empty() and body.is_empty(eps_open=0.0)
+        assert body.vertices().shape == (0, 2)
+        assert body.interior_point() is None
+        assert not body.contains([0.5, 0.5], eps=1.0)
+        for query in (body.bounding_box, body.is_bounded,
+                      lambda: body.project(np.array([0.5, 0.5])),
+                      lambda: body.sample(rng, 3),
+                      lambda: body.boundary_samples(rng, 3),
+                      lambda: maximize(body, [1.0, 0.0]),
+                      lambda: support_max(body, [0.0, 1.0]),
+                      lambda: _body_vertices(body, rng)):
+            with pytest.raises(EmptyBodyError):
+                query()
+
+
 def test_interval_projection_is_a_clip():
     # equal to np.clip on the closed-form interval, bit for bit, and to the
     # least-distance program to 1e-15 of the sizes involved: that program

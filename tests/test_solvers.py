@@ -1,11 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gnepkit.convexsets import Box, ConeSection, EnumerationError
-from gnepkit.game import Tolerances, verify_equilibrium
+from gnepkit.convexsets import Ball, Box, ConeSection, EmptyBodyError, EnumerationError, HPoly
+from gnepkit.economy import to_gnep
+from gnepkit.game import (
+    FixedConstraint,
+    GameInstance,
+    Tolerances,
+    constraint_body,
+    verify_equilibrium,
+)
+from gnepkit.jsonio import load_instance
 from gnepkit.operators import OperatorEval, evaluate_T
+from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility
 from gnepkit.solvers import (
     SolverConfig,
+    _body_vertices,
+    _start,
     grid_oracle,
     hull_residual,
     qvi_residual,
@@ -14,6 +27,8 @@ from gnepkit.solvers import (
     vi_residual,
 )
 from gnepkit import instances as gi
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 def test_splitting_vi_reaches_face():
@@ -176,3 +191,122 @@ def test_whole_space_blocks_enter_residual_conservatively():
     V = g.shared_set.vertices()
     r, _ = hull_residual(op, np.array([1.0, 0.0]), V)
     assert r <= 1e-9   # (1,0) is a genuine VI solution here
+
+
+# -- the separable QVI residual --------------------------------------------------
+#
+# qvi_residual sums one term per block.  The oracle is the joint LP: hull_residual
+# over the Cartesian product of the slices' vertex sets, built here only.
+
+
+def _product_vertices(game, x):
+    """Every combination of the slices' vertices at x; None when one is empty."""
+    rng = np.random.default_rng(0)
+    try:
+        per = [_body_vertices(constraint_body(game, i, x), rng)
+               for i in range(game.n_players)]
+    except EmptyBodyError:
+        return None
+    V = per[0]
+    for P in per[1:]:
+        V = np.hstack([np.repeat(V, len(P), axis=0), np.tile(P, (len(V), 1))])
+    return V
+
+
+def _assert_matches_joint_lp(game, x):
+    x = np.asarray(x, dtype=float)
+    r, t = qvi_residual(game, x)
+    V = _product_vertices(game, x)
+    if V is None:
+        assert r == np.inf and t is None
+        return
+    r_joint, _ = hull_residual(evaluate_T(game, x), x, V)
+    assert r == pytest.approx(r_joint, rel=0.0, abs=1e-12)
+    assert max(float(np.max((x - V) @ t)), 0.0) == pytest.approx(r, rel=0.0, abs=1e-12)
+
+
+def _boundary_points(game, rng, k):
+    """k points whose blocks lie mostly on faces of X_i, where T has several
+    generators: projections of far-off draws."""
+    out = []
+    for _ in range(k):
+        blocks = [pm.ambient.project(rng.uniform(-2.0, 4.0, pm.block_dim))
+                  for pm in game.preferences]
+        out.append(game.join(blocks))
+    return out
+
+
+def test_qvi_residual_matches_joint_lp_on_random_qvi():
+    rng = np.random.default_rng(8)
+    for seed in range(100):
+        game = gi.random_qvi(seed)
+        _assert_matches_joint_lp(game, _start(game, 0, rng))
+        for _ in range(3):
+            _assert_matches_joint_lp(
+                game, game.join([pm.ambient.sample(rng, 1)[0] for pm in game.preferences]))
+
+
+@pytest.mark.parametrize("name", ["two_consumer_exchange", "production_economy"])
+def test_qvi_residual_matches_joint_lp_on_bundled_economies(name):
+    game = to_gnep(load_instance(INSTANCES / f"{name}.json"))
+    rng = np.random.default_rng(9)
+    points = [_start(game, k, rng) for k in range(4)] + _boundary_points(game, rng, 12)
+    points.append(solve_qvi(game).point)
+    for x in points:
+        _assert_matches_joint_lp(game, x)
+
+
+def _decagon():
+    angles = (2 * np.arange(10) + 1) * np.pi / 10
+    return HPoly(np.stack([np.cos(angles), np.sin(angles)], axis=1),
+                 np.full(10, np.cos(np.pi / 10)))
+
+
+def test_qvi_residual_is_exact_past_the_old_vertex_cap():
+    # four 2-D decagon slices: 10**4 product vertices, more than the 4,096
+    # at which the product used to be thinned; a satiated player is the
+    # whole space, and players on a corner of X_i have three generators
+    D = _decagon()
+    prefs = [PreferenceMap(0, 0, D, QuadUtility(-2.0 * np.eye(2), [0.2, -0.1]))]
+    prefs += [PreferenceMap(i, 2 * i, D, LinearUtility(c))
+              for i, c in enumerate([[1.0, 0.3], [-0.4, 1.0], [0.2, -1.0]], start=1)]
+    game = GameInstance(tuple(prefs), (FixedConstraint(D),) * 4, None, "decagons")
+    V = D.vertices()
+    assert len(V) == 10
+    rng = np.random.default_rng(10)
+    for corners in ([0, 3, 5, 8], [1, 1, 2, 9]):
+        x = np.concatenate([[0.1, -0.05]] + [V[k] for k in corners[1:]])
+        _assert_matches_joint_lp(game, x)
+        _assert_matches_joint_lp(game, x + rng.uniform(-0.3, 0.3, 8))
+    for x in _boundary_points(game, rng, 4):
+        _assert_matches_joint_lp(game, x)
+
+
+def test_qvi_residual_matches_joint_lp_with_a_satiated_block():
+    # player 0 is satiated at 0.5: its section is the whole space, co{-1, 1}
+    prefs = (PreferenceMap(0, 0, Box([0.0], [1.0]), QuadUtility([[-2.0]], [1.0])),
+             PreferenceMap(1, 1, Box([0.0, 0.0], [1.0, 1.0]),
+                           QuadUtility(-2.0 * np.eye(2), [0.5, 1.0])))
+    cons = (FixedConstraint(Box([0.2], [0.9])), FixedConstraint(Box([0.0, 0.1], [0.8, 0.6])))
+    game = GameInstance(prefs, cons, None, "satiated")
+    assert evaluate_T(game, [0.5, 0.3, 0.3]).blocks[0].whole_space
+    for x in ([0.5, 0.3, 0.3], [0.5, 0.25, 0.5], [0.5, 0.0, 1.0], [0.1, 0.9, 0.0]):
+        _assert_matches_joint_lp(game, x)
+
+
+def test_qvi_residual_ball_term_is_exact():
+    # one generator g over FixedConstraint(Ball(c, rho)): <g, x_i - c> + rho |g|,
+    # where 64 boundary samples gave a lower bound; the satiated 1-D player
+    # adds 0 at a feasible point
+    c, rho = np.array([0.25, -0.5]), 0.75
+    prefs = (PreferenceMap(0, 0, Box([-2.0, -2.0], [2.0, 2.0]), LinearUtility([1.0, 2.0])),
+             PreferenceMap(1, 2, Box([0.0], [1.0]), QuadUtility([[-2.0]], [1.0])))
+    game = GameInstance(prefs, (FixedConstraint(Ball(c, rho)),
+                                FixedConstraint(Box([0.0], [1.0]))), None, "ball")
+    for xi in ([0.1, -0.3], [0.25, -0.5], [-0.4, -0.2]):
+        x = np.array(xi + [0.5])
+        g = evaluate_T(game, x).blocks[0].generators[0]
+        r, t = qvi_residual(game, x)
+        assert np.array_equal(t[:2], g) and t[2] == 0.0
+        assert r == pytest.approx(float(g @ (x[:2] - c)) + rho * np.linalg.norm(g),
+                                  rel=0.0, abs=1e-15)
