@@ -151,29 +151,21 @@ class GameInstance:
         return tuple(out)
 
 
-def _lifted_ambient_poly(prefs, n):
-    """Product of the ambient sets as joint H-rows (equalities as +/- pairs);
-    None when some ambient is not polyhedral or nothing binds."""
-    rows, rhs = [], []
-    for pm in prefs:
-        h = pm.ambient.closure().hrep()
+def _lifted_rows(prefs, bodies, n):
+    """The product of bodies[i] over the players' blocks as joint rows
+    (A, b): each body's closed rows, then its equalities, then their
+    negatives.  None when some body is not polyhedral."""
+    A, b = [], []
+    for pm, body in zip(prefs, bodies):
+        h = body.closure().hrep()
         if h is None:
             return None
-        A, b, _ = h
-        C, d = pm.ambient.equalities()
-        for M, v, both in ((A, b, False), (C, d, True)):
-            if not len(v):
-                continue
-            G = np.zeros((len(v), n))
-            G[:, pm.block] = M
-            rows.append(G)
-            rhs.append(np.asarray(v, dtype=float))
-            if both:
-                rows.append(-G)
-                rhs.append(-np.asarray(v, dtype=float))
-    if not rows:
-        return None
-    return HPoly(np.vstack(rows), np.concatenate(rhs))
+        C, d = body.equalities()
+        G = np.zeros((len(h[1]) + 2 * len(d), n))
+        G[:, pm.block] = np.vstack([h[0], C, -C])
+        A.append(G)
+        b.append(np.concatenate([h[1], d, -d]))
+    return np.vstack(A), np.concatenate(b)
 
 
 def _shared_within_ambients(shared_set, lifted) -> bool:
@@ -200,9 +192,11 @@ def jointly_convex_game(choice_sets, variants, shared_set, name="") -> GameInsta
         prefs.append(PreferenceMap(i, at, body, var))
         cons.append(SharedSlice())
         at += body.dim
-    lifted = _lifted_ambient_poly(prefs, at)
-    if lifted is not None and not _shared_within_ambients(shared_set, lifted):
-        shared_set = Intersection((shared_set, lifted))
+    rows = _lifted_rows(prefs, [pm.ambient for pm in prefs], at)
+    if rows is not None and len(rows[1]):
+        lifted = HPoly(*rows)
+        if not _shared_within_ambients(shared_set, lifted):
+            shared_set = Intersection((shared_set, lifted))
     return GameInstance(tuple(prefs), tuple(cons), shared_set, name)
 
 
@@ -448,128 +442,92 @@ def _far_samples(body: ConvexBody, rho, samples, rng):
     return out
 
 
-def _shrinking_improvement(game: GameInstance, x, bodies, eps_open, rng):
-    """Search a joint z with ||z|| < ||x||, z in prod(bodies) (and the shared
-    set when present), every block either kept or strictly preferred."""
+# the scale factors toward the origin and the number of random draws of the search
+_GAMMAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
+_DRAWS = 60
+
+
+def _improvement_within(game: GameInstance, x, bodies, radius, shared, eps_open, rng):
+    """A joint z with ||z|| <= radius, z_i in bodies[i] (and z in shared when
+    given), every block either kept at x_i or strictly preferred; None when
+    no probe finds one.  Probes, in order: x scaled toward the origin, each
+    player's best response within the radius, the linear players' joint LP,
+    then random draws from the bodies scaled inside the radius; a scaled
+    point is projected block by block onto the bodies, then onto shared."""
     x = np.asarray(x, dtype=float)
-    nx = np.linalg.norm(x)
-    shared = game.shared_set
+    prefs = game.preferences
+
+    def placed(z):
+        z = game.join([body.project(pm.own(z)) for pm, body in zip(prefs, bodies)])
+        return z if shared is None else shared.project(z)
 
     def admissible(z):
-        if np.linalg.norm(z) >= nx - 1e-9:
-            return False
-        if shared is not None and not shared.contains(z, eps=1e-9, eps_open=0.0):
-            return False
-        for pm, body in zip(game.preferences, bodies):
-            if not body.contains(pm.own(z), eps=1e-9, eps_open=0.0):
-                return False
-        return all(
-            _prefers_or_stays(pm, x, pm.own(z), eps_open) for pm in game.preferences
+        return (
+            np.linalg.norm(z) <= radius + 1e-9
+            and (shared is None or shared.contains(z, eps=1e-9, eps_open=0.0))
+            and all(body.contains(pm.own(z), eps=1e-9, eps_open=0.0)
+                    for pm, body in zip(prefs, bodies))
+            and all(_prefers_or_stays(pm, x, pm.own(z), eps_open) for pm in prefs)
         )
 
-    # ray probes toward the origin
-    for gamma in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-        z = gamma * x
-        blocks = [body.project(pm.own(z)) for pm, body in zip(game.preferences, bodies)]
-        z = game.join(blocks)
-        if shared is not None:
-            z = shared.project(z)
-        if admissible(z):
-            return z
-    # single-player deviations: improve one block, keep the rest
-    for pm, body in zip(game.preferences, bodies):
-        try:
-            val, z_i = _improve_block_lp(pm, x, body, nx)
-        except (_lp.LPError, ValueError):
-            continue
-        if val is None:
-            continue
-        z = pm.joined(x, z_i)
-        if admissible(z):
-            return z
-    # joint LP: all linear players improve at once inside a shrinking box
-    z = _joint_improvement_lp(game, x, bodies, nx)
-    if z is not None and admissible(z):
-        return z
-    # random feasible probes, shrunk toward the origin
-    for _ in range(40):
-        blocks = [body.sample(rng, 1)[0] for body in bodies]
-        z = game.join(blocks) * rng.uniform(0.2, 0.9)
-        blocks = [body.project(pm.own(z)) for pm, body in zip(game.preferences, bodies)]
-        z = game.join(blocks)
-        if shared is not None:
-            z = shared.project(z)
-        if admissible(z):
-            return z
-    return None
-
-
-def _improve_block_lp(pm: PreferenceMap, x, body: ConvexBody, nx):
-    """Best single-block improvement keeping the joint norm under nx."""
-    rest = np.delete(np.asarray(x, dtype=float), np.arange(pm.block.start, pm.block.stop))
-    budget2 = nx**2 - rest @ rest
-    if budget2 <= 0:
-        return None, None
-    cap = np.sqrt(budget2) / np.sqrt(pm.block_dim) * (1 - 1e-6)
-    shrink = Box(-np.full(pm.block_dim, cap), np.full(pm.block_dim, cap))
-    dom = Intersection((body, shrink))
-    if dom.is_empty(eps_open=0.0):
-        return None, None
-    if isinstance(pm.variant, (LinearUtility, QuadUtility)):
-        A2, a1, _ = _own_quadratic(pm, x)
-        return maximize(dom, a1, A2)
-    # set-valued variants are served by the probe paths
-    return None, None
-
-
-def _joint_improvement_lp(game: GameInstance, x, bodies, nx):
-    x = np.asarray(x, dtype=float)
-    n = game.n
-    cap = nx / np.sqrt(n) * (1 - 1e-6)
-    rows, rhs, strict = [], [], []
-
-    def add(A, b, s, block=None):
-        full = np.zeros((len(b), n))
-        if block is None:
-            full[:, :] = A
-        else:
-            full[:, block] = A
-        rows.append(full)
-        rhs.append(np.asarray(b, dtype=float))
-        strict.append(np.asarray(s, dtype=bool))
-
-    for pm, body in zip(game.preferences, bodies):
-        v = pm.variant
-        if isinstance(v, LinearUtility):
-            A2, a1, a0 = _own_quadratic(pm, x)
-            if np.linalg.norm(a1) <= 1e-13:
+    def probes():
+        for gamma in _GAMMAS:
+            yield placed(gamma * x)
+        for pm, body in zip(prefs, bodies):
+            try:
+                z_i = _improve_block_lp(pm, x, body, radius)
+            except (_lp.LPError, ValueError):
                 continue
-            add(-a1[None, :], [a0], [True], pm.block)
-        elif isinstance(v, QuadUtility):
-            return None  # quadratic players are served by the probe paths
-        h = body.closure().hrep()
-        if h is None:
-            return None
-        add(h[0], h[1], np.zeros(len(h[1]), bool), pm.block)
-        C, d = body.equalities()
-        if len(d):
-            add(C, d, np.zeros(len(d), bool), pm.block)
-            add(-C, -d, np.zeros(len(d), bool), pm.block)
-    if game.shared_set is not None:
-        h = game.shared_set.hrep()
-        if h is None:
-            return None
-        add(h[0], h[1], np.zeros(len(h[1]), bool))
-    eye = np.eye(n)
-    add(eye, np.full(n, cap), np.zeros(n, bool))
-    add(-eye, np.full(n, cap), np.zeros(n, bool))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    s_mask = np.concatenate(strict)
-    if not s_mask.any():
+            if z_i is not None:
+                yield pm.joined(x, z_i)
+        yield _joint_improvement_lp(game, x, bodies, radius, shared)
+        for _ in range(_DRAWS):
+            z = game.join([body.sample(rng, 1)[0] for body in bodies])
+            nz = np.linalg.norm(z)
+            yield placed(z if nz <= radius else z * (0.99 * radius / nz))
+
+    return next((z for z in probes() if z is not None and admissible(z)), None)
+
+
+def _improve_block_lp(pm: PreferenceMap, x, body: ConvexBody, radius):
+    """The player's best block keeping the joint norm under radius, or None;
+    set-valued variants are served by the other probes."""
+    if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
         return None
+    rest = np.delete(np.asarray(x, dtype=float), np.arange(pm.block.start, pm.block.stop))
+    budget2 = radius**2 - rest @ rest
+    if budget2 <= 0:
+        return None
+    cap = np.sqrt(budget2) / np.sqrt(pm.block_dim) * (1 - 1e-6)
+    dom = Intersection((body, Box(-np.full(pm.block_dim, cap), np.full(pm.block_dim, cap))))
+    if dom.is_empty(eps_open=0.0):
+        return None
+    A2, a1, _ = _own_quadratic(pm, x)
+    return maximize(dom, a1, A2)[1]
+
+
+def _joint_improvement_lp(game: GameInstance, x, bodies, radius, shared):
+    """A point of prod bodies (and shared) inside the box inscribed in the
+    radius ball where every linear player strictly gains; None when there
+    is none, a player is quadratic or a set is not polyhedral."""
+    n = game.n
+    gain, a0s = [], []
+    for pm in game.preferences:
+        if isinstance(pm.variant, QuadUtility):
+            return None  # quadratic players are served by the probe paths
+        if isinstance(pm.variant, LinearUtility):
+            _, a1, a0 = _own_quadratic(pm, x)
+            if np.linalg.norm(a1) > 1e-13:
+                gain.append(pm.joined(np.zeros(n), -a1))
+                a0s.append(a0)
+    lifted = _lifted_rows(game.preferences, bodies, n)
+    h = (np.zeros((0, n)), np.zeros(0)) if shared is None else shared.hrep()
+    if not gain or lifted is None or h is None:
+        return None
+    A = np.vstack([gain, lifted[0], h[0], np.eye(n), -np.eye(n)])
+    b = np.concatenate([a0s, lifted[1], h[1], np.full(2 * n, radius / np.sqrt(n) * (1 - 1e-6))])
     try:
-        s, z = _lp.max_slack(A, b, s_mask, cap=1.0)
+        s, z = _lp.max_slack(A, b, np.arange(len(b)) < len(gain), cap=1.0)
     except (_lp.InfeasibleLP, _lp.UnboundedLP):
         return None
     return z if s > 1e-9 else None
@@ -588,8 +546,9 @@ def check_coercivity_jointly_convex(game: GameInstance, rho: float,
                                 detail="no feasible point with norm beyond rho found")
     bodies = [pm.ambient for pm in game.preferences]
     for x in far:
-        z = _shrinking_improvement(game, x, bodies, eps_open, rng)
-        if z is None:
+        # a radius just under ||x|| admits exactly ||z|| < ||x|| - 1e-9
+        radius = np.linalg.norm(x) - 2e-9
+        if _improvement_within(game, x, bodies, radius, game.shared_set, eps_open, rng) is None:
             return CoercivityReport("violated", rho, len(far), witness=np.asarray(x),
                                     detail="no shrinking joint improvement found")
     return CoercivityReport("holds_on_samples", rho, len(far))
@@ -598,52 +557,19 @@ def check_coercivity_jointly_convex(game: GameInstance, rho: float,
 def check_Cx(game: GameInstance, x, rho_x: float, seed: int = 0,
              eps_open: float = 1e-7) -> CoercivityReport:
     """Pointwise condition: some z in prod K_i(x), ||z|| <= rho_x, with every
-    block either kept at x_i or strictly preferred."""
+    block either kept at x_i or strictly preferred.  Vacuous when some
+    K_i(x) is empty."""
     x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
     try:
         bodies = [constraint_body(game, i, x) for i in range(game.n_players)]
+        empty = any(K.is_empty(eps_open=0.0) for K in bodies)
     except EmptyBodyError:
+        empty = True
+    if empty:
         return CoercivityReport("vacuous", rho_x, 0, detail="empty constraint slice")
-
-    def admissible(z):
-        if np.linalg.norm(z) > rho_x + 1e-9:
-            return False
-        for pm, body in zip(game.preferences, bodies):
-            if not body.contains(pm.own(z), eps=1e-9, eps_open=0.0):
-                return False
-        return all(
-            _prefers_or_stays(pm, x, pm.own(z), eps_open) for pm in game.preferences
-        )
-
-    cands = []
-    for gamma in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
-        z = gamma * x
-        cands.append(game.join(
-            [body.project(pm.own(z)) for pm, body in zip(game.preferences, bodies)]
-        ))
-    for pm, body in zip(game.preferences, bodies):
-        try:
-            val, z_i = _improve_block_lp(pm, x, body, rho_x)
-        except (_lp.LPError, ValueError):
-            continue
-        if z_i is not None:
-            cands.append(pm.joined(x, z_i))
-    z = _joint_improvement_lp(game, x, bodies, rho_x)
-    if z is not None:
-        cands.append(z)
-    for _ in range(60):
-        blocks = [b.sample(rng, 1)[0] for b in bodies]
-        cand = game.join(blocks)
-        n_c = np.linalg.norm(cand)
-        if n_c > rho_x:
-            cand = cand * (0.99 * rho_x / n_c)
-            cand = game.join(
-                [b.project(pm.own(cand)) for pm, b in zip(game.preferences, bodies)]
-            )
-        cands.append(cand)
-    for cand in cands:
-        if admissible(cand):
-            return CoercivityReport("holds_on_samples", rho_x, 1, witness=(x, cand))
-    return CoercivityReport("violated", rho_x, 1, witness=x,
-                            detail="no improvement found inside the ball")
+    z = _improvement_within(game, x, bodies, rho_x, None, eps_open,
+                            np.random.default_rng(seed))
+    if z is None:
+        return CoercivityReport("violated", rho_x, 1, witness=x,
+                                detail="no improvement found inside the ball")
+    return CoercivityReport("holds_on_samples", rho_x, 1, witness=(x, z))

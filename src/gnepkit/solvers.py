@@ -544,8 +544,8 @@ def _rival_groups(nodes: np.ndarray, block: slice):
 
 def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:
     """Row-wise max of <c, z> over z in body for a matrix of objectives."""
-    if body.kind == "box":
-        return np.where(C >= 0, C * body.hi, C * body.lo).sum(axis=1)
+    if body.kind == "box":  # a zero coefficient adds 0, also against an infinite bound
+        return (C * np.where(C > 0, body.hi, np.where(C < 0, body.lo, 0.0))).sum(axis=1)
     if body.kind == "simplex":
         return body.scale * C.max(axis=1)
     V = body.closure().vertices()

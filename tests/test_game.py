@@ -16,6 +16,7 @@ from gnepkit.game import (
     verify_equilibrium,
 )
 from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility
+from gnepkit import game as game_module
 from gnepkit import instances as gi
 
 
@@ -280,3 +281,112 @@ def test_inward_far_point_has_nearby_dominator():
     assert rep.status == "holds_on_samples"
     _, z = rep.witness
     assert np.linalg.norm(z) <= 5.0 + 1e-9
+
+
+def test_empty_slice_is_vacuous_for_Cx():
+    # K_i(8, 8) = {z >= 0 : z + 8 <= 2} is empty for both players
+    g = jointly_convex_game([Box([0.0], [np.inf])] * 2, [LinearUtility([1.0])] * 2,
+                            HPoly([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 2.0]))
+    x = np.array([8.0, 8.0])
+    assert constraint_body(g, 0, x).is_empty()
+    rep = check_Cx(g, x, rho_x=5.0)
+    assert rep.status == "vacuous" and rep.n_checked == 0
+
+
+def _orthant_game(seed):
+    """1-3 players on the unbounded orthant, linear or concave-quadratic
+    utilities, sometimes a budget row; with a radius for the coercivity check
+    and a point of the shared set with a radius for C_x."""
+    rng = np.random.default_rng([seed, 9])
+    m = int(rng.integers(1, 4))
+    u = []
+    for _ in range(m):
+        c = rng.uniform(-1.0, 1.0, 1)
+        if rng.uniform() < 0.5:
+            u.append(LinearUtility(c))
+        else:
+            u.append(QuadUtility([[-rng.uniform(0.5, 2.0)]], c))
+    A, b = -np.eye(m), np.zeros(m)
+    if rng.uniform() < 0.4:
+        A = np.vstack([A, rng.uniform(0.2, 1.0, (1, m))])
+        b = np.append(b, rng.uniform(2.0, 20.0))
+    g = jointly_convex_game([Box([0.0], [np.inf])] * m, u, HPoly(A, b))
+    rho = float(rng.uniform(1.0, 8.0))
+    x = g.shared_set.project(rng.uniform(0.0, 12.0, m))
+    rho_x = float(rng.uniform(0.3, 1.2) * np.linalg.norm(x))
+    return g, (A, b), rho, x, rho_x
+
+
+def _assert_improvement(g, A, b, x, z, radius, shared):
+    """z is within radius, in X_i = [0, inf) per block (and in A z <= b when
+    shared, else in each slice K_i(x)), and every player keeps x_i or gains
+    more than 1e-7, by direct evaluation of u_i(z) = c.z + z'Qz / 2."""
+    assert np.linalg.norm(z) <= radius + 1e-9
+    assert np.all(z >= -1e-9)
+    if shared:
+        assert np.all(A @ z <= b + 1e-9)
+    for pm in g.preferences:
+        y = pm.joined(x, pm.own(z))
+        if not shared:
+            assert np.all(A @ y <= b + 1e-9)
+        if np.linalg.norm(pm.own(z) - pm.own(x)) <= 1e-12:
+            continue
+        v = pm.variant
+        Q = v.Q if isinstance(v, QuadUtility) else np.zeros((g.n, g.n))
+        assert v.c @ y + 0.5 * y @ Q @ y - (v.c @ x + 0.5 * x @ Q @ x) > 1e-7
+
+
+# pinned (check_coercivity_jointly_convex, check_Cx) statuses of
+# _orthant_game(seed), seeds 0-59: H holds_on_samples, V violated, 0 vacuous
+_ORTHANT_STATUSES = (
+    "VV VH VV HH HH HH HH HH HH HH HH VV HH HH VV HH HH HH VV HH "
+    "HH HH HV HH HH HH HV HH HH HH HH HV HH HH HH HH HH HH HH HH "
+    "VV HV HH HH 0V HH HH VV HH HV HH HH HV HH HH HV HH HH HH HH"
+).split()
+
+
+def test_orthant_family_statuses_and_witnesses(monkeypatch):
+    """Both checks keep their statuses on a seeded family of unbounded games,
+    and every improvement the search returns passes an independent check."""
+    found = []
+    search = game_module._improvement_within
+
+    def recording(game, x, bodies, radius, shared, eps_open, rng):
+        z = search(game, x, bodies, radius, shared, eps_open, rng)
+        found.append((x, z, radius, shared is not None))
+        return z
+
+    monkeypatch.setattr(game_module, "_improvement_within", recording)
+    code = {"holds_on_samples": "H", "violated": "V", "vacuous": "0"}
+    for seed, want in enumerate(_ORTHANT_STATUSES):
+        g, (A, b), rho, x, rho_x = _orthant_game(seed)
+        found.clear()
+        coercive = check_coercivity_jointly_convex(g, rho)
+        cx = check_Cx(g, x, rho_x)
+        assert code[coercive.status] + code[cx.status] == want, seed
+        if cx.status == "holds_on_samples":
+            wx, wz = cx.witness
+            assert np.array_equal(wx, x) and any(z is wz for _, z, _, _ in found)
+        if coercive.status == "holds_on_samples":
+            assert sum(shared for *_, shared in found) == coercive.n_checked
+        for fx, z, radius, shared in found:
+            if z is not None:
+                _assert_improvement(g, A, b, fx, z, radius, shared)
+
+
+@pytest.mark.parametrize("seed, x", [
+    (150, [8.674469173885882, -1.1641532182693481e-09]),
+    (167, [11.1863193026511, -1.0477378964424133e-09]),
+])
+def test_far_point_just_outside_orthant_has_shrinking_improvement(seed, x):
+    """Far samples 1e-9 outside the orthant, where scaling x toward the
+    origin cannot help the player at 0: a random draw scaled inside the
+    radius finds a shrinking joint improvement, so coercivity holds."""
+    g, (A, b), rho, _, _ = _orthant_game(seed)
+    x = np.array(x)
+    assert check_coercivity_jointly_convex(g, rho).status == "holds_on_samples"
+    z = game_module._improvement_within(
+        g, x, [pm.ambient for pm in g.preferences], np.linalg.norm(x) - 2e-9,
+        g.shared_set, 1e-7, np.random.default_rng(0))
+    assert np.linalg.norm(z) < np.linalg.norm(x) - 1e-9
+    _assert_improvement(g, A, b, x, z, np.linalg.norm(x), True)

@@ -184,6 +184,17 @@ def test_oracle_agrees_with_verifier_on_bundled_games():
         assert not orc.disagreements
 
 
+def test_oracle_fixed_box_zero_coefficient_on_infinite_bound():
+    # u = z_0 over K = [0, 1] x [0, inf): the unbounded coordinate has a zero
+    # coefficient, so it adds 0 to the support, not 0 * inf
+    pm = PreferenceMap(0, 0, Box([0.0, 0.0], [1.0, 1.0]), LinearUtility([1.0, 0.0]))
+    g = GameInstance((pm,), (FixedConstraint(Box([0.0, 0.0], [1.0, np.inf])),))
+    orc = grid_oracle(g, h=0.5)
+    assert not orc.disagreements
+    assert sorted(map(tuple, orc.certified)) == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+    assert all(verify_equilibrium(g, p).is_equilibrium for p in orc.certified)
+
+
 def test_whole_space_blocks_enter_residual_conservatively():
     # at a satiated block the residual must still catch other players' slack
     g = gi.splitting_game()
