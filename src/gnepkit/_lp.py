@@ -71,17 +71,14 @@ def max_slack(A, b, strict_mask, A_eq=None, b_eq=None, cap=1e6):
     return -res.fun, res.x[:n]
 
 
-def chebyshev_center(A, b, A_eq=None, b_eq=None, box=1e6):
+def chebyshev_center(A, b):
     """Deepest point of {A x <= b} (rows unit-normalized): returns (x, r)."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     A_ext = np.hstack([A, np.ones((m, 1))])
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    bounds = [(-box, box)] * n + [(0.0, 1e3)]
-    if A_eq is not None:
-        A_eq = np.hstack([np.asarray(A_eq, dtype=float), np.zeros((len(b_eq), 1))])
-    res = solve_lp(c, A_ext, b, A_eq, b_eq, bounds)
+    res = solve_lp(c, A_ext, b, bounds=[(-1e6, 1e6)] * n + [(0.0, 1e3)])
     return res.x[:n], -res.fun
 
 
@@ -126,7 +123,7 @@ def project_polyhedron(y, A, b):
 _ACTIVE_SET_CAP = 100_000
 
 
-def max_concave_quad(Q, c, A, b, A_eq=None, b_eq=None, feas_tol=1e-8):
+def max_concave_quad(Q, c, A, b, A_eq=None, b_eq=None):
     """Maximize 0.5 z'Qz + c'z over {A z <= b, A_eq z = b_eq} exactly.
 
     Active-set enumeration: every KKT system over a subset of tight rows is
@@ -173,9 +170,9 @@ def max_concave_quad(Q, c, A, b, A_eq=None, b_eq=None, feas_tol=1e-8):
             except np.linalg.LinAlgError:
                 continue
             z, mu = sol[:d], sol[d : d + k]
-            if m and np.any(A @ z - b > feas_tol * scale):
+            if m and np.any(A @ z - b > 1e-8 * scale):
                 continue
-            if k and np.any(mu < -feas_tol):
+            if k and np.any(mu < -1e-8):
                 continue
             val = 0.5 * z @ Q @ z + c @ z
             if val > best_val:

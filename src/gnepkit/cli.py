@@ -63,7 +63,7 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
-def _manifest(args, command: str, config: dict, outputs: list, t0: float) -> None:
+def _manifest(args, command: str, config, outputs: list, t0: float) -> None:
     man = {
         "schema_version": 1,
         "command": command,
@@ -145,10 +145,10 @@ def cmd_solve(args) -> int:
     config = _solver_config(args)
     use_qvi = args.qvi or not game.jointly_convex
     res = solve_qvi(game, config) if use_qvi else solve_vi(game, config)
-    outputs = [_write(args.out_dir, "result.json", canonical_dumps(res.to_dict()))]
+    outputs = [_write(args.out_dir, "result.json", canonical_dumps(res))]
     if args.trace:
         outputs.append(_write(args.out_dir, "trace.csv", _trace_csv(res.trace)))
-    _manifest(args, "solve", config.to_dict(), [os.path.basename(p) for p in outputs], t0)
+    _manifest(args, "solve", config, [os.path.basename(p) for p in outputs], t0)
     if not res.converged:
         return EXIT_SOLVER
     if res.certificate is not None and res.certificate.is_equilibrium:
@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
         game = _load_game(args)
         x = _parse_point(args, game.n)
     cert = verify_equilibrium(game, x, Tolerances(), seed=args.seed)
-    _write(args.out_dir, "certificate.json", canonical_dumps(cert.to_dict()))
+    _write(args.out_dir, "certificate.json", canonical_dumps(cert))
     _manifest(args, "verify", {"seed": args.seed}, ["certificate.json"], t0)
     return EXIT_OK if cert.is_equilibrium else EXIT_NOT_EQUILIBRIUM
 
@@ -187,7 +187,7 @@ def cmd_oracle(args) -> int:
         raise EnumerationError(f"oracle supports joint dimension <= 4, got {game.n}")
     result = grid_oracle(game, h=args.h, seed=args.seed,
                          cross_check=not args.no_cross_check)
-    _write(args.out_dir, "oracle.json", canonical_dumps(result.to_dict()))
+    _write(args.out_dir, "oracle.json", canonical_dumps(result))
     _write(args.out_dir, "oracle.csv", _oracle_csv(result, game.n_players))
     _manifest(args, "oracle", {"h": args.h, "seed": args.seed},
               ["oracle.json", "oracle.csv"], t0)
@@ -220,7 +220,7 @@ def cmd_economy(args) -> int:
         config = _solver_config(args)
         outcome = solve_competitive(econ, config)
         converged = outcome.solve is None or outcome.solve.converged
-    _write(args.out_dir, "outcome.json", canonical_dumps(outcome.to_dict()))
+    _write(args.out_dir, "outcome.json", canonical_dumps(outcome))
     _write(args.out_dir, "diagnostics.csv", _diagnostics_csv(econ, outcome))
     _manifest(args, "economy",
               {"check_only": bool(args.check_only), "seed": args.seed},

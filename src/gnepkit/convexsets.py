@@ -621,22 +621,22 @@ def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def _dykstra_bodies(parts, y, max_sweeps=10_000, tol=1e-10):
+def _dykstra_bodies(parts, y):
     """Dykstra across arbitrary bodies using their exact projections."""
     x = y.copy()
     corr = [np.zeros_like(y) for _ in parts]
-    for _ in range(max_sweeps):
+    for _ in range(10_000):
         x_prev = x.copy()
         for i, p in enumerate(parts):
             w = x + corr[i]
             x = p.project(w)
             corr[i] = w - x
-        if np.max(np.abs(x - x_prev)) <= 1e-2 * tol + 1e-15:
+        if np.max(np.abs(x - x_prev)) <= 1e-12 + 1e-15:
             break
     return x
 
 
-def _enumerate_vertices(A, b, feas_tol=1e-8):
+def _enumerate_vertices(A, b):
     """Feasible points where n independent rows are tight.
 
     A row subset that is singular only up to rounding (rows repeating a
@@ -646,6 +646,7 @@ def _enumerate_vertices(A, b, feas_tol=1e-8):
     m, n = A.shape
     if _lp._ncr(m, n) > _VERTEX_SUBSET_CAP:
         raise EnumerationError(f"too many row subsets ({m} choose {n})")
+    tol = 1e-8 * (1.0 + np.abs(b))
     out = []
     for S in itertools.combinations(range(m), n):
         sub = A[list(S)]
@@ -654,7 +655,6 @@ def _enumerate_vertices(A, b, feas_tol=1e-8):
         except np.linalg.LinAlgError:
             continue
         gap = A @ v - b
-        tol = feas_tol * (1.0 + np.abs(b))
         if np.all(gap <= tol) and np.linalg.matrix_rank(A[np.abs(gap) <= tol]) == n:
             out.append(v)
     if not out:
@@ -744,16 +744,8 @@ class ConeSection:
             return np.zeros(1)
         return _min_norm_hull_point(self.generators)
 
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "generators": np.asarray(self.generators).tolist(),
-            "whole_space": bool(self.whole_space),
-            "approximate": bool(self.approximate),
-        }
 
-
-def _min_norm_hull_point(G, tol=1e-10):
+def _min_norm_hull_point(G):
     """Exact min-norm point of co(rows of G) by support enumeration (Wolfe)."""
     k, n = G.shape
     best, best_norm = G[0], np.linalg.norm(G[0])
@@ -775,11 +767,11 @@ def _min_norm_hull_point(G, tol=1e-10):
                 continue
             p = Gs.T @ lam
             # Wolfe optimality over the full generator set
-            if np.all(G @ p >= p @ p - tol):
+            if np.all(G @ p >= p @ p - 1e-10):
                 nn = np.linalg.norm(p)
                 if nn < best_norm - 1e-15:
                     best, best_norm = p, nn
-                if nn <= tol:
+                if nn <= 1e-10:
                     return p
     return best
 
@@ -859,7 +851,7 @@ def normal_cone_generators(body: ConvexBody, y) -> ConeSection:
             gens.append(a)
     gens = np.array(gens)
     try:
-        vs = body.closure().vertices()
+        vs = body.vertices()
     except EnumerationError:
         vs = None
     if vs is not None and len(vs):

@@ -21,17 +21,18 @@ not yet optimal and raw profits can be negative.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .convexsets import Box, ConvexBody, HPoly, Intersection, Simplex
+from .convexsets import Box, ConvexBody, HPoly, Intersection, Simplex, support_max
 from .game import (
     FixedConstraint,
     GameInstance,
     ParametricConstraint,
     Tolerances,
+    verify_equilibrium,
 )
 from .preferences import (
     LinearUtility,
@@ -253,27 +254,13 @@ class CompetitiveOutcome:
     solve: Optional[SolveResult] = None
 
     def to_dict(self):
-        return {
-            "prices": self.prices.tolist(),
-            "allocations": self.allocations.tolist(),
-            "productions": self.productions.tolist(),
-            "excess": self.excess.tolist(),
-            "clearing_violation": float(self.clearing_violation),
-            "complementarity_gap": float(self.complementarity_gap),
-            "walras_gap": float(self.walras_gap),
-            "producer_gaps": self.producer_gaps.tolist(),
-            "fictitious_gap": float(self.fictitious_gap),
-            "is_competitive": bool(self.is_competitive),
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-        }
+        """The fields for outcome.json; the solve run is left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solve"}
 
 
 def outcome_from_point(econ: EconomyInstance, game: GameInstance, x,
                        tol: Tolerances = Tolerances(),
                        solve: Optional[SolveResult] = None) -> CompetitiveOutcome:
-    from .game import verify_equilibrium
-    from .convexsets import support_max
-
     x = np.asarray(x, dtype=float)
     A, B, p = econ.split(x)
     excess = A.sum(axis=0) - sum(c.endowment for c in econ.consumers)

@@ -68,9 +68,6 @@ class Tolerances:
     eps_feas: float = 1e-7
     eps_open: float = 1e-7
 
-    def to_dict(self):
-        return {"eps_feas": self.eps_feas, "eps_open": self.eps_open}
-
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -170,7 +167,7 @@ def _lifted_rows(prefs, bodies, n):
 
 def _shared_within_ambients(shared_set, lifted) -> bool:
     try:
-        V = shared_set.closure().vertices()
+        V = shared_set.vertices()
     except EnumerationError:
         return False
     if not len(V):
@@ -312,18 +309,6 @@ class EquilibriumCertificate:
     seed: int
     notes: tuple = ()
 
-    def to_dict(self):
-        return {
-            "point": np.asarray(self.point).tolist(),
-            "feasibility_slacks": np.asarray(self.feasibility_slacks).tolist(),
-            "emptiness_slacks": np.asarray(self.emptiness_slacks).tolist(),
-            "is_equilibrium": bool(self.is_equilibrium),
-            "tolerances": self.tolerances.to_dict(),
-            "approximate": bool(self.approximate),
-            "seed": self.seed,
-            "notes": list(self.notes),
-        }
-
 
 def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
                        seed: int = 0) -> EquilibriumCertificate:
@@ -386,20 +371,6 @@ class CoercivityReport:
     n_checked: int
     witness: object = None
     detail: str = ""
-
-    def to_dict(self):
-        w = self.witness
-        if isinstance(w, np.ndarray):
-            w = w.tolist()
-        elif isinstance(w, tuple):
-            w = [u.tolist() if isinstance(u, np.ndarray) else u for u in w]
-        return {
-            "status": self.status,
-            "rho": self.rho,
-            "n_checked": self.n_checked,
-            "witness": w,
-            "detail": self.detail,
-        }
 
 
 def _prefers_or_stays(pm: PreferenceMap, x, z_i, eps_open) -> bool:

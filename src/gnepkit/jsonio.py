@@ -7,6 +7,7 @@ inputs always produce byte-identical files).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -32,7 +33,12 @@ class NotSerializableError(TypeError):
 
 
 def jsonable(obj):
-    """Recursively convert to plain JSON types; non-finite floats to strings."""
+    """Recursively convert to plain JSON types; non-finite floats to strings.
+
+    A record with a to_dict method encodes as its dict; any other dataclass
+    encodes as {field name: value}.  Instances have one schema,
+    save_instance, so they are refused here.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -54,6 +60,11 @@ def jsonable(obj):
         return obj
     if hasattr(obj, "to_dict"):
         return jsonable(obj.to_dict())
+    if isinstance(obj, (GameInstance, EconomyInstance)):
+        raise NotSerializableError(
+            f"{type(obj).__name__} has its own schema; use save_instance")
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise NotSerializableError(f"cannot encode {type(obj).__name__}")
 
 

@@ -52,12 +52,6 @@ class OperatorEval:
     def block_slice(self, i: int) -> slice:
         return slice(self.starts[i], self.starts[i] + self.blocks[i].dim)
 
-    def to_dict(self):
-        return {
-            "starts": list(self.starts),
-            "blocks": [b.to_dict() for b in self.blocks],
-        }
-
 
 def tangent_projector(body: ConvexBody) -> np.ndarray:
     """Orthogonal projector onto the tangent space of body's equalities."""

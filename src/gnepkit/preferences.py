@@ -328,7 +328,7 @@ def _with_rows(ambient: ConvexBody, A, b, strict) -> ConvexBody:
 def _ambient_candidates(ambient: ConvexBody, rng: np.random.Generator, budget: int):
     pts = [ambient.sample(rng, budget)]
     try:
-        vs = ambient.closure().vertices()
+        vs = ambient.vertices()
         if len(vs):
             pts.append(vs)
     except EnumerationError:
@@ -396,7 +396,7 @@ def _union_hull_guard(pm, pieces, xi, eps_open):
     pts = []
     for p in pieces:
         try:
-            vs = p.closure().vertices()
+            vs = p.vertices()
         except (EnumerationError, EmptyBodyError):
             return  # unbounded/degenerate: piece membership was already checked
         pts.extend(vs)
@@ -429,10 +429,7 @@ def convexified_set(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN, se
         live = [p for p in region.pieces if not p.is_empty(eps_open)]
         if not live:
             return EmptyRegion(region.dim)
-        pts = []
-        for p in live:
-            vs = p.closure().vertices()
-            pts.extend(vs)
+        pts = [v for p in live for v in p.vertices()]
         return Intersection((pm.ambient, hull_body(np.array(pts))))
     if isinstance(region, SampledRegion):
         if len(region.members) == 0:
@@ -551,14 +548,6 @@ class TriState:
     status: str  # "holds" | "fails" | "unknown"
     witness: object = None
 
-    def to_dict(self):
-        w = self.witness
-        if isinstance(w, np.ndarray):
-            w = w.tolist()
-        elif isinstance(w, tuple):
-            w = [u.tolist() if isinstance(u, np.ndarray) else u for u in w]
-        return {"status": self.status, "witness": w}
-
 
 @dataclass(frozen=True)
 class RelationProfile:
@@ -568,16 +557,6 @@ class RelationProfile:
     lsc_evidence: TriState
     samples: int
     seed: int
-
-    def to_dict(self):
-        return {
-            "irreflexive": self.irreflexive.to_dict(),
-            "convex_values": self.convex_values.to_dict(),
-            "nonsatiated": self.nonsatiated.to_dict(),
-            "lsc_evidence": self.lsc_evidence.to_dict(),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def relation_profile(succ: Callable, bodies: Sequence[ConvexBody], own_index: int,
@@ -689,7 +668,7 @@ def _joint_corners(bodies, cap: int = 32):
     per_block = []
     for b in bodies:
         try:
-            vs = b.closure().vertices()
+            vs = b.vertices()
         except EnumerationError:
             return None
         if not len(vs):

@@ -23,7 +23,7 @@ each player's improvement set), sharing no code path with the residual.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,9 +59,6 @@ class SolverConfig:
     seed: int = 0
     trace: bool = False
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class SolveResult:
@@ -74,19 +71,6 @@ class SolveResult:
     certificate: object = None
     trace: Optional[list] = None
     approximate: bool = False
-
-    def to_dict(self):
-        return {
-            "point": np.asarray(self.point).tolist(),
-            "residual": float(self.residual),
-            "iterations": self.iterations,
-            "converged": bool(self.converged),
-            "restarts_used": self.restarts_used,
-            "problem": self.problem,
-            "approximate": bool(self.approximate),
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "trace": self.trace,
-        }
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +163,7 @@ def residual_with_filter(op, x, V, tol):
 
 def _body_vertices(body: ConvexBody, rng) -> np.ndarray:
     try:
-        vs = body.closure().vertices()
+        vs = body.vertices()
     except EnumerationError:
         return body.boundary_samples(rng, 64)
     if not len(vs):
@@ -435,22 +419,8 @@ class OracleResult:
     feasible_count: int
     certified: np.ndarray
     improvements: np.ndarray
-    disagreements: list
+    disagreements: list  # {"node", "verifier", "oracle"} dicts
     cross_checked: int
-
-    def to_dict(self):
-        return {
-            "h": self.h,
-            "nodes_checked": self.nodes_checked,
-            "feasible_count": self.feasible_count,
-            "certified": np.asarray(self.certified).tolist(),
-            "improvements": np.asarray(self.improvements).tolist(),
-            "disagreements": [
-                {"node": np.asarray(n).tolist(), "verifier": bool(v), "oracle": bool(o)}
-                for n, v, o in self.disagreements
-            ],
-            "cross_checked": self.cross_checked,
-        }
 
 
 _ORACLE_NODE_CAP = 2_000_000
@@ -548,7 +518,7 @@ def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:
         return (C * np.where(C > 0, body.hi, np.where(C < 0, body.lo, 0.0))).sum(axis=1)
     if body.kind == "simplex":
         return body.scale * C.max(axis=1)
-    V = body.closure().vertices()
+    V = body.vertices()
     if not len(V):
         raise EmptyBodyError("support over empty body")
     return (C @ V.T).max(axis=1)
@@ -650,7 +620,8 @@ def grid_oracle(game: GameInstance, h: float, tol: Tolerances = Tolerances(),
             cert = verify_equilibrium(game, node, tol, seed=seed)
             checked += 1
             if cert.is_equilibrium != oracle_ok:
-                disagreements.append((node, cert.is_equilibrium, oracle_ok))
+                disagreements.append(
+                    {"node": node, "verifier": cert.is_equilibrium, "oracle": oracle_ok})
 
     order = np.lexsort(certified.T[::-1]) if len(certified) else np.array([], dtype=int)
     return OracleResult(

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gnepkit.cli import main
-from gnepkit.jsonio import save_instance
+from gnepkit.economy import to_gnep
+from gnepkit.game import verify_equilibrium
+from gnepkit.jsonio import canonical_dumps, load_instance, save_instance
 from gnepkit import instances as gi
 
 INST = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -140,6 +142,14 @@ def test_economy_check_only(exchange, tmp_path):
                "--out-dir", out) == 0
     assert run("economy", exchange, "--check-only", "--point",
                "2,2,0,0,0.5,0.5", "--out-dir", tmp_path / "p") == 4
+
+
+def test_verify_economy_instance(tmp_path):
+    # verify reduces an economy file to its game, as solve and oracle do
+    path = os.path.join(INST, "pure_exchange.json")
+    assert run("verify", path, "--point", "1,1,0,0,0.5,0.5", "--out-dir", tmp_path) == 0
+    cert = verify_equilibrium(to_gnep(load_instance(path)), np.array([1, 1, 0, 0, 0.5, 0.5]))
+    assert (tmp_path / "certificate.json").read_text() == canonical_dumps(cert)
 
 
 def test_reproducible_outputs(splitting, tmp_path):

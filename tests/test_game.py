@@ -15,6 +15,7 @@ from gnepkit.game import (
     slice_body,
     verify_equilibrium,
 )
+from gnepkit.jsonio import jsonable
 from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility
 from gnepkit import game as game_module
 from gnepkit import instances as gi
@@ -248,7 +249,7 @@ def test_verify_1d_game_runs_no_lp(monkeypatch):
 
 def test_certificate_serializes():
     g = gi.splitting_game()
-    d = verify_equilibrium(g, np.array([0.5, 0.5])).to_dict()
+    d = jsonable(verify_equilibrium(g, np.array([0.5, 0.5])))
     assert d["is_equilibrium"] is True
     assert len(d["emptiness_slacks"]) == 2
 

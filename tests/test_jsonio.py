@@ -12,6 +12,7 @@ from gnepkit.jsonio import (
     economy_to_dict,
     game_from_dict,
     game_to_dict,
+    jsonable,
     load_instance,
     save_instance,
     variant_from_dict,
@@ -111,3 +112,98 @@ def test_load_rejects_unknown_type(tmp_path):
     p.write_text('{"type":"mystery"}')
     with pytest.raises(ValueError):
         load_instance(p)
+
+
+# -- result records encode as their fields -------------------------------------
+
+
+def test_solve_result_shape_with_certificate_and_trace():
+    from gnepkit.solvers import SolverConfig, solve_vi
+
+    res = solve_vi(gi.splitting_game(), SolverConfig(trace=True))
+    d = jsonable(res)
+    assert set(d) == {"point", "residual", "iterations", "converged", "restarts_used",
+                      "problem", "certificate", "trace", "approximate"}
+    assert d["point"] == res.point.tolist() and d["problem"] == "vi"
+    assert d["converged"] is True and d["approximate"] is False
+    cert = d["certificate"]
+    assert set(cert) == {"point", "feasibility_slacks", "emptiness_slacks", "is_equilibrium",
+                         "tolerances", "approximate", "seed", "notes"}
+    assert cert["tolerances"] == {"eps_feas": 1e-7, "eps_open": 1e-7}
+    assert cert["notes"] == [] and cert["is_equilibrium"] is True
+    assert d["trace"] and all(set(row) == {"iter", "residual", "alpha"} for row in d["trace"])
+
+
+def test_coercivity_report_with_tuple_witness():
+    from gnepkit.game import CoercivityReport
+
+    rep = CoercivityReport("holds_on_samples", 2.0, 1,
+                           witness=(np.array([1.0, 2.0]), np.array([0.5, np.inf])))
+    assert canonical_dumps(rep) == (
+        '{"detail":"","n_checked":1,"rho":2.0,"status":"holds_on_samples",'
+        '"witness":[[1.0,2.0],[0.5,"Infinity"]]}\n')
+
+
+def test_relation_profile_nests_its_tristates():
+    from gnepkit.preferences import RelationProfile, TriState
+
+    prof = RelationProfile(TriState("holds"),
+                           TriState("fails", (np.array([0.1]), np.array([0.9]), 0.5)),
+                           TriState("fails", np.array([1.0])), TriState("unknown"), 40, 3)
+    assert canonical_dumps(prof) == (
+        '{"convex_values":{"status":"fails","witness":[[0.1],[0.9],0.5]},'
+        '"irreflexive":{"status":"holds","witness":null},'
+        '"lsc_evidence":{"status":"unknown","witness":null},'
+        '"nonsatiated":{"status":"fails","witness":[1.0]},"samples":40,"seed":3}\n')
+
+
+def test_operator_eval_nests_its_cone_sections():
+    from gnepkit.convexsets import ConeSection
+    from gnepkit.operators import OperatorEval
+
+    op = OperatorEval((ConeSection.whole(1),
+                       ConeSection.from_vectors([[2.0, 0.0]], 2, approximate=True)), (0, 1))
+    assert canonical_dumps(op) == (
+        '{"blocks":[{"approximate":false,"dim":1,"generators":[],"whole_space":true},'
+        '{"approximate":true,"dim":2,"generators":[[1.0,0.0]],"whole_space":false}],'
+        '"starts":[0,1]}\n')
+
+
+def test_oracle_result_with_a_disagreement():
+    from gnepkit.solvers import OracleResult
+
+    orc = OracleResult(0.25, 25, 15, np.array([[0.5, 0.5]]), np.array([[0.0, -1.0]]),
+                       [{"node": np.array([0.5, 0.25]), "verifier": True, "oracle": False}], 16)
+    assert canonical_dumps(orc) == (
+        '{"certified":[[0.5,0.5]],"cross_checked":16,'
+        '"disagreements":[{"node":[0.5,0.25],"oracle":false,"verifier":true}],'
+        '"feasible_count":15,"h":0.25,"improvements":[[0.0,-1.0]],"nodes_checked":25}\n')
+
+
+def test_competitive_outcome_leaves_out_the_solve_run():
+    from gnepkit.economy import solve_competitive
+
+    out = solve_competitive(gi.pure_exchange_economy())
+    assert out.solve is not None
+    d = jsonable(out)
+    assert set(d) == {"prices", "allocations", "productions", "excess", "clearing_violation",
+                      "complementarity_gap", "walras_gap", "producer_gaps", "fictitious_gap",
+                      "is_competitive", "certificate"}
+    assert d["certificate"] == jsonable(out.certificate)
+
+
+def test_manifest_config_is_the_solver_config(tmp_path):
+    from gnepkit.cli import main
+
+    p = tmp_path / "g.json"
+    save_instance(gi.splitting_game(), p)
+    assert main(["solve", str(p), "--alpha", "0.25", "--out-dir", str(tmp_path)]) == 0
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["config"] == {"alpha": 0.25, "max_iters": 5000, "method": "projection",
+                             "residual_tol": 1e-6, "restarts": 8, "seed": 0, "trace": False}
+
+
+@pytest.mark.parametrize("inst", [gi.splitting_game(), gi.pure_exchange_economy()])
+def test_instances_are_not_encoded_as_records(inst):
+    with pytest.raises(NotSerializableError):
+        jsonable(inst)

@@ -10,11 +10,12 @@ from gnepkit.game import (
     GameInstance,
     Tolerances,
     constraint_body,
+    jointly_convex_game,
     verify_equilibrium,
 )
-from gnepkit.jsonio import load_instance
+from gnepkit.jsonio import jsonable, load_instance
 from gnepkit.operators import OperatorEval, evaluate_T
-from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility
+from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility, RelationOracle
 from gnepkit.solvers import (
     SolverConfig,
     _body_vertices,
@@ -321,3 +322,38 @@ def test_qvi_residual_ball_term_is_exact():
         assert np.array_equal(t[:2], g) and t[2] == 0.0
         assert r == pytest.approx(float(g @ (x[:2] - c)) + rho * np.linalg.norm(g),
                                   rel=0.0, abs=1e-15)
+
+
+# -- relation-oracle players, end to end --------------------------------------
+
+
+def _nearer(k, target):
+    """Prefers own values strictly nearer target than the current x_k."""
+    return RelationOracle(lambda x, z: abs(z[0] - target) < abs(x[k] - target) - 1e-9,
+                          budget=64)
+
+
+def test_relation_oracle_player_is_solved_and_certified_approximately():
+    box = Box([0.0], [1.0])
+    g = GameInstance((PreferenceMap(0, 0, box, _nearer(0, 0.3)),), (FixedConstraint(box),))
+    res = solve_qvi(g, SolverConfig(restarts=2))
+    assert res.converged and abs(res.point[0] - 0.3) <= 0.01
+    assert res.certificate.is_equilibrium
+    assert res.approximate and res.certificate.approximate
+    assert jsonable(res)["approximate"] is True
+    orc = grid_oracle(g, h=0.05)
+    assert np.allclose(orc.certified, [[0.3]]) and not orc.disagreements
+
+
+def test_relation_oracle_players_meet_on_the_shared_face():
+    box = Box([0.0], [1.0])
+    g = jointly_convex_game([box, box], [_nearer(0, 0.3), _nearer(1, 0.8)],
+                            HPoly([[1.0, 1.0]], [1.0]))
+    for solve in (solve_vi, solve_qvi):
+        res = solve(g, SolverConfig(restarts=2))
+        x = res.point
+        assert res.converged and res.certificate.is_equilibrium
+        assert abs(x.sum() - 1.0) <= 1e-6 and 0.2 - 1e-6 <= x[0] <= 0.3 + 1e-6
+        assert res.approximate and jsonable(res)["approximate"] is True
+    orc = grid_oracle(g, h=0.1)
+    assert np.allclose(orc.certified, [[0.2, 0.8], [0.3, 0.7]]) and not orc.disagreements
