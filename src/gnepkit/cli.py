@@ -215,16 +215,16 @@ def cmd_economy(args) -> int:
             x = _parse_point(args, game.n)
     if args.check_only:
         outcome = outcome_from_point(econ, game, x)
-        converged = True
+        config, converged = {"check_only": True, "seed": args.seed}, True
     else:
         config = _solver_config(args)
         outcome = solve_competitive(econ, config)
-        converged = outcome.solve is None or outcome.solve.converged
-    _write(args.out_dir, "outcome.json", canonical_dumps(outcome))
-    _write(args.out_dir, "diagnostics.csv", _diagnostics_csv(econ, outcome))
-    _manifest(args, "economy",
-              {"check_only": bool(args.check_only), "seed": args.seed},
-              ["outcome.json", "diagnostics.csv"], t0)
+        converged = outcome.solve.converged
+    outputs = [_write(args.out_dir, "outcome.json", canonical_dumps(outcome)),
+               _write(args.out_dir, "diagnostics.csv", _diagnostics_csv(econ, outcome))]
+    if args.trace and outcome.solve is not None:
+        outputs.append(_write(args.out_dir, "trace.csv", _trace_csv(outcome.solve.trace)))
+    _manifest(args, "economy", config, [os.path.basename(p) for p in outputs], t0)
     if not converged:
         return EXIT_SOLVER
     return EXIT_OK if outcome.is_competitive else EXIT_NOT_EQUILIBRIUM

@@ -65,6 +65,12 @@ ConstraintMap = (SharedSlice, FixedConstraint, ParametricConstraint)
 
 @dataclass(frozen=True)
 class Tolerances:
+    """eps_feas: the largest constraint violation a feasible point may have.
+    eps_open: the largest improvement that still counts as none, both for
+    the verifier's emptiness test over K_i(x) and for the satiation test of
+    a solve's operator T over X_i (a whole-space block).  X_i contains
+    K_i(x), so every block T calls satiated passes the verifier's test."""
+
     eps_feas: float = 1e-7
     eps_open: float = 1e-7
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convexsets
-from .convexsets import ConeSection, ConvexBody
+from .convexsets import DEFAULT_EPS_OPEN, ConeSection, ConvexBody
+from .game import Tolerances
 from .preferences import (
     LinearUtility,
     PreferenceMap,
@@ -63,15 +64,17 @@ def tangent_projector(body: ConvexBody) -> np.ndarray:
     return P
 
 
-def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
+def normal_map(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
+               seed: int = 0) -> ConeSection:
     """Section of N_{co P_i(x)}(x_i) ∩ S[0,1] as unit generators.
 
-    Graded variants: satiation means an empty preferred set, hence the whole
-    space.  Otherwise the generators are the (tangent-projected) negated
-    utility gradient plus the active face normals of the player's own choice
-    set -- exactly the normals of the sup-level set at its boundary point x_i.
-    Set-valued variants go through the convexified region's geometry and
-    inherit its approximate flag.
+    Graded variants: satiation (no improvement above eps_open, the verifier's
+    emptiness test) means an empty preferred set, hence the whole space.
+    Otherwise the generators are the (tangent-projected) negated utility
+    gradient plus the active face normals of the player's own choice set --
+    exactly the normals of the sup-level set at its boundary point x_i.
+    Set-valued variants go through the convexified region's geometry, empty
+    at the same eps_open, and inherit its approximate flag.
     """
     x = np.asarray(x, dtype=float)
     xi = pm.own(x)
@@ -80,7 +83,7 @@ def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
     P_t = tangent_projector(pm.ambient) if len(pm.ambient.equalities()[1]) else None
 
     if isinstance(pm.variant, _GRADED):
-        if is_satiated(pm, x, seed=seed):
+        if is_satiated(pm, x, eps_open, seed):
             return ConeSection.whole(d)
         gens = [-own_gradient(pm, x)]
         gens.extend(convexsets._active_normals(pm.ambient, xi))
@@ -88,9 +91,9 @@ def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
             gens = [P_t @ v for v in gens]
         return ConeSection.from_vectors(gens, d)
 
-    region = convexified_set(pm, x, seed=seed)
+    region = convexified_set(pm, x, eps_open, seed)
     approx = bool(getattr(region, "approximate", False))
-    if region.is_empty():
+    if region.is_empty(eps_open):
         return ConeSection.whole(d)
     body = region.body if hasattr(region, "body") else region
     cone = convexsets.normal_cone_generators(body, xi)
@@ -102,12 +105,13 @@ def normal_map(pm: PreferenceMap, x, seed: int = 0) -> ConeSection:
     return ConeSection.from_vectors(gens, d, approximate=approx or cone.approximate)
 
 
-def evaluate_T(game, x, seed: int = 0) -> OperatorEval:
-    """All player blocks of T at the joint point x."""
+def evaluate_T(game, x, tol: Tolerances = Tolerances(), seed: int = 0) -> OperatorEval:
+    """All player blocks of T at the joint point x; a block is satiated (the
+    whole space) when its best improvement is at most tol.eps_open."""
     blocks, starts = [], []
     for pm in game.preferences:
         starts.append(pm.block_start)
-        blocks.append(normal_map(pm, x, seed=seed))
+        blocks.append(normal_map(pm, x, tol.eps_open, seed))
     return OperatorEval(tuple(blocks), tuple(starts))
 
 

@@ -35,8 +35,6 @@ from .convexsets import (
     maximize,
 )
 
-EPS_SATIATION = 1e-9
-
 
 class SelfPreferenceError(ValueError):
     """x_i landed inside co(P_i(x)): the game violates irreflexivity/convexity."""
@@ -533,10 +531,14 @@ def _poly_slack(rows, over: ConvexBody) -> float:
     return float(s)
 
 
-def is_satiated(pm: PreferenceMap, x, seed: int = 0) -> bool:
-    """No improvement anywhere in the player's own choice set."""
-    slack, _ = max_improvement(pm, x, pm.ambient, seed=seed)
-    return slack <= EPS_SATIATION
+def is_satiated(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
+                seed: int = 0) -> bool:
+    """No improvement anywhere in the player's own choice set: the best one
+    is at most eps_open, the verifier's test for an empty preferred set.
+    X_i contains every constraint slice K_i(x), so a satiated player also
+    passes verify_equilibrium's emptiness test at the same eps_open."""
+    slack, _ = max_improvement(pm, x, pm.ambient, eps_open, seed)
+    return slack <= eps_open
 
 
 # --------------------------------------------------------------------------

@@ -51,6 +51,26 @@ _STEP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of solve_vi and solve_qvi.
+
+    A solve converges when its hull residual is at most residual_tol, and
+    its operator T takes satiation from the solve's Tolerances.eps_open.
+    The two numbers are not tied.  A block whose only generator is
+    -∇u_i/|∇u_i| adds its improvement over K_i(x) divided by |∇u_i| to the
+    residual, so with residual_tol above eps_open a run can converge at a
+    point the certificate rejects.  random_qvi(9) at residual_tol=5e-7,
+    restarts=4 and default Tolerances converges with residual
+    1.476e-7 = 1.192e-7 + 2.84e-8, one term per block, but player 0's
+    improvement 1.192e-7 exceeds eps_open = 1e-7; at residual_tol=5e-8 the
+    same game is certified.  `converged` is the solver's own claim and the
+    certificate judges it.
+
+    method="extragradient" still stops at the halving cap without converging
+    on about a third of random_qvi games (52 of seeds 0-149 at
+    residual_tol=5e-7, restarts=4 and eps_open=1e-6, none of them certified);
+    "projection" is the default.
+    """
+
     method: str = "projection"  # or "extragradient"
     alpha: float = 0.5
     max_iters: int = 5000
@@ -62,11 +82,16 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """The best point of a solve.  restarts_used counts the attempts run and
+    best_attempt (1 for the first) is the one whose point this is; iterations
+    and trace belong to that attempt."""
+
     point: np.ndarray
     residual: float
     iterations: int
     converged: bool
     restarts_used: int
+    best_attempt: int
     problem: str  # "vi" | "qvi"
     certificate: object = None
     trace: Optional[list] = None
@@ -317,7 +342,7 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
 
     last_probe_r = np.inf
     for k in range(config.max_iters):
-        op = evaluate_T(game, x, seed=config.seed)
+        op = evaluate_T(game, x, tol, config.seed)
         approx = approx or op.approximate
         t = select(op)
 
@@ -333,8 +358,10 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
 
         if config.method == "extragradient":
             y = problem.project(x, t, alpha)
-            t2 = select(evaluate_T(game, y, seed=config.seed))
-            x_new = problem.project(x, t2, alpha)
+            t2 = select(evaluate_T(game, y, tol, config.seed))
+            # 0 in T(y) makes y a solution candidate: step onto it, so the
+            # next iteration's probe judges it
+            x_new = y if np.linalg.norm(t2) <= 1e-14 else problem.project(x, t2, alpha)
         else:
             x_new = problem.project(x, t, alpha)
 
@@ -351,7 +378,7 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
         x = x_new
     else:
         # out of iterations: probe the last iterate with T taken there
-        op = evaluate_T(game, x, seed=config.seed)
+        op = evaluate_T(game, x, tol, config.seed)
         approx = approx or op.approximate
     probe(config.max_iters, op, x)
     return best_x, best_r, best_it, best_r <= config.residual_tol, trace, approx
@@ -365,12 +392,14 @@ def _solve(game: GameInstance, config: SolverConfig, problem_type,
         x0 = _start(game, attempt, rng)
         problem = problem_type(game, rng)
         x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol)
-        cand = SolveResult(x, r, iters, ok, attempt + 1, problem.name,
+        cand = SolveResult(x, r, iters, ok, restarts_used=attempt + 1,
+                           best_attempt=attempt + 1, problem=problem.name,
                            trace=trace, approximate=approx)
         if best is None or cand.residual < best.residual:
             best = cand
         if ok:
             break
+    best.restarts_used = attempt + 1
     best.certificate = verify_equilibrium(game, best.point, tol, seed=config.seed)
     return best
 
@@ -389,23 +418,25 @@ def solve_qvi(game: GameInstance, config: SolverConfig = SolverConfig(),
     return _solve(game, config, _MovingSlicesQVI, tol)
 
 
-def _residual_at(game, x, problem_type, seed):
+def _residual_at(game, x, problem_type, tol, seed):
     x = np.asarray(x, dtype=float)
     problem = problem_type(game, np.random.default_rng(seed))
-    return problem.probe(evaluate_T(game, x, seed=seed), x)[:2]
+    return problem.probe(evaluate_T(game, x, tol, seed), x)[:2]
 
 
-def vi_residual(game: GameInstance, x, seed: int = 0):
-    """(r, t) of the hull residual at x over the shared set's vertices."""
+def vi_residual(game: GameInstance, x, seed: int = 0, tol: Tolerances = Tolerances()):
+    """(r, t) of the hull residual at x over the shared set's vertices, with
+    T's satiation test at tol.eps_open, as in a solve at tol."""
     if not game.jointly_convex:
         raise ValueError("vi_residual needs a jointly convex game")
-    return _residual_at(game, x, _SharedSetVI, seed)
+    return _residual_at(game, x, _SharedSetVI, tol, seed)
 
 
-def qvi_residual(game: GameInstance, x, seed: int = 0):
+def qvi_residual(game: GameInstance, x, seed: int = 0, tol: Tolerances = Tolerances()):
     """(r, t) of the hull residual at x over the slices K_i(x), summed block
-    by block; (inf, None) when a slice is empty."""
-    return _residual_at(game, x, _MovingSlicesQVI, seed)
+    by block, with T's satiation test at tol.eps_open; (inf, None) when a
+    slice is empty."""
+    return _residual_at(game, x, _MovingSlicesQVI, tol, seed)
 
 
 # --------------------------------------------------------------------------

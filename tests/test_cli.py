@@ -144,6 +144,28 @@ def test_economy_check_only(exchange, tmp_path):
                "2,2,0,0,0.5,0.5", "--out-dir", tmp_path / "p") == 4
 
 
+def test_economy_manifest_records_the_solve(exchange, tmp_path):
+    # a solving run records its SolverConfig and, with --trace, its trace;
+    # a --check-only run solves nothing and records only its seed
+    mans = {}
+    for method in ("projection", "extragradient"):
+        out = tmp_path / method
+        assert run("economy", exchange, "--method", method, "--trace", "--out-dir", out) == 0
+        mans[method] = json.loads((out / "manifest.json").read_text())
+        assert mans[method]["outputs"] == ["diagnostics.csv", "outcome.json", "trace.csv"]
+        assert (out / "trace.csv").read_text().startswith("iter,residual,alpha\n")
+    config = {"alpha": 0.5, "max_iters": 5000, "method": "projection",
+              "residual_tol": 1e-6, "restarts": 8, "seed": 0, "trace": True}
+    assert mans["projection"]["config"] == config
+    assert mans["extragradient"]["config"] == {**config, "method": "extragradient"}
+    out = tmp_path / "check"
+    assert run("economy", exchange, "--check-only", "--trace", "--point", "1,1,0,0,0.5,0.5",
+               "--out-dir", out) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"] == {"check_only": True, "seed": 0}
+    assert man["outputs"] == ["diagnostics.csv", "outcome.json"]
+
+
 def test_verify_economy_instance(tmp_path):
     # verify reduces an economy file to its game, as solve and oracle do
     path = os.path.join(INST, "pure_exchange.json")

@@ -123,7 +123,7 @@ def test_solve_result_shape_with_certificate_and_trace():
     res = solve_vi(gi.splitting_game(), SolverConfig(trace=True))
     d = jsonable(res)
     assert set(d) == {"point", "residual", "iterations", "converged", "restarts_used",
-                      "problem", "certificate", "trace", "approximate"}
+                      "best_attempt", "problem", "certificate", "trace", "approximate"}
     assert d["point"] == res.point.tolist() and d["problem"] == "vi"
     assert d["converged"] is True and d["approximate"] is False
     cert = d["certificate"]

@@ -138,11 +138,15 @@ def test_max_improvement_polyhedral_slack_signs():
 
 
 def test_satiation_threshold():
+    # u = z - z^2 peaks at 0.5: at 0.5 + d the best improvement is d^2
     pm = PreferenceMap(0, 0, Box([0.0], [1.0]),
                        QuadUtility(np.array([[-2.0]]), np.array([1.0])))
     assert is_satiated(pm, np.array([0.5]))
     assert is_satiated(pm, np.array([0.5 + 1e-6]))   # 1e-12 improvement left
     assert not is_satiated(pm, np.array([0.4]))
+    for eps_open in (1e-7, 1e-6):
+        assert is_satiated(pm, np.array([0.5 + np.sqrt(0.99 * eps_open)]), eps_open)
+        assert not is_satiated(pm, np.array([0.5 + np.sqrt(1.01 * eps_open)]), eps_open)
 
 
 # -- sampled relation profiles ----------------------------------------------

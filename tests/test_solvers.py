@@ -15,7 +15,13 @@ from gnepkit.game import (
 )
 from gnepkit.jsonio import jsonable, load_instance
 from gnepkit.operators import OperatorEval, evaluate_T
-from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility, RelationOracle
+from gnepkit.preferences import (
+    LinearUtility,
+    PreferenceMap,
+    QuadUtility,
+    RelationOracle,
+    max_improvement,
+)
 from gnepkit.solvers import (
     SolverConfig,
     _body_vertices,
@@ -89,6 +95,50 @@ def test_residual_zero_exactly_on_solutions():
     g = gi.splitting_game()
     r, _ = vi_residual(g, np.array([0.5, 0.5]))
     assert r <= 1e-10
+
+
+def test_vi_residual_takes_satiation_from_tol():
+    # u = p1 + 2 p2 improves by 5e-7 from here: satiated at eps_open = 1e-6,
+    # while at 1e-7 the residual is that improvement over |∇u| = 2**-0.5
+    # (the gradient projected onto the simplex)
+    g = gi.simplex_argmax_game()
+    x = np.array([5e-7, 1 - 5e-7])
+    assert vi_residual(g, x, tol=Tolerances(eps_open=1e-6))[0] == pytest.approx(0.0, abs=1e-15)
+    assert vi_residual(g, x)[0] == pytest.approx(5e-7 * 2 ** 0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize("family, solve", [(gi.random_jointly_convex, solve_vi),
+                                           (gi.random_qvi, solve_qvi)])
+def test_satiated_blocks_pass_the_verifiers_emptiness_test(family, solve):
+    # T tests satiation over X_i, which contains K_i(x), at the verifier's
+    # eps_open: every whole-space block of T at a returned point has an empty
+    # preferred set in its slice
+    tol = Tolerances(eps_open=1e-6)
+    satiated = 0
+    for s in range(20):
+        game = family(s)
+        x = solve(game, SolverConfig(residual_tol=5e-7, restarts=4), tol).point
+        for i, cone in enumerate(evaluate_T(game, x, tol).blocks):
+            if cone.whole_space:
+                satiated += 1
+                pm = game.preferences[i]
+                imp, _ = max_improvement(pm, x, constraint_body(game, i, x), tol.eps_open)
+                assert imp <= tol.eps_open, (s, i, imp)
+    assert satiated
+
+
+def test_residual_tol_above_eps_open_converges_uncertified():
+    # the SolverConfig docstring's example: each block's only generator is a
+    # unit -∇u_i, so its residual term is its improvement over K_i(x)
+    g = gi.random_qvi(9)
+    res = solve_qvi(g, SolverConfig(residual_tol=5e-7, restarts=4))
+    slacks = res.certificate.emptiness_slacks
+    assert res.converged and not res.certificate.is_equilibrium
+    assert res.residual == pytest.approx(1.476e-7, rel=1e-3)
+    assert slacks == pytest.approx([1.192e-7, 2.844e-8], rel=1e-3)
+    assert res.residual == pytest.approx(slacks.sum(), rel=1e-9)
+    res = solve_qvi(g, SolverConfig(residual_tol=5e-8, restarts=4))
+    assert res.converged and res.certificate.is_equilibrium
 
 
 def test_qvi_residual_infeasible_point_is_inf():
