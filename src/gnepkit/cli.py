@@ -235,12 +235,15 @@ def _add_common(p, solver_flags: bool = True):
     p.add_argument("--out-dir", default=".", help="directory for output files")
     p.add_argument("--seed", type=int, default=0)
     if solver_flags:
+        default = SolverConfig()
         p.add_argument("--method", choices=["projection", "extragradient"],
-                       default="projection")
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--max-iters", type=int, default=5000)
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="hull residual convergence tolerance")
+                       default=default.method)
+        p.add_argument("--alpha", type=float, default=default.alpha)
+        p.add_argument("--max-iters", type=int, default=default.max_iters)
+        # the tolerance of the certificate's emptiness test (see SolverConfig)
+        p.add_argument("--tol", type=float, default=Tolerances().eps_open,
+                       help="hull residual convergence tolerance "
+                            "(default: the certificate's eps_open)")
         p.add_argument("--trace", action="store_true",
                        help="also write trace.csv (iter,residual,alpha)")
 

@@ -2,9 +2,11 @@
 
 A body is a convex subset of R^dim given by one of five shapes: axis box,
 scaled probability simplex, half-space intersection with a per-row strict
-mask, Euclidean ball, or a finite intersection of the above.  Strict rows
-carry the open part: ``contains`` demands a margin (default 1e-7) on them,
-projection and vertex enumeration always work with the closure.
+mask, Euclidean ball, or a finite intersection of polyhedral parts (boxes,
+simplices, half-space intersections and such intersections), which answers
+every query as one merged half-space intersection.  Strict rows carry the
+open part: ``contains`` demands a margin (default 1e-7) on them, projection
+and vertex enumeration always work with the closure.
 
 Membership is monotone in its slack argument: contains(x, e1) implies
 contains(x, e2) for e2 >= e1.
@@ -454,6 +456,10 @@ class Ball(ConvexBody):
 
 @dataclass(frozen=True)
 class Intersection(ConvexBody):
+    """A finite intersection of polyhedral parts (Box, Simplex, HPoly or a
+    nested Intersection); membership is judged part by part, every other
+    query by the single HPoly of all their rows and equalities."""
+
     parts: tuple
     kind: str = field(default="intersection", init=False)
 
@@ -463,6 +469,9 @@ class Intersection(ConvexBody):
             raise ValueError("empty intersection")
         if len({p.dim for p in parts}) != 1:
             raise ValueError("intersection parts disagree on dim")
+        for p in parts:
+            if not is_polyhedral(p):
+                raise ValueError(f"intersection part kind={p.kind!r} is not polyhedral")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -471,12 +480,10 @@ class Intersection(ConvexBody):
 
     @cached_property
     def _merged(self):
-        """Single HPoly when every part is polyhedral, else None."""
+        """The single HPoly of every part's rows and equalities."""
         rows, rhs, strict = [], [], []
         for p in self.parts:
             h = p.hrep()
-            if h is None:
-                return None
             rows.append(h[0])
             rhs.append(h[1])
             strict.append(h[2])
@@ -495,19 +502,15 @@ class Intersection(ConvexBody):
 
     @property
     def _poisoned(self):
-        return self._merged is not None and self._merged._poisoned
+        return self._merged._poisoned
 
     def contains(self, x, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
         return all(p.contains(x, eps, eps_open) for p in self.parts)
 
     def project(self, x):
-        if self._merged is not None:
-            return self._merged.project(x)
-        return _dykstra_bodies(self.parts, _as_vec(x, self.dim))
+        return self._merged.project(x)
 
     def hrep(self):
-        if self._merged is None:
-            return None
         return self._merged.hrep()
 
     def equalities(self):
@@ -517,51 +520,30 @@ class Intersection(ConvexBody):
         return C, d
 
     def is_empty(self, eps_open=DEFAULT_EPS_OPEN):
-        if self._merged is not None:
-            return self._merged.is_empty(eps_open)
-        probe = self.project(np.zeros(self.dim))
-        return not self.contains(probe, eps=1e-7, eps_open=0.0)
+        return self._merged.is_empty(eps_open)
 
     def vertices(self):
-        if self._merged is None:
-            raise EnumerationError("vertex enumeration with non-polyhedral part")
         return self._merged.vertices()
 
     def bounding_box(self):
-        if self._merged is not None:
-            return self._merged.bounding_box()
-        los, his = zip(*(p.bounding_box() for p in self.parts))
-        return np.max(los, axis=0), np.min(his, axis=0)
+        return self._merged.bounding_box()
 
     def interior_point(self):
-        if self._merged is not None:
-            return self._merged.interior_point()
-        centers = [q.interior_point() for q in self.parts]
-        if any(c is None for c in centers):
-            return None
-        p = self.project(np.mean(centers, axis=0))
-        ok = all(q.contains(p, eps=-1e-9, eps_open=0.0) for q in self.parts)
-        return p if ok else None
+        return self._merged.interior_point()
 
     def sample(self, rng, k):
-        if self._merged is not None:
-            return self._merged.sample(rng, k)
-        lo, hi = self.bounding_box()
-        out, tries = [], 0
-        while len(out) < k and tries < 200 * k:
-            cand = rng.uniform(lo, hi)
-            tries += 1
-            if self.contains(cand, eps=0.0, eps_open=0.0):
-                out.append(cand)
-        while len(out) < k:
-            out.append(self.project(rng.uniform(lo, hi)))
-        return np.array(out)
+        return self._merged.sample(rng, k)
 
     def closure(self):
         return Intersection(tuple(p.closure() for p in self.parts))
 
     def to_dict(self):
         return {"kind": "intersection", "parts": [p.to_dict() for p in self.parts]}
+
+
+def is_polyhedral(body: ConvexBody) -> bool:
+    """Whether body is one of the shapes an Intersection accepts as a part."""
+    return isinstance(body, (Box, Simplex, HPoly, Intersection))
 
 
 # --------------------------------------------------------------------------
@@ -619,21 +601,6 @@ def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
     k = ks[u - css / ks > 0.0][-1]
     tau = css[k - 1] / k
     return np.maximum(y - tau, 0.0)
-
-
-def _dykstra_bodies(parts, y):
-    """Dykstra across arbitrary bodies using their exact projections."""
-    x = y.copy()
-    corr = [np.zeros_like(y) for _ in parts]
-    for _ in range(10_000):
-        x_prev = x.copy()
-        for i, p in enumerate(parts):
-            w = x + corr[i]
-            x = p.project(w)
-            corr[i] = w - x
-        if np.max(np.abs(x - x_prev)) <= 1e-12 + 1e-15:
-            break
-    return x
 
 
 def _enumerate_vertices(A, b):
@@ -817,12 +784,6 @@ def _active_normals(body: ConvexBody, p):
         r = np.linalg.norm(p - body.center)
         if r >= body.radius - EPS_ACTIVE * (1.0 + body.radius) and r > 1e-12:
             out.append((p - body.center) / r)
-    if isinstance(body, Intersection) and body._merged is None:
-        for part in body.parts:
-            if part.hrep() is None and not isinstance(part, Ball):
-                continue
-            out.extend(_active_normals(part, p))
-        # deduplicate handled by caller via ConeSection
     return np.array(out).reshape(-1, body.dim)
 
 
@@ -880,8 +841,8 @@ def maximize(body: ConvexBody, c, Q=None):
     answered by exact KKT enumeration over the rows and equalities (hrep()
     rows are the closure's: only the strict flags differ).  Raises
     UnboundedLP when the maximum is unbounded, EmptyBodyError when a zero
-    row empties the polyhedron, EnumerationError when the body has neither a
-    closed form nor an H-representation.
+    row empties the polyhedron, EnumerationError for a Ball with a nonzero
+    Q, the one body with neither a closed form nor an H-representation.
     """
     c = _as_vec(c, body.dim)
     quadratic = Q is not None and np.abs(Q).max(initial=0.0) > 1e-13

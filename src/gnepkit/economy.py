@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convexsets import Box, ConvexBody, HPoly, Intersection, Simplex, support_max
+from .convexsets import ConvexBody, HPoly, Intersection, Simplex, is_polyhedral, support_max
 from .game import (
     FixedConstraint,
     GameInstance,
@@ -96,6 +96,10 @@ class EconomyInstance:
         for i, c in enumerate(self.consumers):
             if c.choice_set.dim != H:
                 raise EconomyError(f"consumer {i}: choice set dim != {H}")
+            # the budget set is the choice set intersected with a price row
+            if not is_polyhedral(c.choice_set):
+                raise EconomyError(f"consumer {i}: choice set kind={c.choice_set.kind!r} "
+                                   "is not polyhedral")
             if not c.choice_set.is_bounded():
                 raise EconomyError(f"consumer {i}: choice set must be compact")
             lo, _ = c.choice_set.bounding_box()

@@ -27,6 +27,7 @@ from .convexsets import (
     HPoly,
     Intersection,
     _unit_norms,
+    is_polyhedral,
     maximize,
 )
 from .preferences import (
@@ -104,6 +105,14 @@ class GameInstance:
                 raise ValueError("shared set dimension mismatch")
             if not all(isinstance(c, SharedSlice) for c in cons):
                 raise ValueError("a shared set requires every K_i to be its slice map")
+            # K_i(x) is the shared set's rows split at the block, under X_i's
+            if not is_polyhedral(self.shared_set):
+                raise ValueError(
+                    f"shared set kind={self.shared_set.kind!r} is not polyhedral")
+            for pm in prefs:
+                if not is_polyhedral(pm.ambient):
+                    raise ValueError(f"player {pm.player}: X_i kind={pm.ambient.kind!r} "
+                                     "is not polyhedral, but the game has a shared set")
         elif any(isinstance(c, SharedSlice) for c in cons):
             raise ValueError("SharedSlice constraint needs a shared set")
         object.__setattr__(self, "preferences", prefs)
@@ -127,8 +136,7 @@ class GameInstance:
 
     @cached_property
     def _slice_rows(self):
-        """Per player, the rows of K_i(x) that do not move with x, or None
-        when the shared set or X_i is not polyhedral.
+        """Per player, the rows of K_i(x) that do not move with x.
 
         K_i(x) = {z in X_i : A_i z <= b - A_{-i} x_{-i}}: X_i's rows come
         first, then the shared set's rows split at the block with the own
@@ -139,12 +147,8 @@ class GameInstance:
         """
         out = []
         for pm in self.preferences:
-            shared = _split_rows(self.shared_set, pm.block)
+            own, rival, b, strict = _split_rows(self.shared_set, pm.block)
             ambient = _split_rows(pm.ambient, slice(0, pm.block_dim))
-            if shared is None or ambient is None:
-                out.append(None)
-                continue
-            own, rival, b, strict = shared
             norms, keep = _unit_norms(own)
             out.append((
                 np.vstack([ambient[0], own[keep] / norms[keep, None]]),
@@ -184,6 +188,7 @@ def _shared_within_ambients(shared_set, lifted) -> bool:
 def jointly_convex_game(choice_sets, variants, shared_set, name="") -> GameInstance:
     """Convenience assembly: players in block order over one shared set.
 
+    The shared set and every X_i must be polyhedral (ValueError otherwise).
     The theory assumes the shared set sits inside the product of the X_i; a
     shared set that pokes out of some X_i would let the VI converge to a
     game-infeasible point.  When containment cannot be confirmed, the shared
@@ -212,15 +217,13 @@ def _split_rows(body: ConvexBody, block: slice):
     (own, rival, b, strict), where own is A[:, block] and rival is A with
     the block's columns zeroed, so that the slice at x is
     {z : own z <= b - rival @ x}.  An intersection stacks its parts' rows.
-    None when the body is not polyhedral."""
+    Raises ValueError when the body is not polyhedral."""
     if isinstance(body, Intersection):
         parts = [_split_rows(p, block) for p in body.parts]
-        if any(p is None for p in parts):
-            return None
         return tuple(np.concatenate(cols) for cols in zip(*parts))
     h = body.hrep()
     if h is None:
-        return None
+        raise ValueError(f"cannot slice kind={body.kind!r}: not polyhedral")
     A, b, strict = h
     C, d = body.equalities()
     if len(d):
@@ -232,38 +235,21 @@ def _split_rows(body: ConvexBody, block: slice):
     return A[:, block], rival, b, strict
 
 
-def slice_body(body: ConvexBody, x, block: slice) -> ConvexBody:
-    """{z : x with block replaced by z lies in body}, over the block coords."""
-    x = np.asarray(x, dtype=float)
-    rows = _split_rows(body, block)
-    if rows is not None:
-        own, rival, b, strict = rows
-        return HPoly(own, b - rival @ x, strict)
-    if isinstance(body, Ball):
-        rest = np.delete(x, np.arange(block.start, block.stop)) - np.delete(
-            body.center, np.arange(block.start, block.stop)
-        )
-        r2 = body.radius**2 - rest @ rest
-        if r2 < 0:
-            raise EmptyBodyError("ball slice is empty at this rival profile")
-        return Ball(body.center[block], float(np.sqrt(r2)))
-    if isinstance(body, Intersection):
-        return Intersection(tuple(slice_body(p, x, block) for p in body.parts))
-    raise ValueError(f"cannot slice kind={body.kind!r}")
+def slice_body(body: ConvexBody, x, block: slice) -> HPoly:
+    """{z : x with block replaced by z lies in body}, over the block coords,
+    as one HPoly on the polyhedral body's rows split at the block (see
+    _split_rows).  Raises ValueError when the body is not polyhedral."""
+    own, rival, b, strict = _split_rows(body, block)
+    return HPoly(own, b - rival @ np.asarray(x, dtype=float), strict)
 
 
 def constraint_body(game: GameInstance, i: int, x) -> ConvexBody:
-    """K_i(x).  A polyhedral shared-set slice is one HPoly on the player's
-    fixed rows (GameInstance._slice_rows) with the right-hand side at x;
-    any other shared set is sliced and intersected with X_i."""
+    """K_i(x).  A shared-set slice is one HPoly on the player's fixed rows
+    (GameInstance._slice_rows) with the right-hand side at x."""
     c = game.constraints[i]
     x = np.asarray(x, dtype=float)
     if isinstance(c, SharedSlice):
-        rows = game._slice_rows[i]
-        if rows is None:
-            pm = game.preferences[i]
-            return Intersection((pm.ambient, slice_body(game.shared_set, x, pm.block)))
-        A, strict, b_X, b, rival, scale = rows
+        A, strict, b_X, b, rival, scale = game._slice_rows[i]
         return HPoly(A, np.concatenate([b_X, (b - rival @ x) / scale]), strict)
     if isinstance(c, FixedConstraint):
         return c.body
@@ -284,9 +270,6 @@ def membership_violation(body: ConvexBody, z) -> float:
         worst = max(worst, float(np.max(np.abs(C @ z - d))))
     if isinstance(body, Ball):
         worst = max(worst, float(np.linalg.norm(z - body.center) - body.radius))
-    if isinstance(body, Intersection) and body._merged is None:
-        for p in body.parts:
-            worst = max(worst, membership_violation(p, z))
     if worst == -np.inf:
         worst = 0.0 if body.contains(z, eps=1e-9, eps_open=0.0) else np.inf
     return worst
@@ -499,7 +482,7 @@ def _joint_improvement_lp(game: GameInstance, x, bodies, radius, shared):
                 a0s.append(a0)
     lifted = _lifted_rows(game.preferences, bodies, n)
     h = (np.zeros((0, n)), np.zeros(0)) if shared is None else shared.hrep()
-    if not gain or lifted is None or h is None:
+    if not gain or lifted is None:
         return None
     A = np.vstack([gain, lifted[0], h[0], np.eye(n), -np.eye(n)])
     b = np.concatenate([a0s, lifted[1], h[1], np.full(2 * n, radius / np.sqrt(n) * (1 - 1e-6))])

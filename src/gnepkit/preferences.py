@@ -32,6 +32,7 @@ from .convexsets import (
     HPoly,
     Intersection,
     hull_body,
+    is_polyhedral,
     maximize,
 )
 
@@ -153,6 +154,11 @@ class PreferenceMap:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             raise TypeError(f"unknown preference variant {type(self.variant).__name__}")
+        # the preferred set is X_i intersected with the variant's rows
+        if isinstance(self.variant, (PolyhedralPref, UnionPref)) and not is_polyhedral(
+                self.ambient):
+            raise ValueError(f"player {self.player}: X_i kind={self.ambient.kind!r} is not "
+                             "polyhedral, but the preference is given by rows")
 
     @property
     def block_dim(self) -> int:
@@ -409,13 +415,8 @@ def _hull_guard(pm, points, xi, eps_open):
         hull = hull_body(points)
     except Exception:  # qhull chokes on degenerate clouds; guard is best-effort
         return
-    h = hull.hrep()
-    if h is None:
-        lo, hi = hull.bounding_box()
-        inside = bool(np.all(xi > lo + eps_open) and np.all(xi < hi - eps_open))
-    else:
-        A, b, _ = h
-        inside = bool(np.all(A @ xi - b < -eps_open))
+    A, b, _ = hull.hrep()
+    inside = bool(np.all(A @ xi - b < -eps_open))
     if inside:
         raise SelfPreferenceError(pm.player, xi, " (inside convexified preferred set)")
 

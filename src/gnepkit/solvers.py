@@ -206,20 +206,17 @@ def _block_terms(K: ConvexBody, cone, xi, rng):
     if cone.n_generators == 1:
         # both are <g, x_i> + sigma_K(-g), with no vertices
         g, C = cone.generators[0], K.closure()
-        # a non-polyhedral body's only emptiness verdict is its vertex set's
-        if C.hrep() is not None and C.is_empty():
+        if C.is_empty():
             raise EmptyBodyError("support over an empty body")
         try:
             r = float(g @ xi) + maximize(C, -g)[0]
             return r, r, g, None
         except _lp.UnboundedLP:
             return np.inf, np.inf, g, None
-        except EnumerationError:
-            pass
     V = _body_vertices(K, rng)
     lb = _residual_prefilter(OperatorEval((cone,), (0,)), xi, V)
-    if cone.n_generators <= 1 and not cone.whole_space:
-        # co G_i is one point: 0 for the zero cone, else the generator
+    if cone.n_generators == 0 and not cone.whole_space:
+        # the zero cone: co G_i is the point 0
         return lb, lb, cone.min_norm_point(), V
     if cone.dim == 1:
         # the whole space or unit generators of both signs: co G_i = [-1, 1];

@@ -9,7 +9,7 @@ import pytest
 from gnepkit.cli import main
 from gnepkit.economy import to_gnep
 from gnepkit.game import verify_equilibrium
-from gnepkit.jsonio import canonical_dumps, load_instance, save_instance
+from gnepkit.jsonio import canonical_dumps, game_to_dict, load_instance, save_instance
 from gnepkit import instances as gi
 
 INST = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -155,7 +155,7 @@ def test_economy_manifest_records_the_solve(exchange, tmp_path):
         assert mans[method]["outputs"] == ["diagnostics.csv", "outcome.json", "trace.csv"]
         assert (out / "trace.csv").read_text().startswith("iter,residual,alpha\n")
     config = {"alpha": 0.5, "max_iters": 5000, "method": "projection",
-              "residual_tol": 1e-6, "restarts": 8, "seed": 0, "trace": True}
+              "residual_tol": 1e-7, "restarts": 8, "seed": 0, "trace": True}
     assert mans["projection"]["config"] == config
     assert mans["extragradient"]["config"] == {**config, "method": "extragradient"}
     out = tmp_path / "check"
@@ -218,3 +218,26 @@ def test_empty_shared_set_is_a_solver_failure_exit_3(tmp_path):
 
 def test_box_with_lo_above_hi_exit_2(tmp_path):
     assert run("solve", _split_file(tmp_path, lo=2.0), "--out-dir", tmp_path / "o") == 2
+
+
+def test_non_polyhedral_shared_set_or_choice_set_exit_2(tmp_path, capsys):
+    # a Ball cannot be a shared set or a consumer choice set, so these files
+    # are written by hand: the splitting game over a disc, and the pure
+    # exchange economy with a disc of bundles
+    game = json.loads(canonical_dumps(game_to_dict(gi.splitting_game())))
+    game["shared_set"] = {"kind": "ball", "center": [0.5, 0.5], "radius": 0.5}
+    shared = tmp_path / "ball_shared.json"
+    shared.write_text(json.dumps(game))
+    with open(os.path.join(INST, "pure_exchange.json")) as fh:
+        econ = json.load(fh)
+    econ["consumers"][0]["choice_set"] = {"kind": "ball", "center": [1.0, 1.0], "radius": 1.0}
+    choice = tmp_path / "ball_choice.json"
+    choice.write_text(json.dumps(econ))
+    for path, point, says in ((shared, "0.5,0.5", "shared set kind='ball'"),
+                              (choice, "1,1,0,0,0.5,0.5", "consumer 0: choice set kind='ball'")):
+        assert run("verify", path, "--point", point, "--out-dir", tmp_path / "v") == 2
+        assert run("solve", path, "--out-dir", tmp_path / "s") == 2
+        assert capsys.readouterr().err.count(says) == 2
+    assert run("economy", choice, "--out-dir", tmp_path / "e") == 2
+    assert says in capsys.readouterr().err
+    assert not any((tmp_path / d).exists() for d in ("v", "s", "e"))

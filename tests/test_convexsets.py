@@ -487,9 +487,12 @@ def test_maximize_errors():
         maximize(Box([0.0], [np.inf]), [1.0])
     with pytest.raises(_lp.UnboundedLP):
         maximize(HPoly([[-1.0]], [0.0]), [1.0], np.zeros((1, 1)))
+    # an intersection refuses a non-polyhedral part, so a Ball with a
+    # nonzero Q is the one body maximize cannot answer
+    with pytest.raises(ValueError, match="kind='ball' is not polyhedral"):
+        Intersection((Ball([0.0, 0.0], 1.0), unit_square()))
     with pytest.raises(EnumerationError):
-        maximize(Intersection((Ball([0.0, 0.0], 1.0), unit_square())), [1.0, 0.0],
-                 -np.eye(2))
+        maximize(Ball([0.0, 0.0], 1.0), [1.0, 0.0], -np.eye(2))
 
 
 def _separable_family(rng, q_lo, q_hi):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnepkit.convexsets import Box
+from gnepkit.convexsets import Ball, Box
 from gnepkit.economy import (
     Consumer,
     EconomyError,
@@ -93,6 +93,13 @@ def test_invalid_consumer_data_rejected(bad):
     kw.update(bad)
     with pytest.raises(EconomyError):
         EconomyInstance(1, 2, (Consumer(**kw),), (Producer(Box([0, 0], [0, 0])),))
+
+
+def test_non_polyhedral_choice_set_rejected():
+    # the budget set is the choice set intersected with a price row
+    with pytest.raises(EconomyError, match="consumer 0: choice set kind='ball'"):
+        EconomyInstance(1, 2, (Consumer(Ball([1.0, 1.0], 1.0), [1.0, 1.0], [],
+                                        LinearUtility([1.0, 1.0])),))
 
 
 def test_technology_must_allow_inaction():

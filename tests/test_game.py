@@ -16,7 +16,7 @@ from gnepkit.game import (
     verify_equilibrium,
 )
 from gnepkit.jsonio import jsonable
-from gnepkit.preferences import LinearUtility, PreferenceMap, QuadUtility
+from gnepkit.preferences import LinearUtility, PolyhedralPref, PreferenceMap, QuadUtility
 from gnepkit import game as game_module
 from gnepkit import instances as gi
 
@@ -38,9 +38,26 @@ def test_slice_hpoly_triangle():
 
 
 def test_slice_ball():
-    B = Ball([0.0, 0.0], 1.0)
-    S = slice_body(B, np.array([0.0, 0.6]), slice(0, 1))
-    assert S.contains([0.79]) and not S.contains([0.81])
+    # only polyhedral bodies are sliced
+    with pytest.raises(ValueError, match="cannot slice kind='ball'"):
+        slice_body(Ball([0.0, 0.0], 1.0), np.array([0.0, 0.6]), slice(0, 1))
+
+
+def test_non_polyhedral_shared_set_or_choice_set_refused():
+    box, ball = Box([0.0], [1.0]), Ball([0.0, 0.0], 1.0)
+    lin = [LinearUtility([1.0, 0.0]), LinearUtility([0.0, 1.0])]
+    with pytest.raises(ValueError, match="kind='ball' is not polyhedral"):
+        jointly_convex_game([box, box], lin, ball)
+    prefs = tuple(PreferenceMap(i, i, box, v) for i, v in enumerate(lin))
+    with pytest.raises(ValueError, match="shared set kind='ball' is not polyhedral"):
+        GameInstance(prefs, (SharedSlice(), SharedSlice()), ball)
+    # X_i is cut by the shared set's rows, so it must be polyhedral too
+    prefs = (PreferenceMap(0, 0, Ball([0.5], 0.5), lin[0]), prefs[1])
+    with pytest.raises(ValueError, match="player 0: X_i kind='ball' is not polyhedral"):
+        GameInstance(prefs, (SharedSlice(), SharedSlice()), Box([0.0, 0.0], [1.0, 1.0]))
+    # as is an X_i cut by a preference's rows
+    with pytest.raises(ValueError, match="player 0: X_i kind='ball' is not polyhedral"):
+        PreferenceMap(0, 0, ball, PolyhedralPref.constant([[1.0, 0.0]], [0.5]))
 
 
 def test_slice_empty_when_rivals_outside():

@@ -200,7 +200,7 @@ def test_manifest_config_is_the_solver_config(tmp_path):
     assert main(["solve", str(p), "--alpha", "0.25", "--out-dir", str(tmp_path)]) == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["config"] == {"alpha": 0.25, "max_iters": 5000, "method": "projection",
-                             "residual_tol": 1e-6, "restarts": 8, "seed": 0, "trace": False}
+                             "residual_tol": 1e-7, "restarts": 8, "seed": 0, "trace": False}
 
 
 @pytest.mark.parametrize("inst", [gi.splitting_game(), gi.pure_exchange_economy()])

@@ -372,6 +372,21 @@ def test_qvi_residual_ball_term_is_exact():
         assert np.array_equal(t[:2], g) and t[2] == 0.0
         assert r == pytest.approx(float(g @ (x[:2] - c)) + rho * np.linalg.norm(g),
                                   rel=0.0, abs=1e-15)
+    # and the solve reaches the ball's support point c + rho (1, 2) / sqrt(5)
+    res = solve_qvi(game)
+    assert res.converged and res.certificate.is_equilibrium
+    assert np.allclose(res.point, [*(c + rho * np.array([1.0, 2.0]) / np.sqrt(5.0)), 0.5],
+                       rtol=0.0, atol=2e-6)
+
+
+def test_ball_choice_set_is_solved_and_certified():
+    # a Ball on its own, as X_i and as K_i: u = x1 + x2 peaks at (1, 1) / sqrt(2)
+    disc = Ball([0.0, 0.0], 1.0)
+    game = GameInstance((PreferenceMap(0, 0, disc, LinearUtility([1.0, 1.0])),),
+                        (FixedConstraint(disc),))
+    res = solve_qvi(game)
+    assert res.converged and res.certificate.is_equilibrium
+    assert np.allclose(res.point, [2 ** -0.5, 2 ** -0.5], rtol=0.0, atol=1e-12)
 
 
 # -- relation-oracle players, end to end --------------------------------------
