@@ -82,6 +82,27 @@ def chebyshev_center(A, b):
     return res.x[:n], -res.fun
 
 
+def recession_cone_is_zero(A) -> bool:
+    """Whether {d : A d <= 0} = {0}, which makes every {A z <= b} bounded.
+
+    For A of rank n, Stiemke's theorem makes this equivalent to some
+    lambda > 0 with A'lambda = 0.  One LP maximizes min_j lambda_j over
+    lambda >= 0 with sum(lambda) = 1; it is infeasible when some d has
+    A d < 0 (Gordan).
+    """
+    m, n = A.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
+    A_eq = np.vstack([np.hstack([A.T, np.zeros((n, 1))]), np.append(np.ones(m), 0.0)])
+    b_eq = np.append(np.zeros(n), 1.0)
+    try:
+        res = solve_lp(c, A_ub, np.zeros(m), A_eq, b_eq, [(0.0, None)] * m + [(None, 1.0)])
+    except InfeasibleLP:
+        return False
+    return bool(-res.fun > 1e-9)
+
+
 # Emptiness threshold of the least-distance program, relative to the size of
 # the sum h'w that cancels to give r[n] (see project_polyhedron).
 _LDP_EMPTY_RTOL = 1e-10

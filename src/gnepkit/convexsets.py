@@ -25,7 +25,13 @@ from . import _lp
 DEFAULT_EPS_OPEN = 1e-7
 EPS_ACTIVE = 1e-8
 _VERTEX_DEDUP = 1e-9
+_VERTEX_FEAS_RTOL = 1e-8
 _VERTEX_SUBSET_CAP = 200_000
+# VertexForm.of factors rows with at most this many n-row subsets; above it a
+# linear maximum is one LP.  One maximize over a vertex-form body took as long
+# as one _lp.max_linear (about 2 ms) at about 2,000 subsets in 2-D and about
+# 10,000 in 3-D, on a 2-core x86_64 host with numpy and scipy's HiGHS
+_VERTEX_FORM_SUBSETS = 2_000
 
 
 class EmptyBodyError(ValueError):
@@ -63,6 +69,8 @@ class ConvexBody:
 
     # True when a zero row empties the body (see HPoly); hrep() omits that row
     _poisoned = False
+    # the VertexForm of a polyhedron built by VertexForm.body, else None
+    _form = None
 
     def hrep(self):
         """(A, b, strict) with unit rows, or None when not polyhedral."""
@@ -269,23 +277,12 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _interval(self):
-        """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty.
-
-        The body is empty iff lo - hi exceeds the rounding threshold of
-        _lp.project_polyhedron relative to |lo| + |hi|; a smaller crossing
-        is rounding noise and collapses to the midpoint.
-        """
+        """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty
+        (see _intervals)."""
         if self._poisoned:
             return None
-        a, b = self.A[:, 0], self.b
-        up = a > 0
-        hi = float(np.min(b[up] / a[up], initial=np.inf))
-        lo = float(np.max(b[~up] / a[~up], initial=-np.inf))
-        if lo - hi > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi)):
-            return None
-        if lo > hi:
-            lo = hi = 0.5 * (lo + hi)
-        return lo, hi
+        lo, hi, empty = _intervals(self.A[:, 0], self.b[None])
+        return None if empty[0] else (float(lo[0]), float(hi[0]))
 
     @cached_property
     def _chebyshev(self):
@@ -310,8 +307,29 @@ class HPoly(ConvexBody):
         # a negative radius is a crossing of the rows, so the body is empty
         return None if r < 0 else (x, r)
 
+    @cached_property
+    def _candidates(self):
+        """The vertex candidates of a vertex-form body that pass the
+        feasibility test, repeated at degenerate vertices."""
+        V, ok = self._form.candidates(self.b[None])
+        return V[0][ok[0]]
+
+    @cached_property
+    def _empty(self):
+        """The one emptiness verdict of the closure that every query reads:
+        a violated zero row, the 1-D interval, a vertex form's candidate set
+        (empty exactly when no candidate is feasible), else a negative
+        Chebyshev radius."""
+        if self._poisoned:
+            return True
+        if self.dim == 1:
+            return self._interval is None
+        if self._form is not None:
+            return not len(self._candidates)
+        return self._chebyshev is None
+
     def is_empty(self, eps_open=DEFAULT_EPS_OPEN):
-        if self._poisoned or self._chebyshev is None:
+        if self._empty:
             return True
         if not self.strict.any():
             return False
@@ -320,17 +338,21 @@ class HPoly(ConvexBody):
 
     def project(self, x):
         x = _as_vec(x, self.dim)
-        if self._poisoned or (self.dim == 1 and self._interval is None):
-            raise EmptyBodyError("projection onto empty polyhedron")
-        if self.dim == 1:
+        if self.dim == 1 and not self._empty:
             # the closed form that decides 1-D emptiness also projects
             return np.clip(x, *self._interval)
-        if self.margins(x).max(initial=-np.inf) <= 0.0:
+        if not self._poisoned and self.margins(x).max(initial=-np.inf) <= 0.0:
             return x.copy()
+        if self._empty:
+            raise EmptyBodyError("projection onto empty polyhedron")
         try:
             return _lp.project_polyhedron(x, self.A, self.b)
         except _lp.InfeasibleLP:
-            raise EmptyBodyError("projection onto empty polyhedron") from None
+            if self._form is None:
+                raise EmptyBodyError("projection onto empty polyhedron") from None
+        # a vertex-form body thinner than the least-distance program's
+        # rounding is still the hull of its vertices
+        return x + _min_norm_hull_point(self.vertices() - x)
 
     def hrep(self):
         return self.A.copy(), self.b.copy(), self.strict.copy()
@@ -340,6 +362,8 @@ class HPoly(ConvexBody):
         if self.dim == 1:
             lo, hi = self._interval
             return np.array([lo]), np.array([hi])
+        if self._form is not None:
+            return self._candidates.min(axis=0), self._candidates.max(axis=0)
         lo, hi = np.empty(self.dim), np.empty(self.dim)
         for j in range(self.dim):
             e = np.zeros(self.dim)
@@ -355,13 +379,15 @@ class HPoly(ConvexBody):
         return lo, hi
 
     def bounding_box(self):
-        if self._chebyshev is None:
+        if self._empty:
             raise EmptyBodyError("bounding box of empty polyhedron")
         lo, hi = self._bbox
         return lo.copy(), hi.copy()
 
     @cached_property
     def _vertices(self):
+        if self._form is not None:
+            return _sorted_unique(self._candidates)
         if not self.is_bounded():
             raise EnumerationError("vertex enumeration of unbounded polyhedron")
         if self.dim == 1:
@@ -370,18 +396,18 @@ class HPoly(ConvexBody):
         return _enumerate_vertices(self.A, self.b)
 
     def vertices(self):
-        if self._chebyshev is None:
+        if self._empty:
             return np.zeros((0, self.dim))
         return self._vertices.copy()
 
     def interior_point(self):
-        if self._chebyshev is None:
+        if self._empty or self._chebyshev is None:
             return None
         x, r = self._chebyshev
         return x if r > 1e-9 else None
 
     def sample(self, rng, k):
-        if self._chebyshev is None:
+        if self._empty:
             raise EmptyBodyError("sampling an empty polyhedron")
         vs = self.vertices() if self.is_bounded() else None
         if vs is not None and len(vs):
@@ -396,6 +422,8 @@ class HPoly(ConvexBody):
         if self._poisoned:
             # the closure of an empty body is empty: keep a zero row that says so
             return HPoly(np.vstack([self.A, np.zeros(self.dim)]), np.append(self.b, -1.0))
+        if self._form is not None:
+            return self._form.body(self.b)
         return HPoly(self.A, self.b, None)
 
     def to_dict(self):
@@ -603,6 +631,79 @@ def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
+def _intervals(a, B):
+    """(lo, hi, empty): the closed interval of each 1-D body {z : a z <= B[g]}
+    by the ratio test, one body per row of B, and the mask of empty ones.
+
+    A body is empty iff lo - hi exceeds the rounding threshold of
+    _lp.project_polyhedron relative to |lo| + |hi|; a smaller crossing is
+    rounding noise and collapses to the midpoint.
+    """
+    R, up = B / a, a > 0
+    hi = np.minimum.reduce(R, axis=1, where=up, initial=np.inf)
+    lo = np.maximum.reduce(R, axis=1, where=~up, initial=-np.inf)
+    gap = lo - hi
+    empty = gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi))
+    if gap.max() > 0:
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.where(gap > 0, mid, lo), np.where(gap > 0, mid, hi)
+    return lo, hi, empty
+
+
+class VertexForm:
+    """The polyhedra {z : A z <= b} of fixed rows A, of unit norm as HPoly
+    keeps them, bounded, with a moving right-hand side b, factored once:
+    every n-row subset of A whose rows are independent, and its inverse.
+
+    At any b the vertex candidates are one stacked product, and those that
+    pass the feasibility test of _enumerate_vertices are the vertices (a
+    degenerate vertex repeats).  A bounded polyhedron has a vertex unless it
+    is empty, so no feasible candidate is the emptiness verdict.
+    """
+
+    def __init__(self, A, subsets, inverses):
+        self.A, self.subsets, self.inverses = A, subsets, inverses
+
+    @staticmethod
+    def of(A) -> "VertexForm | None":
+        """The form of rows A, or None when A has one column, more than
+        _VERTEX_FORM_SUBSETS row subsets, or {A z <= b} is unbounded."""
+        m, n = A.shape
+        if n < 2 or _lp._ncr(m, n) > _VERTEX_FORM_SUBSETS:
+            return None
+        S = np.array(list(itertools.combinations(range(m), n)), dtype=int).reshape(-1, n)
+        full = np.linalg.matrix_rank(A[S]) == n
+        if not full.any() or not _lp.recession_cone_is_zero(A):
+            return None
+        return VertexForm(A, S[full], np.linalg.inv(A[S[full]]))
+
+    def candidates(self, B):
+        """(V, feasible): V[g, k] solves subset k at the right-hand side
+        B[g], and feasible[g, k] says whether it passes the test."""
+        V = np.einsum("kij,gkj->gki", self.inverses, B[:, self.subsets])
+        gap = V @ self.A.T - B[:, None, :]
+        return V, np.all(gap <= _VERTEX_FEAS_RTOL * (1.0 + np.abs(B[:, None, :])), axis=2)
+
+    def support(self, B, C):
+        """max <C[g], z> over each {A z <= B[g]}; -inf where it is empty."""
+        # G x K x m gaps at a time, at most about a million of them
+        step = max(1, 2**20 // (len(self.subsets) * len(self.A)))
+        out = []
+        for s in range(0, len(B), step):
+            V, ok = self.candidates(B[s:s + step])
+            vals = np.einsum("gki,gi->gk", V, C[s:s + step])
+            out.append(np.where(ok, vals, -np.inf).max(axis=1))
+        return np.concatenate(out)
+
+    def body(self, b, strict=None) -> HPoly:
+        """{z : A z <= b} (strict rows open) as an HPoly that answers
+        emptiness, vertices, bounding box and linear maximization from its
+        candidates."""
+        P = HPoly(self.A, b, strict)
+        object.__setattr__(P, "_form", self)
+        return P
+
+
 def _enumerate_vertices(A, b):
     """Feasible points where n independent rows are tight.
 
@@ -613,7 +714,7 @@ def _enumerate_vertices(A, b):
     m, n = A.shape
     if _lp._ncr(m, n) > _VERTEX_SUBSET_CAP:
         raise EnumerationError(f"too many row subsets ({m} choose {n})")
-    tol = 1e-8 * (1.0 + np.abs(b))
+    tol = _VERTEX_FEAS_RTOL * (1.0 + np.abs(b))
     out = []
     for S in itertools.combinations(range(m), n):
         sub = A[list(S)]
@@ -835,7 +936,8 @@ def maximize(body: ConvexBody, c, Q=None):
     """(value, argmax) of max 0.5 z'Qz + <c, z> over the closure of body.
 
     Q absent or zero (every entry at most 1e-13) is the support function:
-    closed forms for Box, Simplex, Ball and 1-D polyhedra, else one LP.  A
+    closed forms for Box, Simplex, Ball and 1-D polyhedra, the best feasible
+    candidate of a vertex-form polyhedron (VertexForm), else one LP.  A
     nonzero Q must be negative semidefinite.  A diagonal Q over a Box or a
     1-D polyhedron separates into one clip per coordinate; any other Q is
     answered by exact KKT enumeration over the rows and equalities (hrep()
@@ -868,6 +970,13 @@ def maximize(body: ConvexBody, c, Q=None):
         raise EnumerationError(f"no maximization over kind={body.kind!r}")
     if body._poisoned:
         raise EmptyBodyError("maximization over an empty polyhedron")
+    if not quadratic and body._form is not None:
+        V = body._candidates
+        if not len(V):
+            raise EmptyBodyError("maximization over an empty polyhedron")
+        vals = V @ c
+        k = int(np.argmax(vals))
+        return float(vals[k]), V[k].copy()
     if separable and body.dim == 1:
         z = _argmax_separable(c, q, *body.bounding_box())
         if quadratic:
@@ -890,12 +999,19 @@ def _argmax_separable(c, q, lo, hi):
     when c_j == 0, which is finite whatever the bounds.  Raises UnboundedLP
     when such an end point is infinite.
     """
-    z = np.where(c > 0, hi, np.where(c < 0, lo, np.clip(0.0, lo, hi)))
-    curved = q < 0
-    if curved.any():
-        z = np.where(curved, np.clip(-c / np.where(curved, q, -1.0), lo, hi), z)
+    z = _clip_argmax(c, q, lo, hi)
     if not np.all(np.isfinite(z)):
         raise _lp.UnboundedLP("maximum over an unbounded box or interval")
+    return z
+
+
+def _clip_argmax(c, q, lo, hi):
+    """_argmax_separable elementwise, with an infinite entry where the
+    maximum is unbounded; the arguments broadcast."""
+    z = np.where(c > 0, hi, np.where(c < 0, lo, np.clip(0.0, lo, hi)))
+    curved = np.less(q, 0.0)
+    if curved.any():
+        z = np.where(curved, np.clip(-c / np.where(curved, q, -1.0), lo, hi), z)
     return z
 
 

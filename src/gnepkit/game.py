@@ -26,14 +26,17 @@ from .convexsets import (
     EnumerationError,
     HPoly,
     Intersection,
+    VertexForm,
     _unit_norms,
     is_polyhedral,
     maximize,
 )
 from .preferences import (
     LinearUtility,
+    PolyhedralPref,
     PreferenceMap,
     QuadUtility,
+    UnionPref,
     UnboundedPreferenceError,
     _own_quadratic,
     embed_variant,
@@ -115,6 +118,12 @@ class GameInstance:
                                      "is not polyhedral, but the game has a shared set")
         elif any(isinstance(c, SharedSlice) for c in cons):
             raise ValueError("SharedSlice constraint needs a shared set")
+        for pm, c in zip(prefs, cons):
+            # the preferred set's rows meet K_i's rows in one slack LP
+            if (isinstance(pm.variant, (PolyhedralPref, UnionPref))
+                    and isinstance(c, FixedConstraint) and not is_polyhedral(c.body)):
+                raise ValueError(f"player {pm.player}: K_i kind={c.body.kind!r} is not "
+                                 "polyhedral, but the preference is given by rows")
         object.__setattr__(self, "preferences", prefs)
         object.__setattr__(self, "constraints", cons)
 
@@ -156,6 +165,13 @@ class GameInstance:
                 ambient[2], b[keep], rival[keep], norms[keep],
             ))
         return tuple(out)
+
+    @cached_property
+    def _slice_forms(self):
+        """Per player, the VertexForm of its slice rows (a bounded slice of
+        a block of two or more coordinates, within the size gate), else None.
+        Like _slice_rows, only a game with a shared set has these."""
+        return tuple(VertexForm.of(rows[0]) for rows in self._slice_rows)
 
 
 def _lifted_rows(prefs, bodies, n):
@@ -245,12 +261,15 @@ def slice_body(body: ConvexBody, x, block: slice) -> HPoly:
 
 def constraint_body(game: GameInstance, i: int, x) -> ConvexBody:
     """K_i(x).  A shared-set slice is one HPoly on the player's fixed rows
-    (GameInstance._slice_rows) with the right-hand side at x."""
+    (GameInstance._slice_rows) with the right-hand side at x, in vertex form
+    when GameInstance._slice_forms has one for the player."""
     c = game.constraints[i]
     x = np.asarray(x, dtype=float)
     if isinstance(c, SharedSlice):
         A, strict, b_X, b, rival, scale = game._slice_rows[i]
-        return HPoly(A, np.concatenate([b_X, (b - rival @ x) / scale]), strict)
+        rhs = np.concatenate([b_X, (b - rival @ x) / scale])
+        form = game._slice_forms[i]
+        return HPoly(A, rhs, strict) if form is None else form.body(rhs, strict)
     if isinstance(c, FixedConstraint):
         return c.body
     return c.build(x)

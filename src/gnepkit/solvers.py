@@ -29,7 +29,14 @@ from typing import Optional
 import numpy as np
 
 from . import _lp
-from .convexsets import ConvexBody, EmptyBodyError, EnumerationError, maximize
+from .convexsets import (
+    ConvexBody,
+    EmptyBodyError,
+    EnumerationError,
+    _clip_argmax,
+    _intervals,
+    maximize,
+)
 from .game import (
     FixedConstraint,
     GameInstance,
@@ -530,14 +537,15 @@ def _feasible_mask(game: GameInstance, nodes: np.ndarray) -> np.ndarray:
 
 
 def _rival_groups(nodes: np.ndarray, block: slice):
-    """Indices of nodes sharing the same rival profile (off-block columns)."""
-    if len(nodes) == 0:
-        return []
+    """(first, inverse): the nodes sharing a rival profile (off-block
+    columns) form one group; first[g] is the first node of group g and
+    inverse[k] the group of node k."""
     rivals = np.delete(nodes, np.arange(block.start, block.stop), axis=1)
     if rivals.shape[1] == 0:
-        return [(None, np.arange(len(nodes)))]
-    _, inverse = np.unique(np.round(rivals, 12), axis=0, return_inverse=True)
-    return [(g, np.nonzero(inverse == g)[0]) for g in range(inverse.max() + 1)]
+        return np.zeros(1, dtype=int), np.zeros(len(nodes), dtype=int)
+    _, first, inverse = np.unique(np.round(rivals, 12), axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:
@@ -552,38 +560,89 @@ def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:
     return (C @ V.T).max(axis=1)
 
 
-def _linear_fixed_fast_path(game, pm, con, nodes_f):
-    """Vectorized improvements when u is linear in the own block given rivals
-    and the constraint body is static: imp = max_K <a1, z> - <a1, x_i>."""
-    v = pm.variant
-    n = game.n
-    if isinstance(v, LinearUtility):
-        a1 = np.broadcast_to(v.c[pm.block], (len(nodes_f), pm.block_dim))
-    else:
-        if np.abs(v.Q[pm.block, pm.block]).max(initial=0.0) > 1e-13:
+def _group_maxima(game: GameInstance, pm, reps: np.ndarray, A2, a1):
+    """max of 0.5 z'A2 z + <a1[g], z> over K_i(reps[g]) for every rival
+    group g in one pass, inf where the slice is empty or the maximum
+    unbounded; None when the batch cannot score the player.
+
+    A shared-set slice of a 1-D block is an interval by the ratio test and
+    the maximum is a clip; an n-D slice with a vertex form and a linear
+    objective takes its best feasible candidate.  A fixed body with a
+    linear objective is one support evaluation per group.
+    """
+    con = game.constraints[pm.player]
+    linear = np.abs(A2).max(initial=0.0) <= 1e-13
+    if isinstance(con, FixedConstraint):
+        if not linear:
             return None
-        a1 = nodes_f @ v.Q[:, pm.block] + v.c[pm.block]
-    M = _batch_support(con.body, np.ascontiguousarray(a1))
-    own = nodes_f[:, pm.block]
-    return M - np.einsum("kh,kh->k", a1, own)
+        try:
+            return _batch_support(con.body, a1)
+        except EmptyBodyError:
+            return np.full(len(a1), np.inf)
+        except EnumerationError:
+            return None
+    if not isinstance(con, SharedSlice):
+        return None
+    A, _, b_X, b, rival, scale = game._slice_rows[pm.player]
+    B = np.hstack([np.broadcast_to(b_X, (len(reps), len(b_X))),
+                   (b - reps @ rival.T) / scale])
+    if pm.block_dim == 1:
+        # maximize's 1-D forms: a linear maximum reads no curvature
+        q = 0.0 if linear else A2[0, 0]
+        if q > 0.0:
+            return None
+        lo, hi, empty = _intervals(A[:, 0], B)
+        lo[empty] = hi[empty] = 0.0
+        c = a1[:, 0]
+        z = _clip_argmax(c, q, lo, hi)
+        M = np.where(c != 0.0, c * z, 0.0) if linear else 0.5 * z * q * z + c * z
+        M[empty | ~np.isfinite(z)] = np.inf
+        return M
+    form = game._slice_forms[pm.player]
+    if not linear or form is None:
+        return None
+    M = form.support(B, a1)
+    M[M == -np.inf] = np.inf
+    return M
 
 
 def _improvements_for_player(game: GameInstance, pm, nodes_f: np.ndarray,
                              tol: Tolerances, seed: int) -> np.ndarray:
-    """Exact best-improvement per feasible node, grouped by rival profile."""
+    """Exact best improvement per feasible node: the graded variants score
+    every rival group in one pass (_group_maxima) where they can; the rest
+    go group by group (_improvements_per_group)."""
+    if not len(nodes_f):
+        return np.empty(0)
+    if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
+        return _improvements_per_group(game, pm, nodes_f, tol, seed)
+    first, inverse = _rival_groups(nodes_f, pm.block)
+    reps = nodes_f[first]
+    # _own_quadratic at every representative: A2 is fixed, a1 moves with the rivals
+    v = pm.variant
+    if isinstance(v, QuadUtility):
+        A2 = v.Q[pm.block, pm.block]
+        a1 = reps @ v.Q[pm.block].T - reps[:, pm.block] @ A2 + v.c[pm.block]
+    else:
+        A2 = np.zeros((pm.block_dim, pm.block_dim))
+        a1 = np.tile(v.c[pm.block], (len(reps), 1))
+    M = _group_maxima(game, pm, reps, A2, a1)
+    if M is None:
+        return _improvements_per_group(game, pm, nodes_f, tol, seed)
+    Z = nodes_f[:, pm.block]
+    a1 = a1[inverse]
+    return M[inverse] - (0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z) + np.einsum("kj,kj->k", Z, a1))
+
+
+def _improvements_per_group(game: GameInstance, pm, nodes_f: np.ndarray,
+                            tol: Tolerances, seed: int) -> np.ndarray:
+    """Best improvement per feasible node, one constraint_body and maximize
+    (or max_improvement per node for set-valued variants) per rival group."""
     out = np.empty(len(nodes_f))
     graded = isinstance(pm.variant, (LinearUtility, QuadUtility))
     i = pm.player
-    con = game.constraints[i]
-    if graded and isinstance(con, FixedConstraint) and len(nodes_f):
-        try:
-            fast = _linear_fixed_fast_path(game, pm, con, nodes_f)
-        except (EnumerationError, EmptyBodyError):
-            fast = None
-        if fast is not None:
-            return fast
-    for _, idx in _rival_groups(nodes_f, pm.block):
-        rep = nodes_f[idx[0]]
+    first, inverse = _rival_groups(nodes_f, pm.block)
+    for g, rep in enumerate(nodes_f[first]):
+        idx = np.nonzero(inverse == g)[0]
         # an empty slice scores inf, whether building it, its closed-form
         # support, the support LP or the QP finds it empty
         try:

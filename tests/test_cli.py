@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from gnepkit.cli import main
+from gnepkit.convexsets import Box
 from gnepkit.economy import to_gnep
-from gnepkit.game import verify_equilibrium
+from gnepkit.game import FixedConstraint, GameInstance, verify_equilibrium
 from gnepkit.jsonio import canonical_dumps, game_to_dict, load_instance, save_instance
+from gnepkit.preferences import PolyhedralPref, PreferenceMap
 from gnepkit import instances as gi
 
 INST = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -241,3 +243,17 @@ def test_non_polyhedral_shared_set_or_choice_set_exit_2(tmp_path, capsys):
     assert run("economy", choice, "--out-dir", tmp_path / "e") == 2
     assert says in capsys.readouterr().err
     assert not any((tmp_path / d).exists() for d in ("v", "s", "e"))
+
+
+def test_row_preference_over_non_polyhedral_fixed_body_exit_2(tmp_path, capsys):
+    # a row preference over a Ball K_i is refused at load, not inside verify
+    pm = PreferenceMap(0, 0, Box([0.0, 0.0], [1.0, 1.0]),
+                       PolyhedralPref.constant([[1.0, 0.0]], [0.0]))
+    game = GameInstance((pm,), (FixedConstraint(Box([0.0, 0.0], [0.5, 0.5])),))
+    doc = json.loads(canonical_dumps(game_to_dict(game)))
+    doc["constraints"][0]["body"] = {"kind": "ball", "center": [0.0, 0.0], "radius": 0.5}
+    path = tmp_path / "ball_fixed.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", path, "--point", "0,0", "--out-dir", tmp_path / "v") == 2
+    assert "player 0: K_i kind='ball' is not polyhedral" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()

@@ -744,3 +744,126 @@ def test_polar_check():
     W = ConeSection.whole(2)
     assert polar_check(W, np.zeros(2))
     assert not polar_check(W, np.array([1e-3, 0.0]))
+
+
+# -- vertex form -------------------------------------------------------------
+
+
+def test_hpoly_project_reads_the_emptiness_verdict():
+    # {x0 <= 0, x0 >= 1e-12} x [-1, 1] is empty by its Chebyshev radius; the
+    # least-distance program alone would project from far enough away
+    P = HPoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1e-12, 1.0, 1.0])
+    assert P.is_empty(eps_open=0.0)
+    for y0 in (-1e-3, 0.0, 1e-3, 1.0, 5.0, 100.0):
+        with pytest.raises(EmptyBodyError):
+            P.project(np.array([y0, 0.3]))
+
+
+def _same_point_set(V, W, tol=1e-9):
+    return len(V) == len(W) and all(
+        np.min(np.linalg.norm(W - v, axis=1)) <= tol for v in V) and all(
+        np.min(np.linalg.norm(V - w, axis=1)) <= tol for w in W)
+
+
+def _check_one_verdict(P, rng):
+    """Every query of P answers for the body _enumerate_vertices describes."""
+    from gnepkit import _lp
+    from gnepkit.convexsets import _enumerate_vertices
+
+    assert P._form is not None
+    W = _enumerate_vertices(P.A, P.b)
+    empty = P.is_empty(eps_open=0.0)
+    assert empty is (len(W) == 0)
+    V = P.vertices()
+    assert _same_point_set(V, W)
+    starts = [rng.uniform(-3.0, 3.0, P.dim) for _ in range(4)] + [np.full(P.dim, 100.0)]
+    c = rng.standard_normal(P.dim)
+    if empty:
+        for query in (P.bounding_box, lambda: maximize(P, c), lambda: P.sample(rng, 2)):
+            with pytest.raises(EmptyBodyError):
+                query()
+        for y in starts:
+            with pytest.raises(EmptyBodyError):
+                P.project(y)
+        assert P.interior_point() is None
+        return
+    lo, hi = P.bounding_box()
+    assert np.allclose(lo, W.min(axis=0), atol=1e-9) and np.allclose(hi, W.max(axis=0), atol=1e-9)
+    val, z = maximize(P, c)
+    assert val == pytest.approx(np.max(W @ c), abs=1e-9)
+    assert P.contains(z, eps=1e-8) and c @ z == pytest.approx(val, abs=1e-12)
+    if P.interior_point() is not None:  # a body the LP sees as nonempty
+        assert val == pytest.approx(_lp.max_linear(c, P.A, P.b)[0], abs=1e-7)
+    for y in starts:
+        p = P.project(y)
+        assert P.contains(p, eps=1e-8)
+        # the projection is no farther than any vertex
+        assert np.linalg.norm(p - y) <= np.min(np.linalg.norm(W - y, axis=1)) + 1e-9
+
+
+def _vertex_form_slices(seed):
+    """Slices K_0(x) of seeded shared polytopes over 2-D and 3-D blocks.
+    X_0 is the unit box and so is the shared set's own part, so every box
+    row comes twice (degenerate vertices, as in box-argmax's 8 rows); two
+    random cuts move with the rivals, and rivals outside [0, 1] can empty
+    the slice."""
+    from gnepkit.game import constraint_body, jointly_convex_game
+    from gnepkit.preferences import LinearUtility
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in (2, 3):
+        n = d + 2
+        cuts = np.abs(rng.standard_normal((2, n))) + 0.1
+        A = np.vstack([np.eye(n), -np.eye(n), cuts])
+        b = np.concatenate([np.ones(n), np.zeros(n), cuts.sum(axis=1) * rng.uniform(0.3, 0.6, 2)])
+        X = [Box(np.zeros(d), np.ones(d)), Box([0.0], [1.0]), Box([0.0], [1.0])]
+        lin = [LinearUtility(np.ones(k.dim)) for k in X]
+        game = jointly_convex_game(X, lin, HPoly(A, b))
+        for _ in range(12):
+            x = np.concatenate([rng.uniform(0.0, 1.0, d), rng.uniform(-0.5, 1.5, 2)])
+            out.append(constraint_body(game, 0, x))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vertex_form_slices_match_enumeration(seed):
+    bodies = _vertex_form_slices(seed)
+    rng = np.random.default_rng(seed)
+    for P in bodies:
+        _check_one_verdict(P, rng)
+    verdicts = [P.is_empty(eps_open=0.0) for P in bodies]
+    assert any(verdicts) and not all(verdicts)
+
+
+# The 2-D slab {x0 <= 0, x0 >= g} x [-1, 1] in vertex form: its verdict is
+# the feasibility test of vertex enumeration (to 1e-8), so crossings of
+# 1e-12 and 1e-9 are a segment, which a least-distance program would call
+# empty, and 1e-7 is empty.
+@pytest.mark.parametrize("g,empty", [
+    (-1e-6, False), (0.0, False), (1e-12, False), (1e-9, False), (1e-7, True), (1e-3, True),
+])
+def test_vertex_form_slab_one_emptiness_verdict(g, empty):
+    from gnepkit.convexsets import VertexForm
+
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    P = VertexForm.of(A).body(np.array([0.0, -g, 1.0, 1.0]))
+    assert P.is_empty(eps_open=0.0) is empty
+    _check_one_verdict(P, np.random.default_rng(5))
+
+
+def test_vertex_form_refuses_unbounded_and_oversized_rows():
+    from gnepkit.convexsets import _VERTEX_FORM_SUBSETS, VertexForm
+
+    assert VertexForm.of(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]] / np.array(
+        [[1.0], [1.0], [np.sqrt(2.0)]]))) is not None
+    # a cone and a strip are unbounded whatever the right-hand side
+    assert VertexForm.of(np.array([[-1.0, 0.0], [0.0, -1.0]])) is None
+    assert VertexForm.of(np.array([[1.0, 0.0], [-1.0, 0.0]])) is None
+    assert VertexForm.of(np.array([[1.0], [-1.0]])) is None  # 1-D bodies are intervals
+    m = 2
+    while m * (m - 1) // 2 <= _VERTEX_FORM_SUBSETS:
+        m += 1
+    t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    assert VertexForm.of(np.column_stack([np.cos(t), np.sin(t)])) is None
+    assert VertexForm.of(np.column_stack([np.cos(t), np.sin(t)])[:m - 1]) is not None

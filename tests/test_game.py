@@ -60,6 +60,17 @@ def test_non_polyhedral_shared_set_or_choice_set_refused():
         PreferenceMap(0, 0, ball, PolyhedralPref.constant([[1.0, 0.0]], [0.5]))
 
 
+def test_row_preference_over_non_polyhedral_fixed_body_refused():
+    # the preferred set's rows meet K_i's rows in one slack LP
+    X = Box([0.0, 0.0], [1.0, 1.0])
+    rows = PolyhedralPref.constant([[1.0, 0.0]], [0.0])
+    with pytest.raises(ValueError, match="player 0: K_i kind='ball' is not polyhedral"):
+        GameInstance((PreferenceMap(0, 0, X, rows),), (FixedConstraint(Ball([0.0, 0.0], 0.5)),))
+    # a utility over the same Ball stays fine
+    GameInstance((PreferenceMap(0, 0, X, LinearUtility([1.0, 0.0])),),
+                 (FixedConstraint(Ball([0.0, 0.0], 0.5)),))
+
+
 def test_slice_empty_when_rivals_outside():
     T = HPoly([[1.0, 1.0]], [1.0])
     S = slice_body(T, np.array([0.0, 1.5]), slice(0, 1))

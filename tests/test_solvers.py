@@ -20,6 +20,7 @@ from gnepkit.preferences import (
     PreferenceMap,
     QuadUtility,
     RelationOracle,
+    _own_quadratic,
     max_improvement,
 )
 from gnepkit.solvers import (
@@ -422,3 +423,76 @@ def test_relation_oracle_players_meet_on_the_shared_face():
         assert res.approximate and jsonable(res)["approximate"] is True
     orc = grid_oracle(g, h=0.1)
     assert np.allclose(orc.certified, [[0.2, 0.8], [0.3, 0.7]]) and not orc.disagreements
+
+
+def _batch_family(seed):
+    """A seeded game of a 1-D linear, a 1-D concave quadratic and a 2-D
+    player linear in its own block but coupled to both rivals, over the
+    unit box with two random cuts, and a coarse grid reaching outside it,
+    where slices are empty."""
+    from gnepkit.convexsets import Box, HPoly
+    from gnepkit.preferences import LinearUtility, QuadUtility
+
+    rng = np.random.default_rng(seed)
+    n = 4
+    Q1 = np.zeros((n, n))
+    Q1[1, 1] = -rng.uniform(0.5, 2.0)
+    Q1[1, [0, 2, 3]] = Q1[[0, 2, 3], 1] = rng.uniform(-1.0, 1.0, 3)
+    Q2 = np.zeros((n, n))
+    Q2[2:, :2] = rng.uniform(-1.0, 1.0, (2, 2))
+    Q2[:2, 2:] = Q2[2:, :2].T
+    variants = [LinearUtility(rng.uniform(-1.0, 1.0, n)),
+                QuadUtility(Q1, rng.uniform(-1.0, 1.0, n)),
+                QuadUtility(Q2, rng.uniform(-1.0, 1.0, n))]
+    cuts = np.abs(rng.standard_normal((2, n))) + 0.1
+    A = np.vstack([np.eye(n), -np.eye(n), cuts])
+    b = np.concatenate([np.ones(n), np.zeros(n), cuts.sum(axis=1) * rng.uniform(0.4, 0.7, 2)])
+    X = [Box([0.0], [1.0]), Box([0.0], [1.0]), Box([0.0, 0.0], [1.0, 1.0])]
+    game = jointly_convex_game(X, variants, HPoly(A, b))
+    axis = np.linspace(-0.25, 1.25, 7)
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
+    return game, nodes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_oracle_batch_matches_the_per_group_loop(seed):
+    from gnepkit.solvers import (_group_maxima, _improvements_for_player,
+                                 _improvements_per_group, _rival_groups)
+
+    game, nodes = _batch_family(seed)
+    tol = Tolerances()
+    for pm in game.preferences:
+        first, _ = _rival_groups(nodes, pm.block)
+        A2 = pm.variant.Q[pm.block, pm.block] if isinstance(pm.variant, QuadUtility) \
+            else np.zeros((pm.block_dim, pm.block_dim))
+        a1 = np.array([_own_quadratic(pm, x)[1] for x in nodes[first]])
+        assert _group_maxima(game, pm, nodes[first], A2, a1) is not None  # batched
+        got = _improvements_for_player(game, pm, nodes, tol, 0)
+        want = _improvements_per_group(game, pm, nodes, tol, 0)
+        inf = np.isinf(want)
+        assert np.array_equal(np.isinf(got), inf), pm.player
+        assert inf.any() and not inf.all(), pm.player
+        assert np.allclose(got[~inf], want[~inf], rtol=0.0, atol=1e-12), pm.player
+
+
+def test_vertex_form_game_runs_no_support_lp(monkeypatch):
+    # once the player's vertex form is built (one boundedness LP), support
+    # over a 2-D slice is the best feasible candidate, in the verifier and
+    # in the oracle's batch alike
+    from gnepkit import _lp
+
+    games = [gi.box_argmax_game((-0.5, 1.0)), _batch_family(0)[0]]
+    for g in games:
+        for i in range(g.n_players):
+            constraint_body(g, i, np.zeros(g.n))
+    calls = []
+    real = _lp.solve_lp
+    monkeypatch.setattr(_lp, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for x in ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5]):
+        verify_equilibrium(games[0], np.array(x))
+    orc = grid_oracle(games[0], h=0.05)
+    assert np.array_equal(orc.certified, [[0.0, 1.0]]) and not orc.disagreements
+    assert orc.cross_checked > 50
+    orc = grid_oracle(games[1], h=0.25, cross_sample=50)
+    assert not orc.disagreements and orc.cross_checked >= 50
+    assert calls == []
