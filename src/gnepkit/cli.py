@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -248,7 +249,10 @@ def _add_common(p, solver_flags: bool = True):
                        help="also write trace.csv (iter,residual,alpha)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gnep parser, built once per process: parse_args keeps no state
+    between calls, so main reuses it."""
     ap = argparse.ArgumentParser(
         prog="gnep",
         description="Solve, verify, and grid-check generalized games "

@@ -30,7 +30,13 @@ _VERTEX_SUBSET_CAP = 200_000
 # VertexForm.of factors rows with at most this many n-row subsets; above it a
 # linear maximum is one LP.  One maximize over a vertex-form body took as long
 # as one _lp.max_linear (about 2 ms) at about 2,000 subsets in 2-D and about
-# 10,000 in 3-D, on a 2-core x86_64 host with numpy and scipy's HiGHS
+# 10,000 in 3-D, on a 2-core x86_64 host with numpy and scipy's HiGHS.  A
+# compact Intersection builds its form once per body: on a box cut by one
+# price row in H = 2..6 goods (10 to 1,716 subsets), one maximize with the
+# build took 0.2-0.4, 0.3-0.5, 0.5-1.0, 3.0-3.2 and 5.8-12 ms against
+# 1.6-2.8 ms for one LP on the same rows (three runs, best of 5 x 20 calls).
+# So a one-off build loses from H = 5 (462 subsets) on, mostly to the
+# batched SVD of matrix_rank; the one gate stands
 _VERTEX_FORM_SUBSETS = 2_000
 
 
@@ -385,6 +391,23 @@ class HPoly(ConvexBody):
         return lo.copy(), hi.copy()
 
     @cached_property
+    def _bounded(self):
+        if self._form is not None:
+            return True
+        if self.dim == 1:
+            return bool(np.all(np.isfinite(self._interval)))
+        return bool(np.linalg.matrix_rank(self.A) == self.dim
+                    and _lp.recession_cone_is_zero(self.A))
+
+    def is_bounded(self):
+        """Whether the body is bounded: true in vertex form, the interval's
+        end points in 1-D, else rank n rows and one LP on the recession cone
+        (_lp.recession_cone_is_zero).  Raises EmptyBodyError when empty."""
+        if self._empty:
+            raise EmptyBodyError("boundedness of an empty polyhedron")
+        return self._bounded
+
+    @cached_property
     def _vertices(self):
         if self._form is not None:
             return _sorted_unique(self._candidates)
@@ -486,7 +509,14 @@ class Ball(ConvexBody):
 class Intersection(ConvexBody):
     """A finite intersection of polyhedral parts (Box, Simplex, HPoly or a
     nested Intersection); membership is judged part by part, every other
-    query by the single HPoly of all their rows and equalities."""
+    query by the single HPoly of all their rows and equalities.
+
+    A part that is compact in closed form (a Box with finite bounds, a
+    Simplex, or an Intersection with such a part) bounds the whole, so an
+    n-D merged body within the _VERTEX_FORM_SUBSETS gate takes the
+    VertexForm of its rows with no LP, and answers support, vertices,
+    bounding box and emptiness from its vertex candidates (a budget set:
+    a choice box cut by a price row)."""
 
     parts: tuple
     kind: str = field(default="intersection", init=False)
@@ -526,11 +556,17 @@ class Intersection(ConvexBody):
                 rows.append(np.zeros((1, self.dim)))
                 rhs.append([-1.0])
                 strict.append([False])
-        return HPoly(np.vstack(rows), np.concatenate(rhs), np.concatenate(strict))
+        P = HPoly(np.vstack(rows), np.concatenate(rhs), np.concatenate(strict))
+        if not P._poisoned and _compact(self):
+            object.__setattr__(P, "_form", VertexForm._factored(P.A))
+        return P
 
     @property
     def _poisoned(self):
         return self._merged._poisoned
+
+    def is_bounded(self):
+        return self._merged.is_bounded()
 
     def contains(self, x, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
         return all(p.contains(x, eps, eps_open) for p in self.parts)
@@ -572,6 +608,16 @@ class Intersection(ConvexBody):
 def is_polyhedral(body: ConvexBody) -> bool:
     """Whether body is one of the shapes an Intersection accepts as a part."""
     return isinstance(body, (Box, Simplex, HPoly, Intersection))
+
+
+def _compact(body: ConvexBody) -> bool:
+    """Whether body is compact in closed form, with no LP: a Box with finite
+    bounds, a Simplex, or an Intersection with such a part."""
+    if isinstance(body, Box):
+        return bool(np.all(np.isfinite(body.lo)) and np.all(np.isfinite(body.hi)))
+    if isinstance(body, Intersection):
+        return any(_compact(p) for p in body.parts)
+    return isinstance(body, Simplex)
 
 
 # --------------------------------------------------------------------------
@@ -667,13 +713,22 @@ class VertexForm:
     @staticmethod
     def of(A) -> "VertexForm | None":
         """The form of rows A, or None when A has one column, more than
-        _VERTEX_FORM_SUBSETS row subsets, or {A z <= b} is unbounded."""
+        _VERTEX_FORM_SUBSETS row subsets, or {A z <= b} is unbounded, which
+        one LP on the recession cone decides.  A compact Intersection skips
+        that LP: it knows its merged rows bound it (see Intersection)."""
+        form = VertexForm._factored(A)
+        return form if form is not None and _lp.recession_cone_is_zero(A) else None
+
+    @staticmethod
+    def _factored(A) -> "VertexForm | None":
+        """The form of rows A known to bound {A z <= b}, or None when A has
+        one column, more than _VERTEX_FORM_SUBSETS row subsets, or rank < n."""
         m, n = A.shape
         if n < 2 or _lp._ncr(m, n) > _VERTEX_FORM_SUBSETS:
             return None
         S = np.array(list(itertools.combinations(range(m), n)), dtype=int).reshape(-1, n)
         full = np.linalg.matrix_rank(A[S]) == n
-        if not full.any() or not _lp.recession_cone_is_zero(A):
+        if not full.any():
             return None
         return VertexForm(A, S[full], np.linalg.inv(A[S[full]]))
 
@@ -937,7 +992,9 @@ def maximize(body: ConvexBody, c, Q=None):
 
     Q absent or zero (every entry at most 1e-13) is the support function:
     closed forms for Box, Simplex, Ball and 1-D polyhedra, the best feasible
-    candidate of a vertex-form polyhedron (VertexForm), else one LP.  A
+    candidate of a vertex-form polyhedron (VertexForm), which an
+    Intersection's merged body is when a part makes it compact (see
+    Intersection), else one LP.  A
     nonzero Q must be negative semidefinite.  A diagonal Q over a Box or a
     1-D polyhedron separates into one clip per coordinate; any other Q is
     answered by exact KKT enumeration over the rows and equalities (hrep()
@@ -970,8 +1027,9 @@ def maximize(body: ConvexBody, c, Q=None):
         raise EnumerationError(f"no maximization over kind={body.kind!r}")
     if body._poisoned:
         raise EmptyBodyError("maximization over an empty polyhedron")
-    if not quadratic and body._form is not None:
-        V = body._candidates
+    P = body._merged if isinstance(body, Intersection) else body
+    if not quadratic and P._form is not None:
+        V = P._candidates
         if not len(V):
             raise EmptyBodyError("maximization over an empty polyhedron")
         vals = V @ c
@@ -1038,8 +1096,10 @@ def hull_body(points: np.ndarray) -> ConvexBody:
 
         hull = ConvexHull(pts)
         body = HPoly(hull.equations[:, :-1], -hull.equations[:, -1])
-        # qhull's vertices spare vertices() its boundedness LPs and enumeration
+        # qhull's vertices spare vertices() its enumeration, and a hull is
+        # bounded with no recession-cone LP
         object.__setattr__(body, "_vertices", _sorted_unique(pts[hull.vertices]))
+        object.__setattr__(body, "_bounded", True)
         return body
     if rank == 0:
         p = pts[0]

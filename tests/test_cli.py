@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gnepkit.cli import main
+from gnepkit.cli import build_parser, main
 from gnepkit.convexsets import Box
 from gnepkit.economy import to_gnep
 from gnepkit.game import FixedConstraint, GameInstance, verify_equilibrium
@@ -182,6 +182,45 @@ def test_reproducible_outputs(splitting, tmp_path):
     assert run("solve", splitting, "--trace", "--out-dir", b) == 0
     assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+def _outputs(d):
+    """Every file under d, the manifest without its wall_time_s."""
+    out = {}
+    for name in sorted(os.listdir(d)):
+        data = (d / name).read_bytes()
+        if name == "manifest.json":
+            data = {k: v for k, v in json.loads(data).items() if k != "wall_time_s"}
+        out[name] = data
+    return out
+
+
+def test_cached_parser_keeps_no_state_between_calls(splitting, exchange, tmp_path):
+    # main reuses one parser per process; each call's outputs equal those of
+    # a lone call (a fresh parser), whatever ran before it
+    assert build_parser() is build_parser()
+    pt = "1,1,0,0,0.5,0.5"
+    calls = [("solve", splitting, "--trace", "--qvi"), ("solve", splitting),
+             ("economy", exchange, "--check-only", "--point", pt),
+             ("verify", exchange, "--point", pt)]
+    lone = []
+    for k, argv in enumerate(calls):
+        build_parser.cache_clear()
+        assert run(*argv, "--out-dir", tmp_path / f"lone{k}") == 0
+        lone.append(_outputs(tmp_path / f"lone{k}"))
+    assert "trace.csv" in lone[0] and "trace.csv" not in lone[1]
+    build_parser.cache_clear()
+    for k, argv in enumerate(calls):
+        assert run(*argv, "--out-dir", tmp_path / f"seq{k}") == 0
+        assert _outputs(tmp_path / f"seq{k}") == lone[k]
+    # an argparse error exits 2 and --version exits 0; the next call still runs
+    for argv, code in ((("solve",), 2), (("solve", splitting, "--method", "newton"), 2),
+                       (("--version",), 0)):
+        with pytest.raises(SystemExit) as e:
+            run(*argv)
+        assert e.value.code == code
+        assert run("solve", splitting, "--out-dir", tmp_path / "after") == 0
+        assert _outputs(tmp_path / "after") == lone[1]
 
 
 def test_bundled_instance_files_load():

@@ -405,6 +405,34 @@ def test_hull_body_round_trip_enumerates_qhull_vertices():
     assert checked > 150
 
 
+def test_is_bounded_is_one_recession_lp(monkeypatch):
+    # no bounding-box LPs: a vertex-form body, a hull and a 1-D interval
+    # need no LP, rows of rank < n none either, and any other n-D body one
+    # LP on its recession cone
+    from gnepkit import _lp
+    from gnepkit.convexsets import VertexForm
+
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    cases = [(VertexForm.of(square).body(np.ones(4)), True, 0),
+             (hull_body(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), True, 0),
+             (HPoly([[1.0], [-1.0]], [1.0, 0.0]), True, 0),
+             (HPoly([[1.0], [-2.0]], [1.0, 5.0]), True, 0),
+             (HPoly([[1.0]], [1.0]), False, 0),
+             (HPoly(square[:2], [1.0, 1.0]), False, 0),  # a strip: rank 1
+             (triangle(), True, 1),
+             (HPoly(-np.eye(2), np.zeros(2)), False, 1)]  # the orthant
+    for P, bounded, lps in cases:
+        P.is_empty()  # the emptiness verdict's own LP is not counted
+        calls = []
+        monkeypatch.setattr(_lp, "solve_lp",
+                            lambda *a, real=_lp.solve_lp, **k: calls.append("lp") or real(*a, **k))
+        monkeypatch.setattr(_lp, "recession_cone_is_zero",
+                            lambda A, real=_lp.recession_cone_is_zero: calls.append("cone") or real(A))
+        assert P.is_bounded() is bounded and P.is_bounded() is bounded
+        assert calls == ["cone", "lp"] * lps
+        monkeypatch.undo()
+
+
 def test_hull_body_degenerate_segment():
     H = hull_body(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
     assert H.contains([0.5, 0.5, 0.0])
@@ -867,3 +895,92 @@ def test_vertex_form_refuses_unbounded_and_oversized_rows():
     t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     assert VertexForm.of(np.column_stack([np.cos(t), np.sin(t)])) is None
     assert VertexForm.of(np.column_stack([np.cos(t), np.sin(t)])[:m - 1]) is not None
+
+
+# w - p.lo for the budget sets below: -1e-6 leaves lo out of the budget
+# (empty), 0 leaves the one point lo (the face of lo when p has zeros), and
+# the rest are ever thinner slivers around lo
+_BUDGET_OFFSETS = (-1e-6, 0.0, 1e-12, 1e-9, 1e-7, 1e-3)
+
+
+def _budget_sets(seed):
+    """Seeded budget sets {a in [lo, hi] : <p, a> <= w} over H = 2..5 goods,
+    as economy.budget_set builds them, with w = p.lo + each offset of
+    _BUDGET_OFFSETS and one interior budget, for prices with and without
+    zero entries."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for H in (2, 3, 4, 5):
+        lo = rng.uniform(0.0, 0.5, H)
+        hi = lo + rng.uniform(0.5, 2.0, H)
+        for zeros in (0, H // 2):
+            p = rng.uniform(0.1, 1.0, H)
+            p[rng.choice(H, size=zeros, replace=False)] = 0.0
+            inner = p @ (hi - lo) * rng.uniform(0.2, 0.8)
+            for off in _BUDGET_OFFSETS + (inner,):
+                out.append(Intersection((Box(lo, hi), HPoly(p[None], [p @ lo + off]))))
+    return out
+
+
+def _check_budget_set(K, rng, calls):
+    """One emptiness verdict from every query of K, none of them an LP, and
+    support equal to the LP's and vertices to _enumerate_vertices."""
+    from gnepkit import _lp
+    from gnepkit.convexsets import _enumerate_vertices
+
+    M = K._merged
+    assert M._form is not None
+    W = _enumerate_vertices(M.A, M.b)
+    empty = K.is_empty(eps_open=0.0)
+    assert empty is (len(W) == 0)
+    assert _same_point_set(K.vertices(), W)
+    starts = [rng.uniform(-1.0, 3.0, K.dim) for _ in range(4)] + [np.full(K.dim, 100.0)]
+    # a random objective, the price row (tied on the budget face: values
+    # only) and a unit vector (tied where p has zeros)
+    cs = [rng.standard_normal(K.dim), K.parts[1].A[0], np.eye(K.dim)[0]]
+    if empty:
+        for query in [K.bounding_box, K.is_bounded, lambda: K.sample(rng, 2)] + [
+                lambda c=c: maximize(K, c) for c in cs]:
+            with pytest.raises(EmptyBodyError):
+                query()
+        for y in starts:
+            with pytest.raises(EmptyBodyError):
+                K.project(y)
+        assert calls == []
+        assert K.interior_point() is None
+        return
+    assert K.is_bounded()
+    lo, hi = K.bounding_box()
+    assert np.allclose(lo, W.min(axis=0), atol=1e-9) and np.allclose(hi, W.max(axis=0), atol=1e-9)
+    best = [maximize(K, c) for c in cs]
+    assert all(K.contains(p, eps=1e-8) for p in K.sample(rng, 5))
+    for y in starts:
+        q = K.project(y)
+        assert K.contains(q, eps=1e-8)
+        assert np.linalg.norm(q - y) <= np.min(np.linalg.norm(W - y, axis=1)) + 1e-9
+    assert calls == []
+    for c, (val, z) in zip(cs, best):
+        assert val == pytest.approx(np.max(W @ c), abs=1e-9)
+        assert val == pytest.approx(_lp.max_linear(c, M.A, M.b)[0], abs=1e-9)
+        assert K.contains(z, eps=1e-8) and c @ z == pytest.approx(val, abs=1e-12)
+    x = K.interior_point()
+    assert x is None or K.contains(x)
+    calls.clear()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_budget_sets_match_exact_references(seed, monkeypatch):
+    # the choice box makes a budget set compact, so its merged body takes
+    # the vertex form with no LP: every query but interior_point reads its
+    # candidates, and -1e-6 is the one offset that empties it
+    from gnepkit import _lp
+
+    calls = []
+    real = _lp.solve_lp
+    monkeypatch.setattr(_lp, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(seed)
+    bodies = _budget_sets(seed)
+    for K in bodies:
+        _check_budget_set(K, rng, calls)
+    verdicts = [K.is_empty(eps_open=0.0) for K in bodies]
+    assert verdicts == [off < 0 for _ in range(8) for off in _BUDGET_OFFSETS + (1.0,)]

@@ -13,6 +13,7 @@ from gnepkit.economy import (
     SatiatedConsumerError,
     check_market_clearing,
     check_walras,
+    outcome_from_point,
     solve_competitive,
     to_gnep,
 )
@@ -126,3 +127,30 @@ def test_walras_silent_when_hypotheses_checkable():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert check_walras(econ, out) <= 1e-6
+
+
+def test_economy_certification_runs_no_lp(monkeypatch, tmp_path):
+    # a budget set is a choice box cut by a price row; the box makes it
+    # compact, so every best response over it is its best vertex candidate,
+    # in the library and through gnep economy --check-only alike.  The points
+    # are the closed-form equilibria: prices (1/2, 1/2), each consumer on
+    # its endowment (two-consumer) or on endowment plus the producer's best
+    # plan (1/2, 1/2) (production)
+    from gnepkit import _lp
+    from gnepkit.cli import main
+    from gnepkit.jsonio import save_instance
+
+    cases = [(gi.pure_exchange_economy(), [1.0, 1.0, 0.0, 0.0, 0.5, 0.5]),
+             (gi.two_consumer_exchange(), [1.0, 0.0, 0.0, 1.0, 0.5, 0.5]),
+             (gi.production_economy(), [1.5, 1.5, 0.5, 0.5, 0.5, 0.5])]
+    for econ, _ in cases:
+        save_instance(econ, tmp_path / f"{econ.name}.json")
+    calls = []
+    real = _lp.solve_lp
+    monkeypatch.setattr(_lp, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for econ, x in cases:
+        assert outcome_from_point(econ, to_gnep(econ), np.array(x)).is_competitive
+        assert main(["economy", str(tmp_path / f"{econ.name}.json"), "--check-only",
+                     "--point", ",".join(map(str, x)), "--out-dir",
+                     str(tmp_path / econ.name)]) == 0
+    assert calls == []
