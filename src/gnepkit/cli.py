@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="definition-based grid search for equilibria")
     _add_common(po, solver_flags=False)
-    po.add_argument("--h", type=float, default=0.05, help="grid step")
+    po.add_argument("--h", type=_grid_step, default=0.05, help="grid step")
     po.add_argument("--no-cross-check", action="store_true")
     po.set_defaults(func=cmd_oracle)
 
@@ -287,6 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--point-file")
     pe.set_defaults(func=cmd_economy)
     return ap
+
+
+def _grid_step(text: str) -> float:
+    """--h as a float; argparse exits 2 unless it is finite and positive."""
+    h = float(text)
+    if not (np.isfinite(h) and h > 0.0):
+        raise argparse.ArgumentTypeError(f"grid step must be finite and positive, got {text}")
+    return h
 
 
 def _fold_point(argv):

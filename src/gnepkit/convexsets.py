@@ -27,11 +27,11 @@ EPS_ACTIVE = 1e-8
 _VERTEX_DEDUP = 1e-9
 _VERTEX_FEAS_RTOL = 1e-8
 _VERTEX_SUBSET_CAP = 200_000
-# VertexForm.of factors rows with at most this many n-row subsets; above it a
-# linear maximum is one LP.  One maximize over a vertex-form body took as long
+# VertexForm.of and HPoly._form factor rows with at most this many n-row
+# subsets; above it a linear maximum is one LP.  One maximize over a vertex-form body took as long
 # as one _lp.max_linear (about 2 ms) at about 2,000 subsets in 2-D and about
 # 10,000 in 3-D, on a 2-core x86_64 host with numpy and scipy's HiGHS.  A
-# compact Intersection builds its form once per body: on a box cut by one
+# body off a game's shared form builds its own once: on a box cut by one
 # price row in H = 2..6 goods (10 to 1,716 subsets), one maximize with the
 # build took 0.2-0.4, 0.3-0.5, 0.5-1.0, 3.0-3.2 and 5.8-12 ms against
 # 1.6-2.8 ms for one LP on the same rows (three runs, best of 5 x 20 calls).
@@ -75,8 +75,6 @@ class ConvexBody:
 
     # True when a zero row empties the body (see HPoly); hrep() omits that row
     _poisoned = False
-    # the VertexForm of a polyhedron built by VertexForm.body, else None
-    _form = None
 
     def hrep(self):
         """(A, b, strict) with unit rows, or None when not polyhedral."""
@@ -314,18 +312,31 @@ class HPoly(ConvexBody):
         return None if r < 0 else (x, r)
 
     @cached_property
+    def _form(self):
+        """The VertexForm of a bounded body's rows within the gate, else
+        None; VertexForm.body shares one.  Never read in 1-D (intervals)."""
+        if self._poisoned or _lp._ncr(*self.A.shape) > _VERTEX_FORM_SUBSETS or not self._bounded:
+            return None
+        return VertexForm._factored(self.A)
+
+    @cached_property
     def _candidates(self):
-        """The vertex candidates of a vertex-form body that pass the
-        feasibility test, repeated at degenerate vertices."""
-        V, ok = self._form.candidates(self.b[None])
+        """The vertex candidates of a bounded n-D body that pass the
+        feasibility test, repeated at degenerate vertices: from its form,
+        else (over the gate) from a one-off form of at most
+        _VERTEX_SUBSET_CAP subsets."""
+        form = self._form or VertexForm._factored(self.A, _VERTEX_SUBSET_CAP)
+        if form is None:
+            raise EnumerationError(f"too many row subsets ({len(self.A)} choose {self.dim})")
+        V, ok = form.candidates(self.b[None])
         return V[0][ok[0]]
 
     @cached_property
     def _empty(self):
         """The one emptiness verdict of the closure that every query reads:
-        a violated zero row, the 1-D interval, a vertex form's candidate set
-        (empty exactly when no candidate is feasible), else a negative
-        Chebyshev radius."""
+        a violated zero row, the 1-D interval, the vertex form's candidate
+        set (empty exactly when no candidate is feasible) of a bounded body
+        within the gate, else a negative Chebyshev radius."""
         if self._poisoned:
             return True
         if self.dim == 1:
@@ -368,23 +379,12 @@ class HPoly(ConvexBody):
         if self.dim == 1:
             lo, hi = self._interval
             return np.array([lo]), np.array([hi])
-        if self._form is not None:
-            return self._candidates.min(axis=0), self._candidates.max(axis=0)
-        lo, hi = np.empty(self.dim), np.empty(self.dim)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            try:
-                hi[j] = _lp.max_linear(e, self.A, self.b)[0]
-            except _lp.UnboundedLP:
-                hi[j] = np.inf
-            try:
-                lo[j] = -_lp.max_linear(-e, self.A, self.b)[0]
-            except _lp.UnboundedLP:
-                lo[j] = -np.inf
-        return lo, hi
+        V = self._candidates if self._form is not None else self._vertices
+        return V.min(axis=0), V.max(axis=0)
 
     def bounding_box(self):
+        """The interval in 1-D, else the box around the vertices: raises
+        EnumerationError as vertices() does, EmptyBodyError when empty."""
         if self._empty:
             raise EmptyBodyError("bounding box of empty polyhedron")
         lo, hi = self._bbox
@@ -392,16 +392,15 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _bounded(self):
-        if self._form is not None:
-            return True
         if self.dim == 1:
             return bool(np.all(np.isfinite(self._interval)))
         return bool(np.linalg.matrix_rank(self.A) == self.dim
                     and _lp.recession_cone_is_zero(self.A))
 
     def is_bounded(self):
-        """Whether the body is bounded: true in vertex form, the interval's
-        end points in 1-D, else rank n rows and one LP on the recession cone
+        """Whether the body is bounded: true for a VertexForm.body, a compact
+        Intersection's merged body and a hull, the interval's end points in
+        1-D, else rank n rows and one LP on the recession cone
         (_lp.recession_cone_is_zero).  Raises EmptyBodyError when empty."""
         if self._empty:
             raise EmptyBodyError("boundedness of an empty polyhedron")
@@ -409,14 +408,12 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _vertices(self):
-        if self._form is not None:
-            return _sorted_unique(self._candidates)
         if not self.is_bounded():
             raise EnumerationError("vertex enumeration of unbounded polyhedron")
         if self.dim == 1:
             lo, hi = self._interval
             return np.array([[lo]]) if hi - lo <= _VERTEX_DEDUP else np.array([[lo], [hi]])
-        return _enumerate_vertices(self.A, self.b)
+        return _sorted_unique(self._candidates)
 
     def vertices(self):
         if self._empty:
@@ -445,9 +442,9 @@ class HPoly(ConvexBody):
         if self._poisoned:
             # the closure of an empty body is empty: keep a zero row that says so
             return HPoly(np.vstack([self.A, np.zeros(self.dim)]), np.append(self.b, -1.0))
-        if self._form is not None:
-            return self._form.body(self.b)
-        return HPoly(self.A, self.b, None)
+        # a form already built (a game slice's) is shared, not built again
+        form = vars(self).get("_form")
+        return HPoly(self.A, self.b, None) if form is None else form.body(self.b)
 
     def to_dict(self):
         return {
@@ -512,11 +509,9 @@ class Intersection(ConvexBody):
     query by the single HPoly of all their rows and equalities.
 
     A part that is compact in closed form (a Box with finite bounds, a
-    Simplex, or an Intersection with such a part) bounds the whole, so an
-    n-D merged body within the _VERTEX_FORM_SUBSETS gate takes the
-    VertexForm of its rows with no LP, and answers support, vertices,
-    bounding box and emptiness from its vertex candidates (a budget set:
-    a choice box cut by a price row)."""
+    Simplex, or an Intersection with such a part) bounds the whole, so the
+    merged body needs no recession-cone LP to take its vertex form (see
+    HPoly._form; a budget set: a choice box cut by a price row)."""
 
     parts: tuple
     kind: str = field(default="intersection", init=False)
@@ -557,8 +552,8 @@ class Intersection(ConvexBody):
                 rhs.append([-1.0])
                 strict.append([False])
         P = HPoly(np.vstack(rows), np.concatenate(rhs), np.concatenate(strict))
-        if not P._poisoned and _compact(self):
-            object.__setattr__(P, "_form", VertexForm._factored(P.A))
+        if _compact(self):
+            object.__setattr__(P, "_bounded", True)
         return P
 
     @property
@@ -701,10 +696,12 @@ class VertexForm:
     keeps them, bounded, with a moving right-hand side b, factored once:
     every n-row subset of A whose rows are independent, and its inverse.
 
-    At any b the vertex candidates are one stacked product, and those that
-    pass the feasibility test of _enumerate_vertices are the vertices (a
-    degenerate vertex repeats).  A bounded polyhedron has a vertex unless it
-    is empty, so no feasible candidate is the emptiness verdict.
+    At any b the vertex candidates are one stacked product, and those within
+    1e-8 (1 + |b|) of every row are the vertices (a degenerate vertex
+    repeats).  A bounded polyhedron has a vertex unless it is empty, so no
+    feasible candidate is the emptiness verdict.  The one vertex enumerator
+    of H-polyhedra: each bounded n-D HPoly has one (HPoly._form, one-off
+    over the gate), and a game shares one per player across its slices.
     """
 
     def __init__(self, A, subsets, inverses):
@@ -714,17 +711,17 @@ class VertexForm:
     def of(A) -> "VertexForm | None":
         """The form of rows A, or None when A has one column, more than
         _VERTEX_FORM_SUBSETS row subsets, or {A z <= b} is unbounded, which
-        one LP on the recession cone decides.  A compact Intersection skips
-        that LP: it knows its merged rows bound it (see Intersection)."""
+        one LP on the recession cone decides."""
         form = VertexForm._factored(A)
         return form if form is not None and _lp.recession_cone_is_zero(A) else None
 
     @staticmethod
-    def _factored(A) -> "VertexForm | None":
+    def _factored(A, cap=_VERTEX_FORM_SUBSETS) -> "VertexForm | None":
         """The form of rows A known to bound {A z <= b}, or None when A has
-        one column, more than _VERTEX_FORM_SUBSETS row subsets, or rank < n."""
+        one column, more than cap row subsets, or rank < n.  Only subsets
+        of rank n are kept, so no candidate is a point of an edge."""
         m, n = A.shape
-        if n < 2 or _lp._ncr(m, n) > _VERTEX_FORM_SUBSETS:
+        if n < 2 or _lp._ncr(m, n) > cap:
             return None
         S = np.array(list(itertools.combinations(range(m), n)), dtype=int).reshape(-1, n)
         full = np.linalg.matrix_rank(A[S]) == n
@@ -736,8 +733,12 @@ class VertexForm:
         """(V, feasible): V[g, k] solves subset k at the right-hand side
         B[g], and feasible[g, k] says whether it passes the test."""
         V = np.einsum("kij,gkj->gki", self.inverses, B[:, self.subsets])
-        gap = V @ self.A.T - B[:, None, :]
-        return V, np.all(gap <= _VERTEX_FEAS_RTOL * (1.0 + np.abs(B[:, None, :])), axis=2)
+        tol = _VERTEX_FEAS_RTOL * (1.0 + np.abs(B[:, None, :]))
+        # G x K x m gaps a chunk of subsets at a time, about a million at most
+        step = max(1, 2**20 // (len(B) * len(self.A)))
+        ok = [np.all(V[:, s:s + step] @ self.A.T - B[:, None, :] <= tol, axis=2)
+              for s in range(0, V.shape[1], step)]
+        return V, np.concatenate(ok, axis=1)
 
     def support(self, B, C):
         """max <C[g], z> over each {A z <= B[g]}; -inf where it is empty."""
@@ -751,38 +752,13 @@ class VertexForm:
         return np.concatenate(out)
 
     def body(self, b, strict=None) -> HPoly:
-        """{z : A z <= b} (strict rows open) as an HPoly that answers
-        emptiness, vertices, bounding box and linear maximization from its
-        candidates."""
+        """{z : A z <= b} (strict rows open) as a bounded HPoly on this
+        form, which answers emptiness, vertices, bounding box and linear
+        maximization from its candidates."""
         P = HPoly(self.A, b, strict)
         object.__setattr__(P, "_form", self)
+        object.__setattr__(P, "_bounded", True)
         return P
-
-
-def _enumerate_vertices(A, b):
-    """Feasible points where n independent rows are tight.
-
-    A row subset that is singular only up to rounding (rows repeating a
-    plane) still solves, to some point of a face; the rank of the rows tight
-    there tells such a point from a vertex.
-    """
-    m, n = A.shape
-    if _lp._ncr(m, n) > _VERTEX_SUBSET_CAP:
-        raise EnumerationError(f"too many row subsets ({m} choose {n})")
-    tol = _VERTEX_FEAS_RTOL * (1.0 + np.abs(b))
-    out = []
-    for S in itertools.combinations(range(m), n):
-        sub = A[list(S)]
-        try:
-            v = np.linalg.solve(sub, b[list(S)])
-        except np.linalg.LinAlgError:
-            continue
-        gap = A @ v - b
-        if np.all(gap <= tol) and np.linalg.matrix_rank(A[np.abs(gap) <= tol]) == n:
-            out.append(v)
-    if not out:
-        return np.zeros((0, n))
-    return _sorted_unique(np.array(out))
 
 
 def _unit_norms(A):
@@ -992,9 +968,9 @@ def maximize(body: ConvexBody, c, Q=None):
 
     Q absent or zero (every entry at most 1e-13) is the support function:
     closed forms for Box, Simplex, Ball and 1-D polyhedra, the best feasible
-    candidate of a vertex-form polyhedron (VertexForm), which an
-    Intersection's merged body is when a part makes it compact (see
-    Intersection), else one LP.  A
+    vertex candidate of a bounded polyhedron of 2 or more dimensions within
+    the _VERTEX_FORM_SUBSETS gate (HPoly._form; an Intersection asks its
+    merged body), else one LP.  A
     nonzero Q must be negative semidefinite.  A diagonal Q over a Box or a
     1-D polyhedron separates into one clip per coordinate; any other Q is
     answered by exact KKT enumeration over the rows and equalities (hrep()
@@ -1027,6 +1003,11 @@ def maximize(body: ConvexBody, c, Q=None):
         raise EnumerationError(f"no maximization over kind={body.kind!r}")
     if body._poisoned:
         raise EmptyBodyError("maximization over an empty polyhedron")
+    if separable and body.dim == 1:
+        z = _argmax_separable(c, q, *body.bounding_box())
+        if quadratic:
+            return float(0.5 * z @ Q @ z + c @ z), z
+        return (float(c[0] * z[0]) if c[0] != 0.0 else 0.0), z
     P = body._merged if isinstance(body, Intersection) else body
     if not quadratic and P._form is not None:
         V = P._candidates
@@ -1035,11 +1016,6 @@ def maximize(body: ConvexBody, c, Q=None):
         vals = V @ c
         k = int(np.argmax(vals))
         return float(vals[k]), V[k].copy()
-    if separable and body.dim == 1:
-        z = _argmax_separable(c, q, *body.bounding_box())
-        if quadratic:
-            return float(0.5 * z @ Q @ z + c @ z), z
-        return (float(c[0] * z[0]) if c[0] != 0.0 else 0.0), z
     C, d = body.equalities()
     eq = (C, d) if len(d) else (None, None)
     if quadratic:

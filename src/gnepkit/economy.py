@@ -262,14 +262,20 @@ class CompetitiveOutcome:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solve"}
 
 
+def _excess(econ: EconomyInstance, A, B) -> np.ndarray:
+    """Aggregate excess demand: allocations - endowments - productions."""
+    excess = A.sum(axis=0) - sum(c.endowment for c in econ.consumers)
+    if econ.J:
+        excess = excess - B.sum(axis=0)
+    return excess
+
+
 def outcome_from_point(econ: EconomyInstance, game: GameInstance, x,
                        tol: Tolerances = Tolerances(),
                        solve: Optional[SolveResult] = None) -> CompetitiveOutcome:
     x = np.asarray(x, dtype=float)
     A, B, p = econ.split(x)
-    excess = A.sum(axis=0) - sum(c.endowment for c in econ.consumers)
-    if econ.J:
-        excess = excess - B.sum(axis=0)
+    excess = _excess(econ, A, B)
     prod_gaps = np.zeros(econ.J)
     for j in range(econ.J):
         best = support_max(econ.producers[j].technology, p)
@@ -310,10 +316,7 @@ def solve_competitive(econ: EconomyInstance, config: SolverConfig = SolverConfig
 
 def check_market_clearing(econ: EconomyInstance, outcome: CompetitiveOutcome) -> np.ndarray:
     """Recomputed (L, S) excess matrix; entries should be <= 0 at equilibrium."""
-    A = outcome.allocations
-    excess = A.sum(axis=0) - sum(c.endowment for c in econ.consumers)
-    if econ.J:
-        excess = excess - outcome.productions.sum(axis=0)
+    excess = _excess(econ, outcome.allocations, outcome.productions)
     return excess.reshape(econ.L, econ.S)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _lp
 from .convexsets import (
+    DEFAULT_EPS_OPEN,
     Ball,
     Box,
     ConvexBody,
@@ -76,7 +77,7 @@ class Tolerances:
     K_i(x), so every block T calls satiated passes the verifier's test."""
 
     eps_feas: float = 1e-7
-    eps_open: float = 1e-7
+    eps_open: float = DEFAULT_EPS_OPEN
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def _lifted_rows(prefs, bodies, n):
     negatives.  None when some body is not polyhedral."""
     A, b = [], []
     for pm, body in zip(prefs, bodies):
-        h = body.closure().hrep()
+        h = body.hrep()
         if h is None:
             return None
         C, d = body.equalities()
@@ -514,7 +515,7 @@ def _joint_improvement_lp(game: GameInstance, x, bodies, radius, shared):
 
 def check_coercivity_jointly_convex(game: GameInstance, rho: float,
                                     samples: int = 32, seed: int = 0,
-                                    eps_open: float = 1e-7) -> CoercivityReport:
+                                    eps_open: float = DEFAULT_EPS_OPEN) -> CoercivityReport:
     """Evidence for the far-field shrinking-improvement condition on 𝒳."""
     if not game.jointly_convex:
         raise ValueError("this check needs a shared constraint set")
@@ -534,7 +535,7 @@ def check_coercivity_jointly_convex(game: GameInstance, rho: float,
 
 
 def check_Cx(game: GameInstance, x, rho_x: float, seed: int = 0,
-             eps_open: float = 1e-7) -> CoercivityReport:
+             eps_open: float = DEFAULT_EPS_OPEN) -> CoercivityReport:
     """Pointwise condition: some z in prod K_i(x), ||z|| <= rho_x, with every
     block either kept at x_i or strictly preferred.  Vacuous when some
     K_i(x) is empty."""

@@ -506,7 +506,7 @@ def max_improvement(pm: PreferenceMap, x, over: ConvexBody,
 
 def _poly_slack(rows, over: ConvexBody) -> float:
     A_p, b_p, strict = rows
-    h = over.closure().hrep()
+    h = over.hrep()
     if h is None:
         raise ValueError("polyhedral improvement needs a polyhedral domain")
     A_o, b_o, _ = h

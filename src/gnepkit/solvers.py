@@ -289,7 +289,7 @@ class _MovingSlicesQVI:
                 # set instead, or onto X_i when there is none
                 if game.jointly_convex:
                     return game.shared_set.project(x - alpha * t)
-                blocks.append(pm.ambient.closure().project(target))
+                blocks.append(pm.ambient.project(target))
         return game.join(blocks)
 
     def probe(self, op, x, tol=np.inf, eps=np.inf):
@@ -499,14 +499,13 @@ def _block_grid(body: ConvexBody, h: float) -> np.ndarray:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     if body.kind == "box":
         return pts
-    mask = np.array([body.closure().contains(p, eps=1e-9, eps_open=0.0) for p in pts])
-    return pts[mask]
+    return pts[_inside_mask(body, pts)]
 
 
 def _inside_mask(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
     """Rows of pts in the closure of body, to 1e-9: by its rows and
     equalities when it is polyhedral, else by its own membership test."""
-    h = body.closure().hrep()
+    h = body.hrep()
     if h is None:
         inside = np.array([body.contains(z, 1e-9, 0.0) for z in pts], dtype=bool)
     else:
@@ -673,7 +672,10 @@ def grid_oracle(game: GameInstance, h: float, tol: Tolerances = Tolerances(),
     constraint slice (improvements computed by direct maximization).  When
     cross_check is on, every certified node and a sample of rejected ones are
     re-judged by verify_equilibrium and disagreements are reported.
+    Raises ValueError unless h is finite and positive.
     """
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"grid step h must be finite and positive, got {h}")
     grids = [_block_grid(pm.ambient, h) for pm in game.preferences]
     total = 1
     for g in grids:

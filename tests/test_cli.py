@@ -12,6 +12,7 @@ from gnepkit.economy import to_gnep
 from gnepkit.game import FixedConstraint, GameInstance, verify_equilibrium
 from gnepkit.jsonio import canonical_dumps, game_to_dict, load_instance, save_instance
 from gnepkit.preferences import PolyhedralPref, PreferenceMap
+from gnepkit.solvers import grid_oracle
 from gnepkit import instances as gi
 
 INST = os.path.join(os.path.dirname(__file__), "..", "instances")
@@ -125,6 +126,18 @@ def test_oracle_csv_and_json(splitting, tmp_path):
 def test_oracle_too_fine_exit_6(splitting, tmp_path):
     assert run("oracle", splitting, "--h", "1e-5",
                "--out-dir", tmp_path / "o") == 6
+
+
+@pytest.mark.parametrize("h", ["0", "-0.1", "nan", "inf"])
+def test_oracle_rejects_a_grid_step_that_is_not_finite_and_positive(splitting, tmp_path, h):
+    # an argparse error: exit 2, nothing written
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        run("oracle", splitting, "--h", h, "--out-dir", out)
+    assert e.value.code == 2
+    assert not out.exists()
+    with pytest.raises(ValueError, match="finite and positive"):
+        grid_oracle(load_instance(splitting), float(h))
 
 
 def test_economy_outputs(exchange, tmp_path):

@@ -177,24 +177,71 @@ def test_interval_slab_one_emptiness_verdict(g, empty, nnls_agrees):
         assert P.project(np.array([y]))[0] == pytest.approx(np.clip(y, lo, hi), abs=1e-12)
 
 
-# The 2-D slab {x <= 0, x >= g, 0 <= y <= 1}.  The Chebyshev LP meets its
-# r >= 0 bound only up to its tolerance and returns r = -g/2 for small g;
-# a negative radius is empty, r = -0.0 (g = 0, a segment) is not.
+_SLAB_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _slab_bodies(g):
+    """The 2-D slab {x0 <= 0, x0 >= g} x [0, 1] built five ways: as an HPoly,
+    in a shared vertex form, as a slice of a 3-D body, as an Intersection
+    with a Box, and as a player's constraint slice in a game."""
+    from gnepkit.convexsets import VertexForm
+    from gnepkit.game import constraint_body, jointly_convex_game, slice_body
+    from gnepkit.preferences import LinearUtility
+
+    b = np.array([0.0, -g, 1.0, 0.0])
+    # the rival x2 = 0.5 shifts the slab's rows back onto x0 in [g, 0]
+    S = HPoly([[1.0, 0.0, 1.0], [-1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+              [0.5, -0.5 - g, 1.0, 0.0])
+    X = [Box([-1.0, 0.0], [1.0, 1.0]), Box([0.0], [1.0])]
+    game = jointly_convex_game(X, [LinearUtility(np.ones(k.dim)) for k in X], S)
+    return {
+        "hpoly": HPoly(_SLAB_A, b),
+        "vertex_form": VertexForm.of(_SLAB_A).body(b),
+        "slice_body": slice_body(S, [0.0, 0.0, 0.5], slice(0, 2)),
+        "intersection": Intersection((Box([-5.0, 0.0], [5.0, 1.0]), HPoly(_SLAB_A[:2], b[:2]))),
+        "constraint_body": constraint_body(game, 0, [0.0, 0.0, 0.5]),
+    }
+
+
+# The 2-D slab {x0 <= 0, x0 >= g} x [0, 1] gets one emptiness verdict from
+# its rows, whoever built it: a bounded body decides it by the feasibility
+# test of its vertex candidates (to 1e-8), so crossings of 1e-12 and 1e-9
+# are a segment, which a least-distance program or a Chebyshev LP would call
+# empty, and 1e-7 is empty.
 @pytest.mark.parametrize("g,empty", [
-    (-1e-6, False), (0.0, False), (1e-12, True), (1e-9, True), (1e-7, True), (1e-3, True),
+    (-1e-6, False), (0.0, False), (1e-12, False), (1e-9, False), (1e-7, True), (1e-3, True),
 ])
 def test_slab_2d_one_emptiness_verdict(g, empty):
-    P = HPoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -g, 1.0, 0.0])
-    assert P.is_empty(eps_open=0.0) is empty
-    if empty:
-        assert P.vertices().shape == (0, 2)
-        assert P.interior_point() is None
-        with pytest.raises(EmptyBodyError):
-            P.bounding_box()
-        return
-    V = P.vertices()
-    assert len(V) == (2 if g == 0.0 else 4)
-    assert np.allclose(V[:, 0].min(), min(g, 0.0), atol=1e-12)
+    from vertex_reference import _enumerate_vertices
+
+    W = _enumerate_vertices(_SLAB_A, np.array([0.0, -g, 1.0, 0.0]))
+    assert (len(W) == 0) is empty
+    rng = np.random.default_rng(5)
+    starts = [rng.uniform(-3.0, 3.0, 2) for _ in range(4)] + [np.full(2, 100.0), np.zeros(2)]
+    cs = [rng.standard_normal(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+    for name, K in _slab_bodies(g).items():
+        assert K.is_empty(eps_open=0.0) is empty, name
+        if empty:
+            assert K.vertices().shape == (0, 2), name
+            assert K.interior_point() is None, name
+            for query in [K.bounding_box] + [lambda c=c: maximize(K, c) for c in cs] + [
+                    lambda y=y: K.project(y) for y in starts]:
+                with pytest.raises(EmptyBodyError):
+                    query()
+            continue
+        assert _same_point_set(K.vertices(), W), name
+        assert len(K.vertices()) == (4 if g < 0.0 else 2), name
+        lo, hi = K.bounding_box()
+        assert np.allclose(lo, W.min(axis=0), atol=1e-9), name
+        assert np.allclose(hi, W.max(axis=0), atol=1e-9), name
+        for c in cs:
+            val, z = maximize(K, c)
+            assert val == pytest.approx(np.max(W @ c), abs=1e-9), name
+            assert K.contains(z, eps=1e-8), name
+        for y in starts:
+            p = K.project(y)
+            assert K.contains(p, eps=1e-8), name
+            assert np.linalg.norm(p - y) <= np.min(np.linalg.norm(W - y, axis=1)) + 1e-9, name
 
 
 def test_poisoned_part_empties_intersection():
@@ -291,7 +338,7 @@ def _one_d_family(rng):
 
 def test_interval_closed_forms_match_exact_reference(monkeypatch):
     from gnepkit import _lp
-    from gnepkit.convexsets import EnumerationError, _enumerate_vertices
+    from vertex_reference import _enumerate_vertices
 
     bodies = _one_d_family(np.random.default_rng(3))
     refs = []
@@ -383,7 +430,7 @@ def test_hull_body_keeps_qhull_vertices():
     # qhull splits a facet into coplanar simplices, so a row subset can be
     # singular only up to rounding; enumeration from the rows still returns
     # exactly the stored vertices
-    from gnepkit.convexsets import _enumerate_vertices
+    from vertex_reference import _enumerate_vertices
 
     checked = 0
     for body in _criterion_1_hulls():
@@ -408,29 +455,79 @@ def test_hull_body_round_trip_enumerates_qhull_vertices():
 def test_is_bounded_is_one_recession_lp(monkeypatch):
     # no bounding-box LPs: a vertex-form body, a hull and a 1-D interval
     # need no LP, rows of rank < n none either, and any other n-D body one
-    # LP on its recession cone
+    # LP on its recession cone, which its emptiness verdict runs first (a
+    # bounded body is then decided by its vertex candidates, an unbounded
+    # one by one Chebyshev LP)
     from gnepkit import _lp
     from gnepkit.convexsets import VertexForm
 
     square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    cases = [(VertexForm.of(square).body(np.ones(4)), True, 0),
-             (hull_body(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), True, 0),
-             (HPoly([[1.0], [-1.0]], [1.0, 0.0]), True, 0),
-             (HPoly([[1.0], [-2.0]], [1.0, 5.0]), True, 0),
-             (HPoly([[1.0]], [1.0]), False, 0),
-             (HPoly(square[:2], [1.0, 1.0]), False, 0),  # a strip: rank 1
-             (triangle(), True, 1),
-             (HPoly(-np.eye(2), np.zeros(2)), False, 1)]  # the orthant
+    cases = [(VertexForm.of(square).body(np.ones(4)), True, []),
+             (hull_body(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), True, []),
+             (HPoly([[1.0], [-1.0]], [1.0, 0.0]), True, []),
+             (HPoly([[1.0], [-2.0]], [1.0, 5.0]), True, []),
+             (HPoly([[1.0]], [1.0]), False, []),
+             (HPoly(square[:2], [1.0, 1.0]), False, ["lp"]),  # a strip: rank 1
+             (triangle(), True, ["cone", "lp"]),
+             (HPoly(-np.eye(2), np.zeros(2)), False, ["cone", "lp", "lp"])]  # the orthant
     for P, bounded, lps in cases:
-        P.is_empty()  # the emptiness verdict's own LP is not counted
         calls = []
         monkeypatch.setattr(_lp, "solve_lp",
                             lambda *a, real=_lp.solve_lp, **k: calls.append("lp") or real(*a, **k))
         monkeypatch.setattr(_lp, "recession_cone_is_zero",
                             lambda A, real=_lp.recession_cone_is_zero: calls.append("cone") or real(A))
+        assert not P.is_empty()
         assert P.is_bounded() is bounded and P.is_bounded() is bounded
-        assert calls == ["cone", "lp"] * lps
+        assert calls == lps
         monkeypatch.undo()
+
+
+def test_polygon_over_the_gate_enumerates_in_chunks():
+    # a regular 300-gon has 44,850 row pairs, over _VERTEX_FORM_SUBSETS: a
+    # one-off vertex form enumerates it, a chunk of candidates at a time
+    import tracemalloc
+
+    from gnepkit.convexsets import _VERTEX_FORM_SUBSETS, _VERTEX_SUBSET_CAP
+    from vertex_reference import _enumerate_vertices
+
+    def polygon(m):
+        t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        return HPoly(np.column_stack([np.cos(t), np.sin(t)]), np.ones(m))
+
+    P = polygon(300)
+    assert 300 * 299 // 2 > _VERTEX_FORM_SUBSETS and P._form is None
+    assert P.is_bounded()
+    tracemalloc.start()
+    try:
+        V = P.vertices()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert len(V) == 300 and _same_point_set(V, _enumerate_vertices(P.A, P.b))
+    lo, hi = P.bounding_box()
+    assert np.allclose(lo, V.min(axis=0)) and np.allclose(hi, V.max(axis=0))
+    m = 2
+    while m * (m - 1) // 2 <= _VERTEX_SUBSET_CAP:
+        m += 1
+    Q = polygon(m)
+    for query in (Q.vertices, Q.bounding_box):
+        with pytest.raises(EnumerationError, match="too many row subsets"):
+            query()
+
+
+def test_unbounded_bounding_box_raises_enumeration_error():
+    # an unbounded n-D body has no vertex set to box; 1-D rays keep their
+    # infinite end
+    orthant = HPoly(-np.eye(2), np.zeros(2))
+    for K in (orthant, Intersection((orthant, HPoly([[1.0, -1.0]], [5.0]))),
+              HPoly([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])):
+        with pytest.raises(EnumerationError):
+            K.bounding_box()
+        with pytest.raises(EnumerationError):
+            K.vertices()
+    lo, hi = HPoly([[-1.0]], [0.0]).bounding_box()
+    assert lo[0] == 0.0 and hi[0] == np.inf
 
 
 def test_hull_body_degenerate_segment():
@@ -778,13 +875,18 @@ def test_polar_check():
 
 
 def test_hpoly_project_reads_the_emptiness_verdict():
-    # {x0 <= 0, x0 >= 1e-12} x [-1, 1] is empty by its Chebyshev radius; the
-    # least-distance program alone would project from far enough away
-    P = HPoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1e-12, 1.0, 1.0])
-    assert P.is_empty(eps_open=0.0)
+    # {x0 <= 0, x0 >= g} x [-1, 1] gets one verdict from every start: at
+    # g = 1e-12 its vertex candidates see a segment, which projects even
+    # where the least-distance program alone would call it empty; at
+    # g = 1e-7 they see none, and every projection raises
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    thin, crossed = HPoly(A, [0.0, -1e-12, 1.0, 1.0]), HPoly(A, [0.0, -1e-7, 1.0, 1.0])
+    assert not thin.is_empty(eps_open=0.0) and crossed.is_empty(eps_open=0.0)
     for y0 in (-1e-3, 0.0, 1e-3, 1.0, 5.0, 100.0):
+        y = np.array([y0, 0.3])
+        assert np.allclose(thin.project(y), [0.0, 0.3], atol=1e-9)
         with pytest.raises(EmptyBodyError):
-            P.project(np.array([y0, 0.3]))
+            crossed.project(y)
 
 
 def _same_point_set(V, W, tol=1e-9):
@@ -796,7 +898,7 @@ def _same_point_set(V, W, tol=1e-9):
 def _check_one_verdict(P, rng):
     """Every query of P answers for the body _enumerate_vertices describes."""
     from gnepkit import _lp
-    from gnepkit.convexsets import _enumerate_vertices
+    from vertex_reference import _enumerate_vertices
 
     assert P._form is not None
     W = _enumerate_vertices(P.A, P.b)
@@ -864,22 +966,6 @@ def test_vertex_form_slices_match_enumeration(seed):
     assert any(verdicts) and not all(verdicts)
 
 
-# The 2-D slab {x0 <= 0, x0 >= g} x [-1, 1] in vertex form: its verdict is
-# the feasibility test of vertex enumeration (to 1e-8), so crossings of
-# 1e-12 and 1e-9 are a segment, which a least-distance program would call
-# empty, and 1e-7 is empty.
-@pytest.mark.parametrize("g,empty", [
-    (-1e-6, False), (0.0, False), (1e-12, False), (1e-9, False), (1e-7, True), (1e-3, True),
-])
-def test_vertex_form_slab_one_emptiness_verdict(g, empty):
-    from gnepkit.convexsets import VertexForm
-
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    P = VertexForm.of(A).body(np.array([0.0, -g, 1.0, 1.0]))
-    assert P.is_empty(eps_open=0.0) is empty
-    _check_one_verdict(P, np.random.default_rng(5))
-
-
 def test_vertex_form_refuses_unbounded_and_oversized_rows():
     from gnepkit.convexsets import _VERTEX_FORM_SUBSETS, VertexForm
 
@@ -926,7 +1012,7 @@ def _check_budget_set(K, rng, calls):
     """One emptiness verdict from every query of K, none of them an LP, and
     support equal to the LP's and vertices to _enumerate_vertices."""
     from gnepkit import _lp
-    from gnepkit.convexsets import _enumerate_vertices
+    from vertex_reference import _enumerate_vertices
 
     M = K._merged
     assert M._form is not None

@@ -1,0 +1,41 @@
+"""The exact vertex reference the vertex tests compare against: one linear
+solve per n-row subset, kept out of gnepkit, whose one enumerator is
+convexsets.VertexForm."""
+
+import itertools
+
+import numpy as np
+
+from gnepkit import _lp
+from gnepkit.convexsets import (
+    _VERTEX_FEAS_RTOL,
+    _VERTEX_SUBSET_CAP,
+    EnumerationError,
+    _sorted_unique,
+)
+
+
+def _enumerate_vertices(A, b):
+    """Feasible points where n independent rows are tight.
+
+    A row subset that is singular only up to rounding (rows repeating a
+    plane) still solves, to some point of a face; the rank of the rows tight
+    there tells such a point from a vertex.
+    """
+    m, n = A.shape
+    if _lp._ncr(m, n) > _VERTEX_SUBSET_CAP:
+        raise EnumerationError(f"too many row subsets ({m} choose {n})")
+    tol = _VERTEX_FEAS_RTOL * (1.0 + np.abs(b))
+    out = []
+    for S in itertools.combinations(range(m), n):
+        sub = A[list(S)]
+        try:
+            v = np.linalg.solve(sub, b[list(S)])
+        except np.linalg.LinAlgError:
+            continue
+        gap = A @ v - b
+        if np.all(gap <= tol) and np.linalg.matrix_rank(A[np.abs(gap) <= tol]) == n:
+            out.append(v)
+    if not out:
+        return np.zeros((0, n))
+    return _sorted_unique(np.array(out))
