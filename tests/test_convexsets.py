@@ -874,6 +874,21 @@ def test_polar_check():
 # -- vertex form -------------------------------------------------------------
 
 
+# The 2-D slab {x0 <= 0, x0 >= g} x [-1, 1] in vertex form: its verdict is
+# the feasibility test of vertex enumeration (to 1e-8), so crossings of
+# 1e-12 and 1e-9 are a segment, which a least-distance program would call
+# empty, and 1e-7 is empty.
+@pytest.mark.parametrize("g,empty", [
+    (-1e-6, False), (0.0, False), (1e-12, False), (1e-9, False), (1e-7, True), (1e-3, True),
+])
+def test_vertex_form_slab_one_emptiness_verdict(g, empty):
+    from gnepkit.convexsets import VertexForm
+
+    P = VertexForm.of(_SLAB_A).body(np.array([0.0, -g, 1.0, 1.0]))
+    assert P.is_empty(eps_open=0.0) is empty
+    _check_one_verdict(P, np.random.default_rng(5))
+
+
 def test_hpoly_project_reads_the_emptiness_verdict():
     # {x0 <= 0, x0 >= g} x [-1, 1] gets one verdict from every start: at
     # g = 1e-12 its vertex candidates see a segment, which projects even
