@@ -14,6 +14,7 @@ contains(x, e2) for e2 >= e1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -778,12 +779,15 @@ def _sorted_unique(vs):
         if np.linalg.norm(vs[i] - vs[keep[-1]]) > _VERTEX_DEDUP:
             keep.append(i)
     # lexsort can leave equal vertices non-adjacent only with exact ties; a
-    # final pairwise pass is cheap at these sizes
-    vs = vs[keep]
-    uniq = []
-    for v in vs:
-        if all(np.linalg.norm(v - u) > _VERTEX_DEDUP for u in uniq):
+    # final greedy pass checks each row against the kept ones whose first
+    # coordinate lies within twice the tolerance (a pair within it differs
+    # by no more in x0, and the margin covers the rounding of the window)
+    uniq, firsts = [], []
+    for v in vs[keep]:
+        near = uniq[bisect.bisect_left(firsts, v[0] - 2.0 * _VERTEX_DEDUP):]
+        if all(np.linalg.norm(v - u) > _VERTEX_DEDUP for u in near):
             uniq.append(v)
+            firsts.append(v[0])
     return np.array(uniq)
 
 
@@ -917,6 +921,16 @@ def _active_normals(body: ConvexBody, p):
         if r >= body.radius - EPS_ACTIVE * (1.0 + body.radius) and r > 1e-12:
             out.append((p - body.center) / r)
     return np.array(out).reshape(-1, body.dim)
+
+
+def tangent_projector(body: ConvexBody) -> np.ndarray:
+    """Orthogonal projector onto the tangent space of body's equalities."""
+    C, d = body.equalities()
+    P = np.eye(body.dim)
+    if len(d):
+        # rows are unit but possibly redundant; pseudo-inverse is safe
+        P -= C.T @ np.linalg.pinv(C @ C.T) @ C
+    return P
 
 
 def normal_cone_generators(body: ConvexBody, y) -> ConeSection:

@@ -33,6 +33,7 @@ from .convexsets import (
     maximize,
 )
 from .preferences import (
+    GradedRows,
     LinearUtility,
     PolyhedralPref,
     PreferenceMap,
@@ -166,6 +167,12 @@ class GameInstance:
                 ambient[2], b[keep], rival[keep], norms[keep],
             ))
         return tuple(out)
+
+    @cached_property
+    def _graded_rows(self):
+        """The graded players' fixed data for one pass of T
+        (preferences.GradedRows), None when no player is graded."""
+        return GradedRows.of(self.preferences, self.n)
 
     @cached_property
     def _slice_forms(self):

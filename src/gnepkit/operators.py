@@ -8,6 +8,12 @@ to that slice: gradients and face normals are projected onto the tangent
 space, so the lineality directions of the ambient normal cone never enter T.
 Without that, T would contain 0 everywhere on such blocks and the variational
 reformulation would be vacuous.
+
+The graded blocks (linear and quadratic utilities) are evaluated in one pass
+over the game's fixed rows (GameInstance._graded_rows): one product for every
+own gradient, one clip for every satiation test over a box, one comparison
+for every active box face.  Set-valued blocks go block by block through their
+convexified region's geometry.
 """
 
 from __future__ import annotations
@@ -17,18 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convexsets
-from .convexsets import DEFAULT_EPS_OPEN, ConeSection, ConvexBody
+from .convexsets import (
+    DEFAULT_EPS_OPEN,
+    ConeSection,
+    _clip_argmax,
+    tangent_projector,
+)
 from .game import Tolerances
 from .preferences import (
+    GradedRows,
     LinearUtility,
     PreferenceMap,
     QuadUtility,
+    UnboundedPreferenceError,
     convexified_set,
     is_satiated,
-    own_gradient,
 )
-
-_GRADED = (LinearUtility, QuadUtility)
 
 
 @dataclass(frozen=True)
@@ -54,43 +64,88 @@ class OperatorEval:
         return slice(self.starts[i], self.starts[i] + self.blocks[i].dim)
 
 
-def tangent_projector(body: ConvexBody) -> np.ndarray:
-    """Orthogonal projector onto the tangent space of body's equalities."""
-    C, d = body.equalities()
-    P = np.eye(body.dim)
-    if len(d):
-        # rows are unit but possibly redundant; pseudo-inverse is safe
-        P -= C.T @ np.linalg.pinv(C @ C.T) @ C
-    return P
+# the signs of a box's rows e_j and -e_j, one row each
+_ROW_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
+    """Sections of N_{co P_i(x)}(x_i) ∩ S[0,1] for every graded block of R.
+
+    Satiation (no improvement over X_i above eps_open, the verifier's
+    emptiness test) means an empty preferred set, hence the whole space.
+    Otherwise the generators are the (tangent-projected) negated utility
+    gradient plus the active face normals of the player's own choice set --
+    exactly the normals of the sup-level set at its boundary point x_i.
+
+    A boxed block takes the terms of maximize and _own_quadratic
+    elementwise, which over one coordinate are their sums; a wide block sums
+    them with their dot products, so every verdict at eps_open is the
+    verifier's.  Its unit gradient is exactly -sign(g) in 1-D, and an axis
+    normal repeats it only when that coordinate of it is 1 to 1e-12, the
+    rule of ConeSection.from_vectors.  A general block tests satiation with
+    is_satiated (a maximize over X_i) and builds its generators through
+    from_vectors.
+    """
+    x = np.asarray(x, dtype=float)
+    xo = x[R.own]
+    gx = np.take(R.Q @ x, R.gather)
+    g = gx + R.c
+    a1 = gx - R.q * xo + R.c
+    z = _clip_argmax(a1, R.q_clip, R.lo, R.hi)
+    if not np.isfinite(z).all():
+        k = int(np.searchsorted(R.cut, np.argmin(np.isfinite(z)), side="right")) - 1
+        raise UnboundedPreferenceError(f"player {R.pms[k].player}: improvement unbounded")
+    slack = (np.where(R.quad, 0.5 * z * R.q * z + a1 * z, a1 * z)
+             - (0.5 * xo * R.q * xo + a1 * xo))
+    gnorm = np.abs(g)
+    for k, A2, quad in R.wide:
+        sl = slice(R.cut[k], R.cut[k + 1])
+        zk, ak, xk = z[sl], a1[sl], xo[sl]
+        val = 0.5 * zk @ A2 @ zk + ak @ zk if quad else np.sum(ak * zk)
+        slack[sl] = val - (0.5 * xk @ A2 @ xk + ak @ xk)
+        gnorm[sl] = np.linalg.norm(g[sl])
+    moves = gnorm >= 1e-12
+    u = -g / np.where(moves, gnorm, 1.0)
+    keep = ((_ROW_SIGNS * xo - R.bound >= R.thr)
+            & ~(moves & (np.abs(_ROW_SIGNS * u - 1.0) <= 1e-12))).T
+
+    out = []
+    for k, normals in enumerate(R.normals):
+        a, b = R.cut[k], R.cut[k + 1]
+        if normals is None:
+            out.append(None)  # a general block, below
+        elif slack[a] <= eps_open:
+            out.append(ConeSection.whole(b - a))
+        else:
+            gens = normals[keep[a:b].ravel()]
+            out.append(ConeSection(b - a, np.concatenate((u[None, a:b], gens))
+                                   if moves[a] else gens))
+    for k, P in R.general:
+        pm = R.pms[k]
+        if is_satiated(pm, x, eps_open):
+            out[k] = ConeSection.whole(pm.block_dim)
+            continue
+        gens = [-g[R.cut[k]:R.cut[k + 1]]]
+        gens.extend(convexsets._active_normals(pm.ambient, pm.own(x)))
+        if P is not None:
+            gens = [P @ v for v in gens]
+        out[k] = ConeSection.from_vectors(gens, pm.block_dim)
+    return out
 
 
 def normal_map(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
                seed: int = 0) -> ConeSection:
     """Section of N_{co P_i(x)}(x_i) ∩ S[0,1] as unit generators.
 
-    Graded variants: satiation (no improvement above eps_open, the verifier's
-    emptiness test) means an empty preferred set, hence the whole space.
-    Otherwise the generators are the (tangent-projected) negated utility
-    gradient plus the active face normals of the player's own choice set --
-    exactly the normals of the sup-level set at its boundary point x_i.
-    Set-valued variants go through the convexified region's geometry, empty
-    at the same eps_open, and inherit its approximate flag.
+    A graded variant is the one-block pass of _graded_sections.  Set-valued
+    variants go through the convexified region's geometry, empty at the
+    same eps_open, and inherit its approximate flag.
     """
     x = np.asarray(x, dtype=float)
+    if isinstance(pm.variant, (LinearUtility, QuadUtility)):
+        return _graded_sections(GradedRows.of((pm,), x.size), x, eps_open)[0]
     xi = pm.own(x)
     d = pm.block_dim
-    # the projector is the identity unless the choice set has equalities
-    P_t = tangent_projector(pm.ambient) if len(pm.ambient.equalities()[1]) else None
-
-    if isinstance(pm.variant, _GRADED):
-        if is_satiated(pm, x, eps_open, seed):
-            return ConeSection.whole(d)
-        gens = [-own_gradient(pm, x)]
-        gens.extend(convexsets._active_normals(pm.ambient, xi))
-        if P_t is not None:
-            gens = [P_t @ v for v in gens]
-        return ConeSection.from_vectors(gens, d)
-
     region = convexified_set(pm, x, eps_open, seed)
     approx = bool(getattr(region, "approximate", False))
     if region.is_empty(eps_open):
@@ -100,19 +155,29 @@ def normal_map(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
     if cone.whole_space:
         return ConeSection.whole(d)
     gens = cone.generators
-    if P_t is not None:
+    if len(pm.ambient.equalities()[1]):
+        # the projector is the identity unless the choice set has equalities
+        P_t = tangent_projector(pm.ambient)
         gens = [P_t @ v for v in gens]
     return ConeSection.from_vectors(gens, d, approximate=approx or cone.approximate)
 
 
 def evaluate_T(game, x, tol: Tolerances = Tolerances(), seed: int = 0) -> OperatorEval:
-    """All player blocks of T at the joint point x; a block is satiated (the
-    whole space) when its best improvement is at most tol.eps_open."""
-    blocks, starts = [], []
-    for pm in game.preferences:
-        starts.append(pm.block_start)
-        blocks.append(normal_map(pm, x, tol.eps_open, seed))
-    return OperatorEval(tuple(blocks), tuple(starts))
+    """All player blocks of T at the joint point x: the graded ones in one
+    pass (_graded_sections), the set-valued ones block by block; a block is
+    satiated (the whole space) when its best improvement is at most
+    tol.eps_open."""
+    x = np.asarray(x, dtype=float)
+    prefs = game.preferences
+    blocks = [None] * len(prefs)
+    R = game._graded_rows
+    if R is not None:
+        for i, section in zip(R.index, _graded_sections(R, x, tol.eps_open)):
+            blocks[i] = section
+    for i, pm in enumerate(prefs):
+        if blocks[i] is None:
+            blocks[i] = normal_map(pm, x, tol.eps_open, seed)
+    return OperatorEval(tuple(blocks), tuple(pm.block_start for pm in prefs))
 
 
 def select(op: OperatorEval) -> np.ndarray:

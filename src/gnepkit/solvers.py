@@ -503,8 +503,12 @@ def _block_grid(body: ConvexBody, h: float) -> np.ndarray:
 
 
 def _inside_mask(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
-    """Rows of pts in the closure of body, to 1e-9: by its rows and
-    equalities when it is polyhedral, else by its own membership test."""
+    """Rows of pts in the closure of body, to 1e-9: none when the body is
+    empty (hrep() leaves out the zero row that empties a poisoned body), else
+    those within its rows and equalities when it is polyhedral, else by its
+    own membership test."""
+    if body.is_empty():
+        return np.zeros(len(pts), dtype=bool)
     h = body.hrep()
     if h is None:
         inside = np.array([body.contains(z, 1e-9, 0.0) for z in pts], dtype=bool)

@@ -247,6 +247,21 @@ def test_oracle_fixed_box_zero_coefficient_on_infinite_bound():
     assert all(verify_equilibrium(g, p).is_equilibrium for p in orc.certified)
 
 
+@pytest.mark.parametrize("strict", [None, [True, False, False]])
+def test_oracle_counts_no_node_of_an_empty_fixed_body(strict):
+    # a zero row with a negative right-hand side empties the body, and
+    # hrep() leaves that row out: no node of the grid is feasible
+    from gnepkit.solvers import _inside_mask
+
+    body = HPoly([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1.0, 1.0, -1.0], strict)
+    assert body.is_empty()
+    assert not _inside_mask(body, np.array([[0.5, 0.5]])).any()
+    pm = PreferenceMap(0, 0, Box([0.0, 0.0], [1.0, 1.0]), LinearUtility([1.0, 1.0]))
+    orc = grid_oracle(GameInstance((pm,), (FixedConstraint(body),)), 0.5)
+    assert orc.nodes_checked == 9
+    assert orc.feasible_count == 0 and len(orc.certified) == 0
+
+
 def test_whole_space_blocks_enter_residual_conservatively():
     # at a satiated block the residual must still catch other players' slack
     g = gi.splitting_game()

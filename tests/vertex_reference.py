@@ -1,6 +1,6 @@
 """The exact vertex reference the vertex tests compare against: one linear
-solve per n-row subset, kept out of gnepkit, whose one enumerator is
-convexsets.VertexForm."""
+solve per n-row subset, deduplicated pair by pair, kept out of gnepkit,
+whose one enumerator is convexsets.VertexForm."""
 
 import itertools
 
@@ -8,11 +8,26 @@ import numpy as np
 
 from gnepkit import _lp
 from gnepkit.convexsets import (
+    _VERTEX_DEDUP,
     _VERTEX_FEAS_RTOL,
     _VERTEX_SUBSET_CAP,
     EnumerationError,
-    _sorted_unique,
 )
+
+
+def sorted_unique_pairwise(vs):
+    """convexsets._sorted_unique with its final pass over every pair of kept
+    rows, quadratic in their number."""
+    vs = vs[np.lexsort(vs.T[::-1])]
+    keep = [0]
+    for i in range(1, len(vs)):
+        if np.linalg.norm(vs[i] - vs[keep[-1]]) > _VERTEX_DEDUP:
+            keep.append(i)
+    uniq = []
+    for v in vs[keep]:
+        if all(np.linalg.norm(v - u) > _VERTEX_DEDUP for u in uniq):
+            uniq.append(v)
+    return np.array(uniq)
 
 
 def _enumerate_vertices(A, b):
@@ -38,4 +53,4 @@ def _enumerate_vertices(A, b):
             out.append(v)
     if not out:
         return np.zeros((0, n))
-    return _sorted_unique(np.array(out))
+    return sorted_unique_pairwise(np.array(out))
