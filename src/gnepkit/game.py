@@ -33,7 +33,6 @@ from .convexsets import (
     maximize,
 )
 from .preferences import (
-    GradedRows,
     LinearUtility,
     PolyhedralPref,
     PreferenceMap,
@@ -171,7 +170,9 @@ class GameInstance:
     @cached_property
     def _graded_rows(self):
         """The graded players' fixed data for one pass of T
-        (preferences.GradedRows), None when no player is graded."""
+        (operators.GradedRows), None when no player is graded."""
+        from .operators import GradedRows
+
         return GradedRows.of(self.preferences, self.n)
 
     @cached_property

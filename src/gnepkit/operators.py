@@ -10,10 +10,11 @@ Without that, T would contain 0 everywhere on such blocks and the variational
 reformulation would be vacuous.
 
 The graded blocks (linear and quadratic utilities) are evaluated in one pass
-over the game's fixed rows (GameInstance._graded_rows): one product for every
-own gradient, one clip for every satiation test over a box, one comparison
-for every active box face.  Set-valued blocks go block by block through their
-convexified region's geometry.
+over the game's fixed rows (GradedRows, built once per game): one product for
+every quadratic own gradient, one clip for every satiation test over a 1-D
+box, one comparison for every active box face; a graded block over any other
+X_i tests satiation with maximize inside the same pass.  Set-valued blocks
+go block by block through their convexified region's geometry.
 """
 
 from __future__ import annotations
@@ -25,18 +26,20 @@ import numpy as np
 from . import convexsets
 from .convexsets import (
     DEFAULT_EPS_OPEN,
+    EPS_ACTIVE,
+    Box,
     ConeSection,
     _clip_argmax,
     tangent_projector,
 )
 from .game import Tolerances
 from .preferences import (
-    GradedRows,
     LinearUtility,
     PreferenceMap,
     QuadUtility,
     UnboundedPreferenceError,
     convexified_set,
+    embed_variant,
     is_satiated,
 )
 
@@ -64,8 +67,95 @@ class OperatorEval:
         return slice(self.starts[i], self.starts[i] + self.blocks[i].dim)
 
 
-# the signs of a box's rows e_j and -e_j, one row each
+# the rows of a 1-D box, e_0 then -e_0: its active-face normals
 _ROW_SIGNS = np.array([[1.0], [-1.0]])
+
+
+@dataclass(frozen=True)
+class GradedRows:
+    """The graded players' fixed data for one pass of T over all their
+    blocks (_graded_sections), built once per game (GameInstance._graded_rows).
+
+    Arrays run over the stacked own coordinates, block after block: block k
+    (player index[k], preference map pms[k]) owns cut[k]:cut[k+1], and own
+    maps them to joint coordinates.  The own gradient at x is c plus, on a
+    quadratic player's coordinates (qpos), take(Q @ x, gather): Q stacks the
+    quadratic players' joint Q only (None without one), and a stacked
+    product is each player's own Q @ x bit for bit, the product
+    _own_quadratic and the verifier take.
+
+    A block is boxed when X_i is a 1-D Box and maximize separates its own
+    curvature (a linear objective up to 1e-13, else a nonpositive one): q is
+    that curvature, quad says whether maximize takes it as quadratic, and
+    q_clip is the curvature it clips with (q, else 0).  The two rows of
+    bound and thr are the box's rows e_0 and -e_0: the right-hand sides hi
+    and -lo, and the thresholds of _active_normals (inf for an infinite
+    bound, no row).  boxed lists those blocks; general lists (k, tangent
+    projector or None) of the others, which keep the per-block test: their
+    coordinates have q = 0, bound = 0 and no active row.
+    """
+
+    index: tuple
+    pms: tuple
+    cut: tuple
+    own: np.ndarray
+    Q: np.ndarray | None
+    gather: np.ndarray
+    qpos: np.ndarray
+    c: np.ndarray
+    q: np.ndarray
+    q_clip: np.ndarray
+    quad: np.ndarray
+    bound: np.ndarray
+    thr: np.ndarray
+    boxed: tuple
+    general: tuple
+
+    @staticmethod
+    def of(prefs, n: int) -> "GradedRows | None":
+        """The rows of the graded players among prefs, a game's n coordinates
+        long; None when no player is graded."""
+        index, pms, Qs, gather, qpos, cols, boxed, general = [], [], [], [], [], [], [], []
+        at = 0
+        for i, pm in enumerate(prefs):
+            if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
+                continue
+            pm = embed_variant(pm, n)
+            k, v, d, X = len(pms), pm.variant, pm.block_dim, pm.ambient
+            own = np.arange(pm.block.start, pm.block.stop)
+            index.append(i)
+            pms.append(pm)
+            if isinstance(v, QuadUtility):
+                gather.append(len(Qs) * n + own)
+                qpos.append(np.arange(at, at + d))
+                Qs.append(v.Q)
+                A2 = v.Q[pm.block, pm.block]
+            else:
+                A2 = np.zeros((d, d))
+            at += d
+            # maximize's rules: a linear objective up to 1e-13, else a
+            # separable one only with a nonpositive diagonal
+            quad = np.abs(A2).max(initial=0.0) > 1e-13
+            q = np.diag(A2)
+            if isinstance(X, Box) and d == 1 and (not quad or q[0] <= 0.0):
+                bound = np.concatenate([X.hi, -X.lo])[:, None]
+                thr = np.where(np.isfinite(bound), -EPS_ACTIVE * (1.0 + np.abs(bound)), np.inf)
+                boxed.append(k)
+            else:
+                q, bound, thr = np.zeros(d), np.zeros((2, d)), np.full((2, d), np.inf)
+                P = tangent_projector(X) if len(X.equalities()[1]) else None
+                general.append((k, P))
+            cols.append((own, v.c[pm.block], q, q if quad else np.zeros(d),
+                         np.full(d, quad), bound, thr))
+        if not pms:
+            return None
+        own, c, q, q_clip, quad, bound, thr = (np.concatenate(col, axis=-1) for col in zip(*cols))
+        cut = np.cumsum([0] + [pm.block_dim for pm in pms]).tolist()
+        none = np.zeros(0, dtype=int)
+        return GradedRows(
+            tuple(index), tuple(pms), tuple(cut), own, np.array(Qs) if Qs else None,
+            np.concatenate([none, *gather]), np.concatenate([none, *qpos]), c, q, q_clip, quad,
+            bound, thr, tuple(boxed), tuple(general))
 
 
 def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
@@ -78,48 +168,41 @@ def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
     exactly the normals of the sup-level set at its boundary point x_i.
 
     A boxed block takes the terms of maximize and _own_quadratic
-    elementwise, which over one coordinate are their sums; a wide block sums
-    them with their dot products, so every verdict at eps_open is the
-    verifier's.  Its unit gradient is exactly -sign(g) in 1-D, and an axis
-    normal repeats it only when that coordinate of it is 1 to 1e-12, the
-    rule of ConeSection.from_vectors.  A general block tests satiation with
-    is_satiated (a maximize over X_i) and builds its generators through
-    from_vectors.
+    elementwise, which over its one coordinate are their sums, so every
+    verdict at eps_open is the verifier's.  Its unit gradient is exactly
+    -sign(g), and a face normal repeats it only when they are equal to
+    1e-12, the rule of ConeSection.from_vectors.  A general block tests
+    satiation with is_satiated (a maximize over X_i) and builds its
+    generators through from_vectors.
     """
     x = np.asarray(x, dtype=float)
     xo = x[R.own]
-    gx = np.take(R.Q @ x, R.gather)
+    gx = np.zeros(len(xo))
+    if R.Q is not None:
+        gx[R.qpos] = np.take(R.Q @ x, R.gather)
     g = gx + R.c
     a1 = gx - R.q * xo + R.c
-    z = _clip_argmax(a1, R.q_clip, R.lo, R.hi)
+    z = _clip_argmax(a1, R.q_clip, -R.bound[1], R.bound[0])
     if not np.isfinite(z).all():
         k = int(np.searchsorted(R.cut, np.argmin(np.isfinite(z)), side="right")) - 1
         raise UnboundedPreferenceError(f"player {R.pms[k].player}: improvement unbounded")
     slack = (np.where(R.quad, 0.5 * z * R.q * z + a1 * z, a1 * z)
              - (0.5 * xo * R.q * xo + a1 * xo))
     gnorm = np.abs(g)
-    for k, A2, quad in R.wide:
-        sl = slice(R.cut[k], R.cut[k + 1])
-        zk, ak, xk = z[sl], a1[sl], xo[sl]
-        val = 0.5 * zk @ A2 @ zk + ak @ zk if quad else np.sum(ak * zk)
-        slack[sl] = val - (0.5 * xk @ A2 @ xk + ak @ xk)
-        gnorm[sl] = np.linalg.norm(g[sl])
     moves = gnorm >= 1e-12
     u = -g / np.where(moves, gnorm, 1.0)
     keep = ((_ROW_SIGNS * xo - R.bound >= R.thr)
             & ~(moves & (np.abs(_ROW_SIGNS * u - 1.0) <= 1e-12))).T
 
-    out = []
-    for k, normals in enumerate(R.normals):
-        a, b = R.cut[k], R.cut[k + 1]
-        if normals is None:
-            out.append(None)  # a general block, below
-        elif slack[a] <= eps_open:
-            out.append(ConeSection.whole(b - a))
+    out = [None] * len(R.pms)
+    for k in R.boxed:
+        a = R.cut[k]
+        if slack[a] <= eps_open:
+            out[k] = ConeSection.whole(1)
         else:
-            gens = normals[keep[a:b].ravel()]
-            out.append(ConeSection(b - a, np.concatenate((u[None, a:b], gens))
-                                   if moves[a] else gens))
+            gens = _ROW_SIGNS[keep[a]]
+            out[k] = ConeSection(1, np.concatenate((u[None, a:a + 1], gens))
+                                 if moves[a] else gens)
     for k, P in R.general:
         pm = R.pms[k]
         if is_satiated(pm, x, eps_open):

@@ -25,7 +25,6 @@ import numpy as np
 from . import _lp
 from .convexsets import (
     DEFAULT_EPS_OPEN,
-    EPS_ACTIVE,
     Box,
     ConvexBody,
     EmptyBodyError,
@@ -35,7 +34,6 @@ from .convexsets import (
     hull_body,
     is_polyhedral,
     maximize,
-    tangent_projector,
 )
 
 
@@ -229,94 +227,6 @@ def _own_quadratic(pm: PreferenceMap, x):
             a1 = v.c.copy()
     a0 = -(0.5 * xi @ A2 @ xi + a1 @ xi)
     return A2, a1, a0
-
-
-@dataclass(frozen=True)
-class GradedRows:
-    """The graded players' fixed data for one pass of T over all their blocks
-    (operators.evaluate_T), built once per game.
-
-    Arrays run over the stacked own coordinates, block after block: block k
-    (player index[k]) owns cut[k]:cut[k+1], and own maps them to joint
-    coordinates.  The own gradient at x is take(Q @ x, gather) + c, where Q
-    stacks each player's joint Q (zeros for a linear one), so each product
-    is the one _own_quadratic and the verifier take, bit for bit.
-
-    A block is boxed when X_i is a Box and its own curvature is a diagonal
-    that maximize separates: q is that diagonal, quad says whether maximize
-    takes the block as quadratic, q_clip is the curvature it then clips with
-    (q, else 0), and lo and hi are the bounds.  Its rows are Box.hrep's, e_j then -e_j, each row of bound and
-    thr stacking one of them: the right-hand sides hi and -lo, and the
-    thresholds of _active_normals (inf for an infinite bound, no row).
-    normals[k] holds the rows in that order.  wide lists (k, own curvature,
-    quad) of the boxed blocks of 2 or more coordinates, whose sums take
-    maximize's dot products.  general lists (k, tangent projector or None)
-    of the other blocks, which keep the per-block test; their coordinates
-    have q = lo = hi = 0 and no active row.
-    """
-
-    index: tuple
-    pms: tuple
-    cut: tuple
-    own: np.ndarray
-    Q: np.ndarray
-    gather: np.ndarray
-    c: np.ndarray
-    q: np.ndarray
-    q_clip: np.ndarray
-    quad: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    bound: np.ndarray
-    thr: np.ndarray
-    normals: tuple
-    wide: tuple
-    general: tuple
-
-    @staticmethod
-    def of(prefs, n: int) -> "GradedRows | None":
-        """The rows of the graded players among prefs, a game's n coordinates
-        long; None when no player is graded."""
-        index, pms, Qs, cols = [], [], [], []
-        normals, wide, general = [], [], []
-        for i, pm in enumerate(prefs):
-            if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
-                continue
-            pm = embed_variant(pm, n)
-            k, v, d, X = len(pms), pm.variant, pm.block_dim, pm.ambient
-            own = np.arange(pm.block.start, pm.block.stop)
-            index.append(i)
-            pms.append(pm)
-            Qs.append(v.Q if isinstance(v, QuadUtility) else np.zeros((n, n)))
-            A2 = Qs[-1][pm.block, pm.block]
-            # maximize's rules: a linear objective up to 1e-13, else a
-            # separable one only with a nonpositive diagonal
-            quad = np.abs(A2).max(initial=0.0) > 1e-13
-            q = np.diag(A2)
-            if (isinstance(X, Box) and np.count_nonzero(A2) == np.count_nonzero(q)
-                    and (not quad or np.all(q <= 0.0))):
-                lo, hi = X.lo, X.hi
-                thr = [np.where(np.isfinite(b), -EPS_ACTIVE * (1.0 + np.abs(b)), np.inf)
-                       for b in (hi, lo)]
-                normals.append(np.kron(np.eye(d), [[1.0], [-1.0]]))
-                if d > 1:
-                    wide.append((k, A2, quad))
-            else:
-                q, lo, hi = np.zeros(d), np.zeros(d), np.zeros(d)
-                thr = [np.full(d, np.inf)] * 2
-                normals.append(None)
-                P = tangent_projector(X) if len(X.equalities()[1]) else None
-                general.append((k, P))
-            cols.append((own, k * n + own, v.c[pm.block], q, q if quad else np.zeros(d),
-                         np.full(d, quad), lo, hi, thr[0], thr[1]))
-        if not pms:
-            return None
-        own, gather, c, q, q_clip, quad, lo, hi, thr_hi, thr_lo = map(np.concatenate, zip(*cols))
-        cut = np.cumsum([0] + [pm.block_dim for pm in pms]).tolist()
-        return GradedRows(
-            tuple(index), tuple(pms), tuple(cut), own, np.array(Qs), gather, c, q, q_clip,
-            quad, lo, hi, np.vstack([hi, -lo]), np.vstack([thr_hi, thr_lo]), tuple(normals),
-            tuple(wide), tuple(general))
 
 
 # --------------------------------------------------------------------------

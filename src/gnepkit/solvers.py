@@ -503,10 +503,10 @@ def _block_grid(body: ConvexBody, h: float) -> np.ndarray:
 
 
 def _inside_mask(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
-    """Rows of pts in the closure of body, to 1e-9: none when the body is
-    empty (hrep() leaves out the zero row that empties a poisoned body), else
-    those within its rows and equalities when it is polyhedral, else by its
-    own membership test."""
+    """Rows of pts in the closure of body, to 1e-9: none when body.is_empty()
+    (strict rows included; hrep() leaves out the zero row that empties a
+    poisoned body), else those within its rows and equalities when it is
+    polyhedral, else by its own membership test."""
     if body.is_empty():
         return np.zeros(len(pts), dtype=bool)
     h = body.hrep()

@@ -538,20 +538,30 @@ def test_sorted_unique_window_equals_pairwise_pass():
     assert len(_sorted_unique(inputs[-1])) == 2
 
 
-def test_polygon_300_vertices_in_time():
-    # 0.36-0.47 s with the pass over every pair of kept vertices, 0.21-0.30 s
-    # with the window (2-core x86_64 host, unloaded); most of what is left
-    # is forming and testing its 44,850 candidates
-    import time
+def test_polygon_300_dedup_compares_linearly(monkeypatch):
+    # the 300-gon's dedup makes O(n) norm comparisons, where the pass over
+    # every pair of kept vertices made about n^2 / 2 (its vertices() took
+    # 0.36-0.47 s against 0.21-0.30 s with the window, unloaded 2-core
+    # x86_64 host; the count does not depend on the host's load)
+    from gnepkit.convexsets import _sorted_unique
+    from vertex_reference import sorted_unique_pairwise
 
-    best = np.inf
-    for _ in range(5):
-        P = _regular_polygon(300)
-        t0 = time.perf_counter()
-        V = P.vertices()
-        best = min(best, time.perf_counter() - t0)
-    assert len(V) == 300
-    assert best < 0.35
+    C = _regular_polygon(300)._candidates
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    counts = []
+    for dedup in (_sorted_unique, sorted_unique_pairwise):
+        calls.clear()
+        assert len(dedup(C)) == 300
+        counts.append(len(calls))
+    assert counts[0] <= 3 * len(C)
+    assert counts[1] > 300 * 299 // 4
 
 
 def test_unbounded_bounding_box_raises_enumeration_error():

@@ -239,6 +239,27 @@ def test_mixed_game_keeps_block_order():
         assert op.starts == (0, 1, 3)
 
 
+def test_linear_players_stack_no_joint_matrix():
+    """A linear player's own gradient is its c: the graded rows hold no
+    n x n array for it, and Q stacks only the quadratic players' joint Q."""
+    n = 60
+    X = Box([0.0], [1.0])
+    rng = np.random.default_rng(6)
+    prefs = [PreferenceMap(i, i, X, LinearUtility([rng.normal()])) for i in range(n)]
+    game = GameInstance(tuple(prefs), (FixedConstraint(X),) * n, None, "linear")
+    R = game._graded_rows
+    assert R.Q is None
+    assert max(a.size for a in vars(R).values() if isinstance(a, np.ndarray)) < n * n
+    for x in rng.uniform(-0.1, 1.1, size=(5, n)):
+        assert _assert_matches_reference(game, x, 1e-7) == n
+    prefs[3] = PreferenceMap(3, 3, X, QuadUtility([[-2.0]], [0.9]))
+    prefs[40] = PreferenceMap(40, 40, X, QuadUtility([[-0.5]], [-0.2]))
+    game = GameInstance(tuple(prefs), (FixedConstraint(X),) * n, None, "two quadratic")
+    assert game._graded_rows.Q.shape == (2, n, n)
+    for x in rng.uniform(-0.1, 1.1, size=(5, n)):
+        assert _assert_matches_reference(game, x, 1e-7) == n
+
+
 def test_evaluate_T_on_box_blocks_runs_no_improvement_search(monkeypatch):
     """Every block of random_jointly_convex(0) is a 1-D box: the pass needs
     neither the verifier's improvement nor a maximize."""
