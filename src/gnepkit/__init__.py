@@ -16,7 +16,6 @@ from .convexsets import (
     EmptyBodyError,
     EnumerationError,
     HPoly,
-    Intersection,
     InteriorPointError,
     Simplex,
     ball,
@@ -94,7 +93,7 @@ from .solvers import (
 __all__ = [
     "__version__",
     # bodies
-    "ConvexBody", "Box", "Simplex", "HPoly", "Ball", "Intersection",
+    "ConvexBody", "Box", "Simplex", "HPoly", "Ball",
     "ConeSection", "box", "simplex", "halfspaces", "ball", "intersect",
     "hull_body", "maximize", "support_max", "body_from_dict", "separate",
     "normal_cone_generators", "polar_check",

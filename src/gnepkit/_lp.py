@@ -51,7 +51,7 @@ def max_linear(c, A=None, b=None, A_eq=None, b_eq=None, bounds=None):
     return -res.fun, res.x
 
 
-def max_slack(A, b, strict_mask, A_eq=None, b_eq=None, cap=1e6):
+def max_slack(A, b, strict_mask, cap=1e6):
     """Largest margin s with A x <= b - s on strict rows (A x <= b elsewhere).
 
     Rows must be unit-normalized for s to mean Euclidean distance.  Returns
@@ -65,9 +65,7 @@ def max_slack(A, b, strict_mask, A_eq=None, b_eq=None, cap=1e6):
     c = np.zeros(n + 1)
     c[-1] = -1.0
     bounds = [(None, None)] * n + [(None, cap)]
-    if A_eq is not None:
-        A_eq = np.hstack([np.asarray(A_eq, dtype=float), np.zeros((len(b_eq), 1))])
-    res = solve_lp(c, A_ext, b, A_eq, b_eq, bounds)
+    res = solve_lp(c, A_ext, b, bounds=bounds)
     return -res.fun, res.x[:n]
 
 

@@ -1,10 +1,11 @@
 """Convex bodies with optional open faces, projections, separation, normal cones.
 
-A body is a convex subset of R^dim given by one of five shapes: axis box,
+A body is a convex subset of R^dim given by one of four shapes: axis box,
 scaled probability simplex, half-space intersection with a per-row strict
-mask, Euclidean ball, or a finite intersection of polyhedral parts (boxes,
-simplices, half-space intersections and such intersections), which answers
-every query as one merged half-space intersection.  Strict rows carry the
+mask, or Euclidean ball.  ``intersect`` turns polyhedral parts (boxes,
+simplices, half-space intersections) into the one half-space intersection
+of all their rows.  The rows of a polyhedral body (``hrep``) are every row
+of its closure, an equality as an exact +/- pair.  Strict rows carry the
 open part: ``contains`` demands a margin (default 1e-7) on them, projection
 and vertex enumeration always work with the closure.
 
@@ -78,11 +79,13 @@ class ConvexBody:
     _poisoned = False
 
     def hrep(self):
-        """(A, b, strict) with unit rows, or None when not polyhedral."""
+        """(A, b, strict) with unit rows, every row of the closure, an
+        equality as an exact +/- pair; None when not polyhedral."""
         return None
 
     def equalities(self):
-        """(C, d) rows of known affine equalities (unit rows; may be empty)."""
+        """(C, d): one row of each equality +/- pair in hrep() (unit rows;
+        may be empty).  A Box and a Ball report none."""
         return np.zeros((0, self.dim)), np.zeros(0)
 
     def vertices(self) -> np.ndarray:
@@ -213,8 +216,9 @@ class Simplex(ConvexBody):
         return project_simplex(_as_vec(x, self.dim), self.scale)
 
     def hrep(self):
-        A = -np.eye(self.dim)
-        return A, np.zeros(self.dim), np.zeros(self.dim, dtype=bool)
+        C, d = self.equalities()
+        A = np.vstack([-np.eye(self.dim), C, -C])
+        return A, np.concatenate([np.zeros(self.dim), d, -d]), np.zeros(self.dim + 2, dtype=bool)
 
     def equalities(self):
         n = np.ones((1, self.dim)) / np.sqrt(self.dim)
@@ -376,6 +380,16 @@ class HPoly(ConvexBody):
         return self.A.copy(), self.b.copy(), self.strict.copy()
 
     @cached_property
+    def _pairs(self):
+        return _pair_masks(self.A, self.b, self.strict)
+
+    def equalities(self):
+        """The first row of each exact +/- pair among the rows (see
+        _pair_masks), read from the rows alone, so it survives to_dict."""
+        first, _ = self._pairs
+        return self.A[first], self.b[first]
+
+    @cached_property
     def _bbox(self):
         if self.dim == 1:
             lo, hi = self._interval
@@ -399,9 +413,10 @@ class HPoly(ConvexBody):
                     and _lp.recession_cone_is_zero(self.A))
 
     def is_bounded(self):
-        """Whether the body is bounded: true for a VertexForm.body, a compact
-        Intersection's merged body and a hull, the interval's end points in
-        1-D, else rank n rows and one LP on the recession cone
+        """Whether the body is bounded: true for a VertexForm.body, an
+        intersect() with a part compact in closed form, a hull and the
+        closure of a body known bounded, the interval's end points in 1-D,
+        else rank n rows and one LP on the recession cone
         (_lp.recession_cone_is_zero).  Raises EmptyBodyError when empty."""
         if self._empty:
             raise EmptyBodyError("boundedness of an empty polyhedron")
@@ -443,9 +458,15 @@ class HPoly(ConvexBody):
         if self._poisoned:
             # the closure of an empty body is empty: keep a zero row that says so
             return HPoly(np.vstack([self.A, np.zeros(self.dim)]), np.append(self.b, -1.0))
-        # a form already built (a game slice's) is shared, not built again
+        # a form already built (a game slice's) is shared, not built again;
+        # the rows are the same, so a known boundedness holds for them too
         form = vars(self).get("_form")
-        return HPoly(self.A, self.b, None) if form is None else form.body(self.b)
+        if form is not None:
+            return form.body(self.b)
+        P = HPoly(self.A, self.b)
+        if "_bounded" in vars(self):
+            object.__setattr__(P, "_bounded", self._bounded)
+        return P
 
     def to_dict(self):
         return {
@@ -503,117 +524,22 @@ class Ball(ConvexBody):
         return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
-@dataclass(frozen=True)
-class Intersection(ConvexBody):
-    """A finite intersection of polyhedral parts (Box, Simplex, HPoly or a
-    nested Intersection); membership is judged part by part, every other
-    query by the single HPoly of all their rows and equalities.
-
-    A part that is compact in closed form (a Box with finite bounds, a
-    Simplex, or an Intersection with such a part) bounds the whole, so the
-    merged body needs no recession-cone LP to take its vertex form (see
-    HPoly._form; a budget set: a choice box cut by a price row)."""
-
-    parts: tuple
-    kind: str = field(default="intersection", init=False)
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if not parts:
-            raise ValueError("empty intersection")
-        if len({p.dim for p in parts}) != 1:
-            raise ValueError("intersection parts disagree on dim")
-        for p in parts:
-            if not is_polyhedral(p):
-                raise ValueError(f"intersection part kind={p.kind!r} is not polyhedral")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def dim(self):
-        return self.parts[0].dim
-
-    @cached_property
-    def _merged(self):
-        """The single HPoly of every part's rows and equalities."""
-        rows, rhs, strict = [], [], []
-        for p in self.parts:
-            h = p.hrep()
-            rows.append(h[0])
-            rhs.append(h[1])
-            strict.append(h[2])
-            C, d = p.equalities()
-            if len(d):
-                rows.extend([C, -C])
-                rhs.extend([d, -d])
-                strict.extend([np.zeros(len(d), bool)] * 2)
-            if p._poisoned:
-                # hrep() leaves out the zero row that empties the part; one
-                # such row empties the merged body by the same rule
-                rows.append(np.zeros((1, self.dim)))
-                rhs.append([-1.0])
-                strict.append([False])
-        P = HPoly(np.vstack(rows), np.concatenate(rhs), np.concatenate(strict))
-        if _compact(self):
-            object.__setattr__(P, "_bounded", True)
-        return P
-
-    @property
-    def _poisoned(self):
-        return self._merged._poisoned
-
-    def is_bounded(self):
-        return self._merged.is_bounded()
-
-    def contains(self, x, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
-        return all(p.contains(x, eps, eps_open) for p in self.parts)
-
-    def project(self, x):
-        return self._merged.project(x)
-
-    def hrep(self):
-        return self._merged.hrep()
-
-    def equalities(self):
-        Cs = [p.equalities() for p in self.parts]
-        C = np.vstack([c for c, _ in Cs])
-        d = np.concatenate([v for _, v in Cs])
-        return C, d
-
-    def is_empty(self, eps_open=DEFAULT_EPS_OPEN):
-        return self._merged.is_empty(eps_open)
-
-    def vertices(self):
-        return self._merged.vertices()
-
-    def bounding_box(self):
-        return self._merged.bounding_box()
-
-    def interior_point(self):
-        return self._merged.interior_point()
-
-    def sample(self, rng, k):
-        return self._merged.sample(rng, k)
-
-    def closure(self):
-        return Intersection(tuple(p.closure() for p in self.parts))
-
-    def to_dict(self):
-        return {"kind": "intersection", "parts": [p.to_dict() for p in self.parts]}
-
-
 def is_polyhedral(body: ConvexBody) -> bool:
-    """Whether body is one of the shapes an Intersection accepts as a part."""
-    return isinstance(body, (Box, Simplex, HPoly, Intersection))
+    """Whether body is one of the shapes intersect accepts as a part."""
+    return isinstance(body, (Box, Simplex, HPoly))
 
 
-def _compact(body: ConvexBody) -> bool:
-    """Whether body is compact in closed form, with no LP: a Box with finite
-    bounds, a Simplex, or an Intersection with such a part."""
-    if isinstance(body, Box):
-        return bool(np.all(np.isfinite(body.lo)) and np.all(np.isfinite(body.hi)))
-    if isinstance(body, Intersection):
-        return any(_compact(p) for p in body.parts)
-    return isinstance(body, Simplex)
+def _pair_masks(A, b, strict):
+    """(first, paired): masks of the first row of each exact +/- pair of
+    {A z <= b} (rows and right-hand sides exact negatives, neither row
+    strict) and of every row in one.  A pair is an equality."""
+    closed = ~np.asarray(strict, dtype=bool)
+    i, j = np.nonzero(np.triu((b[:, None] == -b) & closed[:, None] & closed, 1))
+    hit = np.all(A[i] == -A[j], axis=1)
+    first, paired = np.zeros((2, len(b)), dtype=bool)
+    first[i[hit]] = True
+    paired[i[hit]] = paired[j[hit]] = True
+    return first, paired
 
 
 # --------------------------------------------------------------------------
@@ -636,8 +562,37 @@ def ball(center, radius: float) -> Ball:
     return Ball(center, radius)
 
 
-def intersect(*parts) -> Intersection:
-    return Intersection(tuple(parts))
+def intersect(*parts) -> HPoly:
+    """The one HPoly of polyhedral parts (Box, Simplex or HPoly): every
+    part's rows, an equality as its +/- pair, and a zero row that empties
+    the whole for a part that one empties.
+
+    A part that is compact in closed form (a Box with finite bounds, a
+    Simplex, or an HPoly known bounded, such as another intersect() with
+    such a part) bounds the whole, so it needs no recession-cone LP to take
+    its vertex form (see HPoly._form; a budget set: a choice box cut by a
+    price row)."""
+    if not parts:
+        raise ValueError("empty intersection")
+    dim = parts[0].dim
+    rows, rhs, strict, compact = [], [], [], False
+    for p in parts:
+        if p.dim != dim:
+            raise ValueError("intersection parts disagree on dim")
+        if not is_polyhedral(p):
+            raise ValueError(f"intersection part kind={p.kind!r} is not polyhedral")
+        A, b, s = p.hrep()
+        if p._poisoned:
+            A, b, s = np.vstack([A, np.zeros(dim)]), np.append(b, -1.0), np.append(s, False)
+        rows.append(A)
+        rhs.append(b)
+        strict.append(s)
+        compact |= (isinstance(p, Simplex) or vars(p).get("_bounded") is True
+                    or isinstance(p, Box) and bool(np.isfinite([p.lo, p.hi]).all()))
+    P = HPoly(np.vstack(rows), np.concatenate(rhs), np.concatenate(strict))
+    if compact:
+        object.__setattr__(P, "_bounded", True)
+    return P
 
 
 def body_from_dict(d: dict) -> ConvexBody:
@@ -651,7 +606,8 @@ def body_from_dict(d: dict) -> ConvexBody:
     if kind == "ball":
         return Ball(d["center"], float(d["radius"]))
     if kind == "intersection":
-        return Intersection(tuple(body_from_dict(p) for p in d["parts"]))
+        # files written before intersections were saved as their rows
+        return intersect(*(body_from_dict(p) for p in d["parts"]))
     raise ValueError(f"unknown body kind {kind!r}")
 
 
@@ -912,10 +868,6 @@ def _active_normals(body: ConvexBody, p):
         for i in range(len(b)):
             if m[i] >= -EPS_ACTIVE * (1.0 + abs(b[i])):
                 out.append(A[i])
-    C, d = body.equalities()
-    for i in range(len(d)):
-        out.append(C[i])
-        out.append(-C[i])
     if isinstance(body, Ball):
         r = np.linalg.norm(p - body.center)
         if r >= body.radius - EPS_ACTIVE * (1.0 + body.radius) and r > 1e-12:
@@ -983,12 +935,13 @@ def maximize(body: ConvexBody, c, Q=None):
     Q absent or zero (every entry at most 1e-13) is the support function:
     closed forms for Box, Simplex, Ball and 1-D polyhedra, the best feasible
     vertex candidate of a bounded polyhedron of 2 or more dimensions within
-    the _VERTEX_FORM_SUBSETS gate (HPoly._form; an Intersection asks its
-    merged body), else one LP.  A
-    nonzero Q must be negative semidefinite.  A diagonal Q over a Box or a
-    1-D polyhedron separates into one clip per coordinate; any other Q is
+    the _VERTEX_FORM_SUBSETS gate (HPoly._form), else one LP.  A nonzero Q
+    must be negative semidefinite.  A diagonal Q over a Box or a 1-D
+    polyhedron separates into one clip per coordinate; any other Q is
     answered by exact KKT enumeration over the rows and equalities (hrep()
-    rows are the closure's: only the strict flags differ).  Raises
+    rows are the closure's: only the strict flags differ; an equality's
+    +/- pair is passed as the equality).
+    Raises
     UnboundedLP when the maximum is unbounded, EmptyBodyError when a zero
     row empties the polyhedron, EnumerationError for a Ball with a nonzero
     Q, the one body with neither a closed form nor an H-representation.
@@ -1022,20 +975,21 @@ def maximize(body: ConvexBody, c, Q=None):
         if quadratic:
             return float(0.5 * z @ Q @ z + c @ z), z
         return (float(c[0] * z[0]) if c[0] != 0.0 else 0.0), z
-    P = body._merged if isinstance(body, Intersection) else body
-    if not quadratic and P._form is not None:
-        V = P._candidates
+    if not quadratic and body._form is not None:
+        V = body._candidates
         if not len(V):
             raise EmptyBodyError("maximization over an empty polyhedron")
         vals = V @ c
         k = int(np.argmax(vals))
         return float(vals[k]), V[k].copy()
-    C, d = body.equalities()
-    eq = (C, d) if len(d) else (None, None)
+    # each equality once, as an equality, not also as its two rows
+    first, paired = _pair_masks(*h)
+    A, b = h[0][~paired], h[1][~paired]
+    eq = (h[0][first], h[1][first]) if first.any() else (None, None)
     if quadratic:
-        val, z = _lp.max_concave_quad(Q, c, h[0], h[1], *eq)
+        val, z = _lp.max_concave_quad(Q, c, A, b, *eq)
     else:
-        val, z = _lp.max_linear(c, h[0], h[1], *eq)
+        val, z = _lp.max_linear(c, A, b, *eq)
     return float(val), z
 
 

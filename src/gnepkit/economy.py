@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .convexsets import ConvexBody, HPoly, Intersection, Simplex, is_polyhedral, support_max
+from .convexsets import ConvexBody, HPoly, Simplex, intersect, is_polyhedral, support_max
 from .game import (
     FixedConstraint,
     GameInstance,
@@ -177,9 +177,7 @@ def budget_set(econ: EconomyInstance, i: int, p, B) -> ConvexBody:
     """{a in A_i : <p, a> <= wealth_i(p, B)}."""
     p = np.asarray(p, dtype=float)
     w = wealth(econ, i, p, B)
-    return Intersection(
-        (econ.consumers[i].choice_set, HPoly(p[None, :], [w]))
-    )
+    return intersect(econ.consumers[i].choice_set, HPoly(p[None, :], [w]))
 
 
 def _consumer_constraint(econ: EconomyInstance, i: int) -> ParametricConstraint:

@@ -26,9 +26,9 @@ from .convexsets import (
     EmptyBodyError,
     EnumerationError,
     HPoly,
-    Intersection,
     VertexForm,
     _unit_norms,
+    intersect,
     is_polyhedral,
     maximize,
 )
@@ -185,18 +185,17 @@ class GameInstance:
 
 def _lifted_rows(prefs, bodies, n):
     """The product of bodies[i] over the players' blocks as joint rows
-    (A, b): each body's closed rows, then its equalities, then their
-    negatives.  None when some body is not polyhedral."""
+    (A, b): each body's closed rows (hrep).  None when some body is not
+    polyhedral."""
     A, b = [], []
     for pm, body in zip(prefs, bodies):
         h = body.hrep()
         if h is None:
             return None
-        C, d = body.equalities()
-        G = np.zeros((len(h[1]) + 2 * len(d), n))
-        G[:, pm.block] = np.vstack([h[0], C, -C])
+        G = np.zeros((len(h[1]), n))
+        G[:, pm.block] = h[0]
         A.append(G)
-        b.append(np.concatenate([h[1], d, -d]))
+        b.append(h[1])
     return np.vstack(A), np.concatenate(b)
 
 
@@ -229,7 +228,7 @@ def jointly_convex_game(choice_sets, variants, shared_set, name="") -> GameInsta
     if rows is not None and len(rows[1]):
         lifted = HPoly(*rows)
         if not _shared_within_ambients(shared_set, lifted):
-            shared_set = Intersection((shared_set, lifted))
+            shared_set = intersect(shared_set, lifted)
     return GameInstance(tuple(prefs), tuple(cons), shared_set, name)
 
 
@@ -238,23 +237,15 @@ def jointly_convex_game(choice_sets, variants, shared_set, name="") -> GameInsta
 
 
 def _split_rows(body: ConvexBody, block: slice):
-    """A polyhedral body's rows, equalities as +/- pairs, split at block:
-    (own, rival, b, strict), where own is A[:, block] and rival is A with
-    the block's columns zeroed, so that the slice at x is
-    {z : own z <= b - rival @ x}.  An intersection stacks its parts' rows.
-    Raises ValueError when the body is not polyhedral."""
-    if isinstance(body, Intersection):
-        parts = [_split_rows(p, block) for p in body.parts]
-        return tuple(np.concatenate(cols) for cols in zip(*parts))
+    """A polyhedral body's rows (hrep: an equality is its +/- pair) split
+    at block: (own, rival, b, strict), where own is A[:, block] and rival
+    is A with the block's columns zeroed, so that the slice at x is
+    {z : own z <= b - rival @ x}.  Raises ValueError when the body is not
+    polyhedral."""
     h = body.hrep()
     if h is None:
         raise ValueError(f"cannot slice kind={body.kind!r}: not polyhedral")
     A, b, strict = h
-    C, d = body.equalities()
-    if len(d):
-        A = np.vstack([A, C, -C])
-        b = np.concatenate([b, d, -d])
-        strict = np.concatenate([strict, np.zeros(2 * len(d), bool)])
     rival = A.copy()
     rival[:, block] = 0.0
     return A[:, block], rival, b, strict
@@ -285,7 +276,8 @@ def constraint_body(game: GameInstance, i: int, x) -> ConvexBody:
 
 
 def membership_violation(body: ConvexBody, z) -> float:
-    """Worst constraint violation of z (negative values mean interior margin)."""
+    """Worst constraint violation of z (negative values mean interior
+    margin); an equality's +/- pair gives its absolute residual."""
     z = np.asarray(z, dtype=float)
     worst = -np.inf
     h = body.hrep()
@@ -293,9 +285,6 @@ def membership_violation(body: ConvexBody, z) -> float:
         A, b, _ = h
         if len(b):
             worst = max(worst, float(np.max(A @ z - b)))
-    C, d = body.equalities()
-    if len(d):
-        worst = max(worst, float(np.max(np.abs(C @ z - d))))
     if isinstance(body, Ball):
         worst = max(worst, float(np.linalg.norm(z - body.center) - body.radius))
     if worst == -np.inf:
@@ -487,7 +476,7 @@ def _improve_block_lp(pm: PreferenceMap, x, body: ConvexBody, radius):
     if budget2 <= 0:
         return None
     cap = np.sqrt(budget2) / np.sqrt(pm.block_dim) * (1 - 1e-6)
-    dom = Intersection((body, Box(-np.full(pm.block_dim, cap), np.full(pm.block_dim, cap))))
+    dom = intersect(body, Box(-np.full(pm.block_dim, cap), np.full(pm.block_dim, cap)))
     if dom.is_empty(eps_open=0.0):
         return None
     A2, a1, _ = _own_quadratic(pm, x)

@@ -30,8 +30,9 @@ from .convexsets import (
     EmptyBodyError,
     EnumerationError,
     HPoly,
-    Intersection,
+    _pair_masks,
     hull_body,
+    intersect,
     is_polyhedral,
     maximize,
 )
@@ -313,7 +314,7 @@ class SampledRegion:
 
 
 def _with_rows(ambient: ConvexBody, A, b, strict) -> ConvexBody:
-    return Intersection((ambient, HPoly(A, b, strict)))
+    return intersect(ambient, HPoly(A, b, strict))
 
 
 def _ambient_candidates(ambient: ConvexBody, rng: np.random.Generator, budget: int):
@@ -416,7 +417,7 @@ def convexified_set(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN, se
         if not live:
             return EmptyRegion(region.dim)
         pts = [v for p in live for v in p.vertices()]
-        return Intersection((pm.ambient, hull_body(np.array(pts))))
+        return intersect(pm.ambient, hull_body(np.array(pts)))
     if isinstance(region, SampledRegion):
         if len(region.members) == 0:
             return EmptyRegion(region.dim)
@@ -496,7 +497,7 @@ def _poly_slack(rows, over: ConvexBody) -> float:
     h = over.hrep()
     if h is None:
         raise ValueError("polyhedral improvement needs a polyhedral domain")
-    A_o, b_o, _ = h
+    A_o, b_o, strict_o = h
     norms = np.linalg.norm(A_p, axis=1)
     keep = norms > 1e-13
     A_p = A_p[keep] / norms[keep, None]
@@ -506,12 +507,11 @@ def _poly_slack(rows, over: ConvexBody) -> float:
     b = np.concatenate([b_p, b_o])
     s_mask = np.concatenate([strict, np.zeros(len(b_o), dtype=bool)])
     if not s_mask.any():
-        s_mask = np.ones(len(b), dtype=bool)
-    C, d_eq = over.equalities()
+        # slack on every row but the domain's equalities, which have none
+        s_mask = np.concatenate([np.ones(len(b_p), dtype=bool),
+                                 ~_pair_masks(A_o, b_o, strict_o)[1]])
     try:
-        s, _ = _lp.max_slack(
-            A, b, s_mask, C if len(d_eq) else None, d_eq if len(d_eq) else None, cap=1.0
-        )
+        s, _ = _lp.max_slack(A, b, s_mask, cap=1.0)
     except _lp.InfeasibleLP:
         return -1.0
     except _lp.UnboundedLP as e:

@@ -505,17 +505,14 @@ def _block_grid(body: ConvexBody, h: float) -> np.ndarray:
 def _inside_mask(body: ConvexBody, pts: np.ndarray) -> np.ndarray:
     """Rows of pts in the closure of body, to 1e-9: none when body.is_empty()
     (strict rows included; hrep() leaves out the zero row that empties a
-    poisoned body), else those within its rows and equalities when it is
-    polyhedral, else by its own membership test."""
+    poisoned body), else those within its rows (an equality as its +/-
+    pair) when it is polyhedral, else by its own membership test."""
     if body.is_empty():
         return np.zeros(len(pts), dtype=bool)
     h = body.hrep()
     if h is None:
-        inside = np.array([body.contains(z, 1e-9, 0.0) for z in pts], dtype=bool)
-    else:
-        inside = np.all(pts @ h[0].T - h[1] <= 1e-9, axis=1)
-    C, d = body.equalities()
-    return inside & np.all(np.abs(pts @ C.T - d) <= 1e-9, axis=1)
+        return np.array([body.contains(z, 1e-9, 0.0) for z in pts], dtype=bool)
+    return np.all(pts @ h[0].T - h[1] <= 1e-9, axis=1)
 
 
 def _feasible_mask(game: GameInstance, nodes: np.ndarray) -> np.ndarray:

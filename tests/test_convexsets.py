@@ -15,11 +15,11 @@ from gnepkit.convexsets import (
     EmptyBodyError,
     EnumerationError,
     HPoly,
-    Intersection,
     InteriorPointError,
     Simplex,
     body_from_dict,
     hull_body,
+    intersect,
     maximize,
     normal_cone_generators,
     polar_check,
@@ -182,7 +182,7 @@ _SLAB_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 def _slab_bodies(g):
     """The 2-D slab {x0 <= 0, x0 >= g} x [0, 1] built five ways: as an HPoly,
-    in a shared vertex form, as a slice of a 3-D body, as an Intersection
+    in a shared vertex form, as a slice of a 3-D body, as an intersect()
     with a Box, and as a player's constraint slice in a game."""
     from gnepkit.convexsets import VertexForm
     from gnepkit.game import constraint_body, jointly_convex_game, slice_body
@@ -198,7 +198,7 @@ def _slab_bodies(g):
         "hpoly": HPoly(_SLAB_A, b),
         "vertex_form": VertexForm.of(_SLAB_A).body(b),
         "slice_body": slice_body(S, [0.0, 0.0, 0.5], slice(0, 2)),
-        "intersection": Intersection((Box([-5.0, 0.0], [5.0, 1.0]), HPoly(_SLAB_A[:2], b[:2]))),
+        "intersection": intersect(Box([-5.0, 0.0], [5.0, 1.0]), HPoly(_SLAB_A[:2], b[:2])),
         "constraint_body": constraint_body(game, 0, [0.0, 0.0, 0.5]),
     }
 
@@ -250,7 +250,7 @@ def test_poisoned_part_empties_intersection():
     from gnepkit.game import slice_body
 
     S = HPoly([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5])
-    I = Intersection((Box([-0.5], [1.5]), slice_body(S, [0.2, 1.7], slice(0, 1))))
+    I = intersect(Box([-0.5], [1.5]), slice_body(S, [0.2, 1.7], slice(0, 1)))
     assert I.is_empty()
     assert I.vertices().shape == (0, 1)
     assert not any(I.contains([z]) for z in np.linspace(-1.0, 2.0, 31))
@@ -303,12 +303,11 @@ def test_interval_projection_is_a_clip():
     rng = np.random.default_rng(5)
     checked = 0
     for B in _one_d_family(rng):
-        P = B._merged if isinstance(B, Intersection) else B
-        lo, hi = P._interval
+        lo, hi = B._interval
         for y in rng.uniform(-6.0, 6.0, 8):
             z = B.project(np.array([y]))
             assert np.array_equal(z, np.clip([y], lo, hi))
-            ref = _lp.project_polyhedron(np.array([y]), P.A, P.b)
+            ref = _lp.project_polyhedron(np.array([y]), B.A, B.b)
             assert abs(z[0] - ref[0]) <= 1e-15 * (1.0 + abs(y) + abs(z[0]))
             checked += 1
     assert checked == 960
@@ -330,9 +329,9 @@ def _one_d_family(rng):
         out.append(HPoly(sc_up[:, None], sc_up * (hi + up)))
         out.append(HPoly(-sc_dn[:, None], -sc_dn * (lo - dn)))
         out.append(HPoly([[2.0], [-3.0]], [2.0 * lo, -3.0 * lo]))
-        out.append(Intersection((Box([lo - 0.5], [hi + 0.5]), HPoly(rows, rhs))))
+        out.append(intersect(Box([lo - 0.5], [hi + 0.5]), HPoly(rows, rhs)))
         s = rng.uniform(0.1, 2.0)
-        out.append(Intersection((Simplex(1, s), HPoly([[1.0], [-1.0]], [s + up[0], dn[0] - s]))))
+        out.append(intersect(Simplex(1, s), HPoly([[1.0], [-1.0]], [s + up[0], dn[0] - s])))
     return out
 
 
@@ -344,12 +343,10 @@ def test_interval_closed_forms_match_exact_reference(monkeypatch):
     refs = []
     for B in bodies:
         A, b, _ = B.hrep()
-        C, d = B.equalities()
-        eq = (C, d) if len(d) else (None, None)
         sup = []
         for c in (1.0, -1.0):
             try:
-                sup.append(_lp.max_linear([c], A, b, *eq)[0])
+                sup.append(_lp.max_linear([c], A, b)[0])
             except _lp.UnboundedLP:
                 sup.append(np.inf)
         bounded = bool(np.all(np.isfinite(sup)))
@@ -380,7 +377,7 @@ def test_interval_closed_forms_match_exact_reference(monkeypatch):
 
 
 def test_intersection_merges_polyhedral_parts():
-    I = Intersection((unit_square(), HPoly([[1.0, 1.0]], [1.0])))
+    I = intersect(unit_square(), HPoly([[1.0, 1.0]], [1.0]))
     assert I.contains([0.2, 0.2])
     assert not I.contains([0.9, 0.9])
     z = I.project([1.0, 1.0])
@@ -388,10 +385,44 @@ def test_intersection_merges_polyhedral_parts():
 
 
 def test_empty_intersection_detected():
-    I = Intersection((Box([0.0], [1.0]), Box([2.0], [3.0])))
+    I = intersect(Box([0.0], [1.0]), Box([2.0], [3.0]))
     assert I.is_empty()
     with pytest.raises(EmptyBodyError):
         I.project(np.array([0.5]))
+
+
+def test_equalities_travel_in_the_rows():
+    # hrep() carries each equality as an exact +/- pair, so the HPoly of a
+    # Simplex's rows, an intersect() with a Simplex part and a saved copy
+    # all report the simplex's sum row; a strict or inexact pair is none
+    C, d = Simplex(3, 1.5).equalities()
+    A, b, strict = Simplex(3, 1.5).hrep()
+    assert np.array_equal(A, np.vstack([-np.eye(3), C, -C]))
+    assert np.array_equal(b, [0.0, 0.0, 0.0, d[0], -d[0]]) and not strict.any()
+    for K in (HPoly(A, b), intersect(Simplex(3, 1.5), HPoly([[1.0, 0.0, 0.0]], [1.0])),
+              body_from_dict(HPoly(A, b).to_dict())):
+        Ck, dk = K.equalities()
+        assert np.array_equal(Ck, C) and np.array_equal(dk, d)
+    assert not len(HPoly(A, b, strict=[False] * 4 + [True]).equalities()[1])
+    assert not len(HPoly(A, b + [0.0, 0.0, 0.0, 0.0, 1e-12]).equalities()[1])
+
+
+def test_closure_keeps_a_known_bound(monkeypatch):
+    # a compact region cut by a strict row, as _with_rows builds one: its
+    # closure has the same rows, so it is bounded and has vertices with no
+    # recession-cone LP
+    from gnepkit import _lp
+    from gnepkit.preferences import _with_rows
+
+    calls = []
+    real = _lp.solve_lp
+    monkeypatch.setattr(_lp, "solve_lp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    X = intersect(Box([0.0, 0.0], [2.0, 2.0]), HPoly([[1.0, 1.0]], [3.0]))
+    K = _with_rows(X, np.array([[1.0, -1.0]]), np.array([0.5]), np.array([True])).closure()
+    assert not K.strict.any() and K.is_bounded()
+    assert _same_point_set(K.vertices(), np.array(
+        [[0.0, 0.0], [0.5, 0.0], [1.75, 1.25], [1.0, 2.0], [0.0, 2.0]]))
+    assert calls == []
 
 
 # -- vertices / hulls / support --------------------------------------------
@@ -568,7 +599,7 @@ def test_unbounded_bounding_box_raises_enumeration_error():
     # an unbounded n-D body has no vertex set to box; 1-D rays keep their
     # infinite end
     orthant = HPoly(-np.eye(2), np.zeros(2))
-    for K in (orthant, Intersection((orthant, HPoly([[1.0, -1.0]], [5.0]))),
+    for K in (orthant, intersect(orthant, HPoly([[1.0, -1.0]], [5.0])),
               HPoly([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])):
         with pytest.raises(EnumerationError):
             K.bounding_box()
@@ -607,9 +638,9 @@ def test_support_max_matches_vertex_scan(rng):
         Box([-1.0, 0.0, 2.0], [0.5, 1.0, 3.0]),
         Simplex(3, 2.0),
         HPoly([[1.0], [-2.0]], [0.7, 1.0]),
-        Intersection((Box([-1.0], [1.0]), HPoly([[3.0]], [0.9]))),
+        intersect(Box([-1.0], [1.0]), HPoly([[3.0]], [0.9])),
         HPoly(triangle().A, triangle().b, strict=[True, False, True]),
-        Intersection((Simplex(3), HPoly([[1.0, 0.0, 0.0]], [0.4]))),
+        intersect(Simplex(3), HPoly([[1.0, 0.0, 0.0]], [0.4])),
     ]
     for P in bodies:
         V = P.closure().vertices()
@@ -663,7 +694,7 @@ def test_maximize_errors():
     # an intersection refuses a non-polyhedral part, so a Ball with a
     # nonzero Q is the one body maximize cannot answer
     with pytest.raises(ValueError, match="kind='ball' is not polyhedral"):
-        Intersection((Ball([0.0, 0.0], 1.0), unit_square()))
+        intersect(Ball([0.0, 0.0], 1.0), unit_square())
     with pytest.raises(EnumerationError):
         maximize(Ball([0.0, 0.0], 1.0), [1.0, 0.0], -np.eye(2))
 
@@ -693,7 +724,7 @@ def _separable_family(rng, q_lo, q_hi):
         c = rng.uniform(-3.0, 3.0, 1)
         out.extend([
             (HPoly([[a], [-a]], [a * hi, -a * lo]), c, Q),
-            (Intersection((Box([lo - 0.5], [hi]), HPoly([[-a]], [-a * lo]))), c, Q),
+            (intersect(Box([lo - 0.5], [hi]), HPoly([[-a]], [-a * lo])), c, Q),
             (Box([lo], [np.inf]), c, Q),                # one-sided intervals
             (HPoly([[a]], [a * hi]), c, Q),
             (Box([lo], [lo]), c, Q),                    # point intervals
@@ -1067,7 +1098,7 @@ def _budget_sets(seed):
             p[rng.choice(H, size=zeros, replace=False)] = 0.0
             inner = p @ (hi - lo) * rng.uniform(0.2, 0.8)
             for off in _BUDGET_OFFSETS + (inner,):
-                out.append(Intersection((Box(lo, hi), HPoly(p[None], [p @ lo + off]))))
+                out.append(intersect(Box(lo, hi), HPoly(p[None], [p @ lo + off])))
     return out
 
 
@@ -1077,16 +1108,15 @@ def _check_budget_set(K, rng, calls):
     from gnepkit import _lp
     from vertex_reference import _enumerate_vertices
 
-    M = K._merged
-    assert M._form is not None
-    W = _enumerate_vertices(M.A, M.b)
+    assert K._form is not None
+    W = _enumerate_vertices(K.A, K.b)
     empty = K.is_empty(eps_open=0.0)
     assert empty is (len(W) == 0)
     assert _same_point_set(K.vertices(), W)
     starts = [rng.uniform(-1.0, 3.0, K.dim) for _ in range(4)] + [np.full(K.dim, 100.0)]
     # a random objective, the price row (tied on the budget face: values
     # only) and a unit vector (tied where p has zeros)
-    cs = [rng.standard_normal(K.dim), K.parts[1].A[0], np.eye(K.dim)[0]]
+    cs = [rng.standard_normal(K.dim), K.A[-1], np.eye(K.dim)[0]]
     if empty:
         for query in [K.bounding_box, K.is_bounded, lambda: K.sample(rng, 2)] + [
                 lambda c=c: maximize(K, c) for c in cs]:
@@ -1110,7 +1140,7 @@ def _check_budget_set(K, rng, calls):
     assert calls == []
     for c, (val, z) in zip(cs, best):
         assert val == pytest.approx(np.max(W @ c), abs=1e-9)
-        assert val == pytest.approx(_lp.max_linear(c, M.A, M.b)[0], abs=1e-9)
+        assert val == pytest.approx(_lp.max_linear(c, K.A, K.b)[0], abs=1e-9)
         assert K.contains(z, eps=1e-8) and c @ z == pytest.approx(val, abs=1e-12)
     x = K.interior_point()
     assert x is None or K.contains(x)
@@ -1119,7 +1149,7 @@ def _check_budget_set(K, rng, calls):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_budget_sets_match_exact_references(seed, monkeypatch):
-    # the choice box makes a budget set compact, so its merged body takes
+    # the choice box makes a budget set compact, so its one HPoly takes
     # the vertex form with no LP: every query but interior_point reads its
     # candidates, and -1e-6 is the one offset that empties it
     from gnepkit import _lp

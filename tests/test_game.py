@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnepkit.convexsets import Ball, Box, HPoly, Intersection, Simplex
+from gnepkit.convexsets import Ball, Box, HPoly, Simplex, intersect
 from gnepkit.game import (
     FixedConstraint,
     GameInstance,
@@ -80,7 +80,7 @@ def test_slice_empty_when_rivals_outside():
 def _strict_equality_game():
     """Two 2-D players over an HPoly with strict rows and an equality as a
     +/- pair, inside a Box and a Simplex(2, 1.5) that it pokes out of, so
-    the shared set becomes an Intersection with the lifted ambients."""
+    the shared set becomes an intersect() with the lifted ambients."""
     rng = np.random.default_rng(4)
     A = rng.standard_normal((5, 4))
     a = rng.standard_normal(4)
@@ -110,7 +110,7 @@ def _slice_families():
 
 
 def test_cached_slice_rows_match_intersection_bit_for_bit():
-    # K_i(x) from the cached rows against X_i ∩ slice_body merged, at a
+    # K_i(x) from the cached rows against intersect(X_i, slice_body), at a
     # feasible point and at wandering ones.  Where a rival breaks a row with
     # no own part, the exact slice is empty (poisoned) and K_i(x) keeps the
     # rows the player can move: the same A, b and strict
@@ -121,7 +121,7 @@ def test_cached_slice_rows_match_intersection_bit_for_bit():
         for x in [x_feas] + list(rng.uniform(-1.0, 2.0, (6, g.n))):
             for i, pm in enumerate(g.preferences):
                 K = constraint_body(g, i, x)
-                M = Intersection((pm.ambient, slice_body(g.shared_set, x, pm.block)))._merged
+                M = intersect(pm.ambient, slice_body(g.shared_set, x, pm.block))
                 assert isinstance(K, HPoly) and not K._poisoned
                 for field in ("A", "b", "strict"):
                     assert getattr(K, field).tobytes() == getattr(M, field).tobytes()
@@ -152,6 +152,38 @@ def test_membership_violation_values():
     B = Box([0.0, 0.0], [1.0, 1.0])
     assert membership_violation(B, np.array([0.5, 0.5])) <= 0
     assert membership_violation(B, np.array([1.2, 0.5])) == pytest.approx(0.2, abs=1e-9)
+
+
+def test_equality_pairs_keep_membership_and_grid_verdicts():
+    # a Simplex, an intersect() with a Simplex part and an HPoly with a +/-
+    # pair carry their equality in the rows: the worst violation and the
+    # grid mask equal those of the other rows and |C z - d| taken apart (to
+    # the rounding of a matrix product that has one row more or less)
+    from gnepkit.solvers import _inside_mask
+
+    u = np.ones((1, 3)) / np.sqrt(3.0)
+    a = np.array([[1.0, -2.0, 0.5]]) / np.linalg.norm([1.0, -2.0, 0.5])
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    cases = [
+        (Simplex(3, 1.5), -np.eye(3), np.zeros(3), u, np.array([1.5 / np.sqrt(3.0)])),
+        (intersect(Simplex(3, 1.5), HPoly([[1.0, 0.0, 0.0]], [0.9])),
+         np.vstack([-np.eye(3), [1.0, 0.0, 0.0]]), np.array([0.0, 0.0, 0.0, 0.9]),
+         u, np.array([1.5 / np.sqrt(3.0)])),
+        (HPoly(np.vstack([cube, a, -a]), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.1, -0.1]),
+         cube, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), a, np.array([0.1])),
+    ]
+    rng = np.random.default_rng(2)
+    for K, A, b, C, d in cases:
+        assert np.array_equal(K.equalities()[0], C)
+        base = K.sample(rng, 20)
+        pts = np.vstack([base] + [base + s * rng.standard_normal(base.shape)
+                                  for s in (1e-10, 1e-9, 1e-8, 0.1)])
+        for z in pts:
+            want = max(np.max(A @ z - b), np.max(np.abs(C @ z - d)))
+            assert membership_violation(K, z) == pytest.approx(want, rel=0.0, abs=1e-15)
+        want = np.all(pts @ A.T - b <= 1e-9, axis=1) & np.all(np.abs(pts @ C.T - d) <= 1e-9, axis=1)
+        assert np.array_equal(_inside_mask(K, pts), want)
+        assert 0 < want.sum() < len(pts)
 
 
 # -- assembly ----------------------------------------------------------------

@@ -89,6 +89,39 @@ def test_game_round_trip_preserves_solutions():
     assert np.allclose(r1.point, r2.point)
 
 
+def test_intersection_file_loads_as_its_rows_and_saves_losslessly():
+    # an X_i of kind "intersection" loads as one HPoly, saves as "hpoly",
+    # and loads again with the same equalities, tangent projector and T
+    from gnepkit.convexsets import intersect, tangent_projector
+    from gnepkit.game import FixedConstraint, GameInstance
+    from gnepkit.operators import evaluate_T
+    from gnepkit.preferences import PreferenceMap
+
+    X = {"kind": "intersection",
+         "parts": [Simplex(3).to_dict(), HPoly([[1.0, 0.0, 0.0]], [0.6]).to_dict()]}
+    pm = PreferenceMap(0, 0, body_from_dict(X), QuadUtility(-np.eye(3), [1.0, 2.0, 0.5]))
+    g = GameInstance((pm,), (FixedConstraint(body_from_dict(X)),), None, "sum-row")
+    d = game_to_dict(g)
+    assert d["players"][0]["ambient"]["kind"] == "hpoly"
+    g2 = game_from_dict(json.loads(canonical_dumps(d)))
+    assert canonical_dumps(game_to_dict(g2)) == canonical_dumps(d)
+    X1, X2 = g.preferences[0].ambient, g2.preferences[0].ambient
+    C, dd = X1.equalities()
+    assert len(dd) == 1 and np.allclose(C, np.ones((1, 3)) / np.sqrt(3.0))
+    for a, b in zip(X1.equalities(), X2.equalities()):
+        assert np.array_equal(a, b)
+    P = tangent_projector(X1)
+    assert np.array_equal(P, tangent_projector(X2))
+    assert np.array_equal(P, tangent_projector(intersect(Simplex(3), HPoly([[1.0, 0, 0]], [0.6]))))
+    assert np.allclose(P @ np.ones(3), 0.0)
+    for x in ([0.2, 0.3, 0.5], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]):
+        T1, T2 = evaluate_T(g, np.array(x)), evaluate_T(g2, np.array(x))
+        for s1, s2 in zip(T1.blocks, T2.blocks):
+            assert np.array_equal(s1.generators, s2.generators)
+            assert s1.whole_space == s2.whole_space
+        assert all(abs(v.sum()) < 1e-12 for s in T1.blocks for v in s.generators)
+
+
 def test_economy_round_trip():
     e = gi.pure_exchange_economy()
     e2 = economy_from_dict(economy_to_dict(e))

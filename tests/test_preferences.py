@@ -137,6 +137,20 @@ def test_max_improvement_polyhedral_slack_signs():
     assert s_top == pytest.approx(-0.1, abs=1e-6)
 
 
+def test_polyhedral_slack_one_verdict_for_one_set():
+    # {x in Simplex(3) : x1 <= 0.9} is the same set whether the simplex is
+    # the domain or a part of it; the sum's +/- pair carries no slack
+    from gnepkit.convexsets import HPoly, intersect
+    from gnepkit.preferences import _poly_slack
+
+    rows = (np.array([[0.0, 1.0, 0.0]]), np.array([0.9]), np.array([False]))
+    want = _poly_slack(rows, Simplex(3))
+    assert want == pytest.approx(1.0 / 3.0, abs=1e-9)
+    for over in (intersect(Simplex(3), HPoly([[1.0, 0.0, 0.0]], [5.0])),
+                 HPoly(*Simplex(3).hrep())):
+        assert _poly_slack(rows, over) == pytest.approx(want, abs=1e-12)
+
+
 def test_satiation_threshold():
     # u = z - z^2 peaks at 0.5: at 0.5 + d the best improvement is d^2
     pm = PreferenceMap(0, 0, Box([0.0], [1.0]),

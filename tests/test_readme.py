@@ -40,6 +40,12 @@ def test_cli_quickstart_line_exits_zero(line, monkeypatch, tmp_path):
     assert main([*shlex.split(line), "--out-dir", str(tmp_path)]) == 0
 
 
+def test_every_exported_name_resolves():
+    # __all__ is kept by hand, so a name taken out of the package must leave
+    # it too
+    assert [name for name in gnepkit.__all__ if not hasattr(gnepkit, name)] == []
+
+
 @pytest.mark.parametrize("ref", REFS)
 def test_reference_resolves(ref):
     parts = ref.split(".")
