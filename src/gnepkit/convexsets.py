@@ -85,7 +85,7 @@ class ConvexBody:
 
     def equalities(self):
         """(C, d): one row of each equality +/- pair in hrep() (unit rows;
-        may be empty).  A Box and a Ball report none."""
+        may be empty).  A Ball reports none."""
         return np.zeros((0, self.dim)), np.zeros(0)
 
     def vertices(self) -> np.ndarray:
@@ -167,6 +167,12 @@ class Box(ConvexBody):
         A = np.array(rows).reshape(-1, self.dim)
         b = np.array(rhs)
         return A, b, np.zeros(len(b), dtype=bool)
+
+    def equalities(self):
+        """The row e_j and hi_j of each finite coordinate with lo == hi: the
+        first row of its +/- pair in hrep(), as an intersect() reads it."""
+        j = np.flatnonzero((self.lo == self.hi) & np.isfinite(self.hi))
+        return np.eye(self.dim)[j], self.hi[j]
 
     def vertices(self):
         if not self.is_bounded():

@@ -157,6 +157,19 @@ class GradedRows:
             np.concatenate([none, *gather]), np.concatenate([none, *qpos]), c, q, q_clip, quad,
             bound, thr, tuple(boxed), tuple(general))
 
+    def gradient_rows(self, k: int):
+        """(G, c): block k's own gradient at x is G @ x + c, projected onto
+        the tangent space of X_i's equalities when it has any; None for a
+        linear block, whose gradient is constant."""
+        a, e = self.cut[k], self.cut[k + 1]
+        mine = (self.qpos >= a) & (self.qpos < e)
+        if not mine.any():
+            return None
+        G = self.Q.reshape(-1, self.Q.shape[-1])[self.gather[mine]]
+        c = self.c[a:e]
+        P = dict(self.general).get(k)
+        return (G, c) if P is None else (P @ G, P @ c)
+
 
 def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
     """Sections of N_{co P_i(x)}(x_i) ∩ S[0,1] for every graded block of R.

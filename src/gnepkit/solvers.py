@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _lp
 from .convexsets import (
+    EPS_ACTIVE,
     ConvexBody,
     EmptyBodyError,
     EnumerationError,
@@ -65,12 +66,17 @@ class SolverConfig:
     The two numbers are not tied.  A block whose only generator is
     -∇u_i/|∇u_i| adds its improvement over K_i(x) divided by |∇u_i| to the
     residual, so with residual_tol above eps_open a run can converge at a
-    point the certificate rejects.  random_qvi(9) at residual_tol=5e-7,
-    restarts=4 and default Tolerances converges with residual
-    1.476e-7 = 1.192e-7 + 2.84e-8, one term per block, but player 0's
-    improvement 1.192e-7 exceeds eps_open = 1e-7; at residual_tol=5e-8 the
-    same game is certified.  `converged` is the solver's own claim and the
-    certificate judges it.
+    point the certificate rejects.  random_qvi(189), two linear players with
+    unit gradients, at residual_tol=5e-7, restarts=4 and default Tolerances
+    converges with residual 4.333e-7 = 2.044e-7 + 2.289e-7, one term per
+    block, but both improvements exceed eps_open = 1e-7; at
+    residual_tol=5e-8 the same game is certified.  `converged` is the
+    solver's own claim and the certificate judges it.
+
+    A jointly convex game's run tries one finish step (_Finish) at each
+    periodic probe after the first that does not accept: the point nearest
+    x on the face the iterates identified, judged by the same probe.  It
+    has no option.
 
     method="extragradient" still stops at the halving cap without converging
     on about a third of random_qvi games (52 of seeds 0-149 at
@@ -91,7 +97,9 @@ class SolverConfig:
 class SolveResult:
     """The best point of a solve.  restarts_used counts the attempts run and
     best_attempt (1 for the first) is the one whose point this is; iterations
-    and trace belong to that attempt."""
+    and trace belong to that attempt.  finish_tried and finish_accepted count
+    the finish steps (_Finish) that the probe judged, and those it accepted,
+    over all attempts."""
 
     point: np.ndarray
     residual: float
@@ -103,6 +111,8 @@ class SolveResult:
     certificate: object = None
     trace: Optional[list] = None
     approximate: bool = False
+    finish_tried: int = 0
+    finish_accepted: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +328,75 @@ class _MovingSlicesQVI:
         return max(r, 0.0), t, feasible
 
 
-def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
+class _Finish:
+    """The finish step of a jointly convex game: at a periodic probe that
+    does not accept, the point nearest x on the face the iterates have
+    identified, for the probe to judge.
+
+    The face is the shared set's rows tight at x (x comes from an exact
+    projection, so these are the rows it lands on) held as equalities, and
+    the own gradient set to 0 of every quadratic block whose selected t_i
+    was 0 or reversed sign since the previous periodic probe: such a block
+    brackets its own maximiser.  The point is x less its least-norm
+    correction onto that system, one least-squares solve.
+    Projected-gradient iterates identify the optimal face in finitely many
+    steps (Calamai & Moré 1987, Math. Prog. 39; Burke & Moré 1988, SIAM J.
+    Numer. Anal. 25), so one exact step on it can end a run that halving
+    alpha would only approach.
+    """
+
+    def __init__(self, game, eps_feas: float):
+        self.body = game.shared_set
+        self.A, self.b, _ = game.shared_set.hrep()
+        self.eps_feas = eps_feas
+        self.starts = np.array([pm.block_start for pm in game.preferences])
+        R = game._graded_rows
+        rows = [] if R is None else [(i, R.gradient_rows(k)) for k, i in enumerate(R.index)]
+        self.gradient = {i: Gc for i, Gc in rows if Gc is not None}
+        self.tried = self.accepted = 0
+
+    def restart(self):
+        self.t_prev = None
+        self.flagged = np.zeros(len(self.starts), dtype=bool)
+
+    def observe(self, t):
+        """Flag the blocks whose t_i is 0 or opposes the previous iteration's."""
+        hit = np.add.reduceat(np.abs(t), self.starts) == 0.0
+        if self.t_prev is not None:
+            hit |= np.add.reduceat(t * self.t_prev, self.starts) < 0.0
+        self.flagged |= hit
+        self.t_prev = t
+
+    def take_flags(self):
+        """The blocks flagged since the previous periodic probe; starts a
+        new window."""
+        flagged, self.flagged = self.flagged, np.zeros_like(self.flagged)
+        return flagged
+
+    def point(self, x, flagged):
+        """The step's point from x, or None when it has no row, does not move,
+        its system is inconsistent or it leaves the shared set by more than
+        eps_feas."""
+        A, b = self.A, self.b
+        tight = A @ x - b >= -EPS_ACTIVE * (1.0 + np.abs(b))
+        E, f = [A[tight]], [b[tight]]
+        for i in np.flatnonzero(flagged):
+            if i in self.gradient:
+                G, c = self.gradient[i]
+                E.append(G)
+                f.append(-c)
+        E, f = np.vstack(E), np.concatenate(f)
+        if not len(f):
+            return None
+        z = x - np.linalg.lstsq(E, E @ x - f, rcond=None)[0]
+        if (np.linalg.norm(z - x) <= _STEP_TOL
+                or np.any(np.abs(E @ z - f) > 1e-9 * (1.0 + np.abs(f)))
+                or membership_violation(self.body, z) > self.eps_feas):
+            return None
+        return z
+
+
+def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=None):
     x = np.asarray(x0, dtype=float)
     alpha = config.alpha
     halvings = 0
@@ -344,16 +422,42 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
         halvings += 1
         return alpha < 1e-8 or halvings > 60
 
+    def finish_from(k, xc):
+        """The finish step after a probe of xc that did not accept: (z, r,
+        op at z) when the probe accepts z, else None.  A rejected step
+        leaves the run as it was (no trace row, no best point)."""
+        flagged = finish.take_flags()
+        z = finish.point(xc, flagged) if k > 0 else None
+        if z is None:
+            return None
+        finish.tried += 1
+        op_z = evaluate_T(game, z, tol, config.seed)
+        r, _, feas_ok = problem.probe(op_z, z, config.residual_tol, tol.eps_feas)
+        if not (r <= config.residual_tol and feas_ok):
+            return None
+        finish.accepted += 1
+        if trace is not None:
+            trace.append({"iter": k, "residual": float(r), "alpha": alpha})
+        return z, r, op_z
+
+    if finish is not None:
+        finish.restart()
     last_probe_r = np.inf
     for k in range(config.max_iters):
         op = evaluate_T(game, x, tol, config.seed)
         approx = approx or op.approximate
         t = select(op)
+        if finish is not None:
+            finish.observe(t)
 
         if k % _RESIDUAL_EVERY == 0 or np.linalg.norm(t) <= 1e-14:
             r, accepted = probe(k, op, x)
             if accepted:
                 return x, r, k, True, trace, approx
+            done = finish_from(k, x) if finish is not None else None
+            if done is not None:
+                z, r, op_z = done
+                return z, r, k, True, trace, approx or op_z.approximate
             # normalized directions limit-cycle at radius ~alpha near interior
             # maxima; damp whenever a probe shows no progress
             if k > 0 and r >= last_probe_r - 1e-12 and halve():
@@ -391,11 +495,12 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances):
 def _solve(game: GameInstance, config: SolverConfig, problem_type,
            tol: Tolerances) -> SolveResult:
     rng = np.random.default_rng(config.seed)
+    finish = _Finish(game, tol.eps_feas) if game.jointly_convex else None
     best = None
     for attempt in range(max(1, config.restarts)):
         x0 = _start(game, attempt, rng)
         problem = problem_type(game, rng)
-        x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol)
+        x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol, finish)
         cand = SolveResult(x, r, iters, ok, restarts_used=attempt + 1,
                            best_attempt=attempt + 1, problem=problem.name,
                            trace=trace, approximate=approx)
@@ -404,6 +509,8 @@ def _solve(game: GameInstance, config: SolverConfig, problem_type,
         if ok:
             break
     best.restarts_used = attempt + 1
+    if finish is not None:
+        best.finish_tried, best.finish_accepted = finish.tried, finish.accepted
     best.certificate = verify_equilibrium(game, best.point, tol, seed=config.seed)
     return best
 

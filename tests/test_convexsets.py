@@ -25,6 +25,7 @@ from gnepkit.convexsets import (
     polar_check,
     separate,
     support_max,
+    tangent_projector,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -405,6 +406,20 @@ def test_equalities_travel_in_the_rows():
         assert np.array_equal(Ck, C) and np.array_equal(dk, d)
     assert not len(HPoly(A, b, strict=[False] * 4 + [True]).equalities()[1])
     assert not len(HPoly(A, b + [0.0, 0.0, 0.0, 0.0, 1e-12]).equalities()[1])
+
+
+def test_box_with_a_fixed_coordinate_reports_its_equality():
+    # a coordinate with lo == hi is an exact +/- pair in Box.hrep(), so the
+    # box reports the equality that an intersect() with the box reads from
+    # the same rows, and both bodies get one tangent projector, zeroing x0
+    B = Box([0.0, 0.0], [0.0, 1.0])
+    K = intersect(B, HPoly([[1.0, 1.0]], [5.0]))
+    for C, d in (B.equalities(), K.equalities()):
+        assert np.array_equal(C, [[1.0, 0.0]]) and np.array_equal(d, [0.0])
+    assert np.array_equal(tangent_projector(B), tangent_projector(K))
+    assert np.array_equal(tangent_projector(B), np.diag([0.0, 1.0]))
+    assert not len(Box([0.0, -np.inf], [1.0, np.inf]).equalities()[1])
+    assert np.array_equal(Box([2.0, 3.0], [2.0, 3.0]).equalities()[1], [2.0, 3.0])
 
 
 def test_closure_keeps_a_known_bound(monkeypatch):

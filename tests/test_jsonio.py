@@ -156,8 +156,10 @@ def test_solve_result_shape_with_certificate_and_trace():
     res = solve_vi(gi.splitting_game(), SolverConfig(trace=True))
     d = jsonable(res)
     assert set(d) == {"point", "residual", "iterations", "converged", "restarts_used",
-                      "best_attempt", "problem", "certificate", "trace", "approximate"}
+                      "best_attempt", "problem", "certificate", "trace", "approximate",
+                      "finish_tried", "finish_accepted"}
     assert d["point"] == res.point.tolist() and d["problem"] == "vi"
+    assert d["finish_tried"] == res.finish_tried and d["finish_accepted"] == res.finish_accepted
     assert d["converged"] is True and d["approximate"] is False
     cert = d["certificate"]
     assert set(cert) == {"point", "feasibility_slacks", "emptiness_slacks", "is_equilibrium",

@@ -260,6 +260,27 @@ def test_linear_players_stack_no_joint_matrix():
         assert _assert_matches_reference(game, x, 1e-7) == n
 
 
+def test_gradient_rows_give_the_own_gradient():
+    """GradedRows.gradient_rows(k) (the finish step's rows): G @ x + c is
+    block k's own gradient, the quadratic players' rows of the joint Q,
+    projected onto the simplex's tangent space over a Simplex X_i; a linear
+    block has none."""
+    Q = np.array([[-1.0, 0.2, 0.3, 0.0], [0.2, -2.0, 0.1, 0.5],
+                  [0.3, 0.1, -1.5, 0.0], [0.0, 0.5, 0.0, -1.0]])
+    c = np.array([0.4, 0.1, -0.2, 0.7])
+    prefs = (PreferenceMap(0, 0, Box([0.0], [1.0]), LinearUtility([1.0, 0.0, 0.0, 0.0])),
+             PreferenceMap(1, 1, Simplex(2), QuadUtility(Q, c)),
+             PreferenceMap(2, 3, Box([0.0], [1.0]), QuadUtility(Q, c)))
+    game = GameInstance(prefs, tuple(FixedConstraint(pm.ambient) for pm in prefs), None, "rows")
+    R = game._graded_rows
+    assert R.gradient_rows(0) is None
+    P = np.eye(2) - 0.5
+    x = np.array([0.3, 0.6, 0.4, 0.8])
+    for k, (sl, proj) in enumerate([(slice(1, 3), P), (slice(3, 4), np.eye(1))], start=1):
+        G, g0 = R.gradient_rows(k)
+        assert np.allclose(G @ x + g0, proj @ (Q[sl] @ x + c[sl]), rtol=0.0, atol=1e-15)
+
+
 def test_evaluate_T_on_box_blocks_runs_no_improvement_search(monkeypatch):
     """Every block of random_jointly_convex(0) is a 1-D box: the pass needs
     neither the verifier's improvement nor a maximize."""

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,16 +132,54 @@ def test_satiated_blocks_pass_the_verifiers_emptiness_test(family, solve):
 
 def test_residual_tol_above_eps_open_converges_uncertified():
     # the SolverConfig docstring's example: each block's only generator is a
-    # unit -∇u_i, so its residual term is its improvement over K_i(x)
-    g = gi.random_qvi(9)
+    # unit -∇u_i, so its residual term is its improvement over K_i(x); both
+    # players are linear, so the finish step adds no row and does not end it
+    g = gi.random_qvi(189)
     res = solve_qvi(g, SolverConfig(residual_tol=5e-7, restarts=4))
     slacks = res.certificate.emptiness_slacks
     assert res.converged and not res.certificate.is_equilibrium
-    assert res.residual == pytest.approx(1.476e-7, rel=1e-3)
-    assert slacks == pytest.approx([1.192e-7, 2.844e-8], rel=1e-3)
+    assert res.finish_accepted == 0
+    assert res.residual == pytest.approx(4.333e-7, rel=1e-3)
+    assert slacks == pytest.approx([2.044e-7, 2.289e-7], rel=1e-3)
     assert res.residual == pytest.approx(slacks.sum(), rel=1e-9)
     res = solve_qvi(g, SolverConfig(residual_tol=5e-8, restarts=4))
     assert res.converged and res.certificate.is_equilibrium
+
+
+def test_finish_step_lands_on_the_face_solution():
+    # player 0 maximises -10 (x0 - 0.4)^2, player 1 maximises x1; the shared
+    # set caps x1 at 0.7, so the one variational equilibrium is (0.4, 0.7),
+    # on that face.  Halving alpha only reaches the satiation zone around
+    # x0 = 0.4 (about 1e-4 off); the finish step lands on its maximiser.
+    S = HPoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+              [1.0, 0.0, 0.7, 0.0, 1.5])
+    g = jointly_convex_game(
+        [Box([0.0], [1.0])] * 2,
+        [QuadUtility([[-20.0, 0.0], [0.0, 0.0]], [8.0, 0.0]), LinearUtility([0.0, 1.0])], S)
+    res = solve_vi(g, SolverConfig(trace=True))
+    assert res.converged and res.certificate.is_equilibrium
+    assert np.allclose(res.point, [0.4, 0.7], rtol=0.0, atol=1e-12)
+    assert res.finish_tried == res.finish_accepted == 1
+    # the accepted point's probe closes the trace at the rejected probe's iteration
+    assert res.iterations == 25
+    assert res.trace[-1] == {"iter": 25, "residual": res.residual, "alpha": 0.5 ** 10}
+    assert res.trace[-2]["iter"] == res.iterations and res.trace[-2]["residual"] > 0.0
+
+
+def test_finish_step_bounds_the_vi_pool_iterations():
+    # a count, not a time: the 50 games of the benchmark's vi_pool(1) at
+    # criterion 3's settings took 3,364 iterations when alpha halved toward
+    # each face and take 789 with the finish step
+    spec = importlib.util.spec_from_file_location(
+        "gnepbench_inputs", Path(__file__).resolve().parents[1] / "gnepbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    runs = [solve_vi(case.game, SolverConfig(residual_tol=5e-7, restarts=4),
+                     Tolerances(eps_open=1e-6)) for case in inputs.vi_pool(1)]
+    assert all(r.converged and r.certificate.is_equilibrium for r in runs)
+    assert sum(r.iterations for r in runs) <= 1000
+    assert sum(r.finish_accepted for r in runs) > 0
 
 
 def test_qvi_residual_infeasible_point_is_inf():
