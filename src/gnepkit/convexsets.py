@@ -38,7 +38,10 @@ _VERTEX_SUBSET_CAP = 200_000
 # build took 0.2-0.4, 0.3-0.5, 0.5-1.0, 3.0-3.2 and 5.8-12 ms against
 # 1.6-2.8 ms for one LP on the same rows (three runs, best of 5 x 20 calls).
 # So a one-off build loses from H = 5 (462 subsets) on, mostly to the
-# batched SVD of matrix_rank; the one gate stands
+# batched SVD of matrix_rank; the one gate stands.  solvers.hull_residual
+# takes it as its gate on epigraph vertex candidates: enumerating them took
+# as long as its LP (about 2 ms) at about 2,500 candidates, over 2 or 3
+# interval coordinates on the same host (mean of 5 calls on random vertex sets)
 _VERTEX_FORM_SUBSETS = 2_000
 
 

@@ -212,22 +212,38 @@ def utility(pm: PreferenceMap, x) -> float:
 
 
 def _own_quadratic(pm: PreferenceMap, x):
-    """(A2, a1) with u(x_{-i}, z) - u(x) = 0.5 z'A2 z + a1'z + a0, q(x_i)=0."""
+    """(A2, a1, a0) with u(x_{-i}, z) - u(x) = 0.5 z'A2 z + a1'z + a0, q(x_i)=0."""
     v = pm.variant
     x = np.asarray(x, dtype=float)
     xi = pm.own(x)
     if isinstance(v, LinearUtility):
         A2 = np.zeros((pm.block_dim, pm.block_dim))
-        a1 = v.c[pm.block].copy() if v.c.size == x.size else v.c.copy()
     else:
-        if v.Q.shape[0] == x.size:
-            A2 = v.Q[pm.block, pm.block]
-            a1 = (v.Q @ x)[pm.block] - A2 @ xi + v.c[pm.block]
-        else:
-            A2 = v.Q
-            a1 = v.c.copy()
+        A2 = v.Q[pm.block, pm.block] if v.Q.shape[0] == x.size else v.Q
+    a1 = _own_linear_terms(pm, x)
     a0 = -(0.5 * xi @ A2 @ xi + a1 @ xi)
     return A2, a1, a0
+
+
+def _own_linear_terms(pm: PreferenceMap, X) -> np.ndarray:
+    """a1 of _own_quadratic at the joint point X, or at every row x of X:
+    (Q @ x)[block] - A2 @ x_i + c[block] for a quadratic variant over the
+    joint point, else the own c.
+
+    Each product is one matrix-vector product per point (a stacked matmul
+    for rows), the one Q @ x takes alone; so a row's a1 has the same bits in
+    a batch as alone, and the grid oracle (a batch of rival groups) and the
+    verifier (one point) score a node alike.
+    """
+    v = pm.variant
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
+    if isinstance(v, QuadUtility) and v.Q.shape[0] == n:
+        A2 = v.Q[pm.block, pm.block]
+        return ((v.Q @ X[..., None])[..., pm.block, 0]
+                - (A2 @ X[..., pm.block, None])[..., 0] + v.c[pm.block])
+    c = v.c[pm.block] if isinstance(v, LinearUtility) and v.c.size == n else v.c
+    return c.copy() if X.ndim == 1 else np.tile(c, (len(X), 1))
 
 
 # --------------------------------------------------------------------------

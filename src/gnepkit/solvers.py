@@ -22,6 +22,7 @@ each player's improvement set), sharing no code path with the residual.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import _lp
 from .convexsets import (
+    _VERTEX_FORM_SUBSETS,
     EPS_ACTIVE,
     ConvexBody,
     EmptyBodyError,
@@ -48,7 +50,13 @@ from .game import (
     verify_equilibrium,
 )
 from .operators import OperatorEval, evaluate_T, select
-from .preferences import LinearUtility, QuadUtility, _own_quadratic, max_improvement
+from .preferences import (
+    LinearUtility,
+    QuadUtility,
+    _own_linear_terms,
+    _own_quadratic,
+    max_improvement,
+)
 
 
 # iterations between periodic residual probes
@@ -126,16 +134,113 @@ def _whole_block_generators(d):
 
 
 def hull_residual(op: OperatorEval, x, vertices):
-    """(r, t): r = min over t in co T(x) of max_v <t, x - v>, via one LP.
+    """(r, t): r = min over t in co T(x) of max_v <t, x - v>, and a t there.
 
-    Whole-space blocks contribute the cross-polytope generators (which is an
-    under-approximation containing 0, so convergence claims stay sound).
-    Blocks with a zero cone contribute t_i = 0 and no variables.
+    When every block's hull co G_i is a point (one generator, or 0 for a
+    zero cone) or an interval (a 1-D block: [-1, 1] for the whole space,
+    else the hull of its generators), the minimum is exact and finite
+    (_interval_hull_candidates).  Otherwise, with a block of 2 or more
+    dimensions that is the whole space or has several generators, or with
+    more than _VERTEX_FORM_SUBSETS candidates, it is one LP in the generator
+    weights (_hull_lp).  Either way r = max(max_v <t, x - v>, 0) at the
+    returned t, so a convergence claim rests on a t it evaluated.
     """
     x = np.asarray(x, dtype=float)
     V = np.asarray(vertices, dtype=float)
+    intervals = _hull_intervals(op)
+    if intervals is None or _n_hull_candidates(len(V), len(intervals[1])) > _VERTEX_FORM_SUBSETS:
+        return _hull_lp(op, x, V)
+    t, W, lo, hi = intervals
+    if len(W):
+        # max_v <t, x - v> = a_v + B_v t_W, with t_W in the box [lo, hi]
+        a, B = (x - V) @ t, x[W] - V[:, W]
+        S = _interval_hull_candidates(a, B, lo, hi)
+        t[W] = S[np.argmin(np.max(a[:, None] + B @ S.T, axis=0))]
+    return max(float(np.max((x - V) @ t)), 0.0), t
+
+
+def _hull_intervals(op: OperatorEval):
+    """(t, W, lo, hi) when every block's co G_i is a point or an interval,
+    else None: t holds the points (0 on the intervals), and coordinate W[k]
+    ranges over [lo[k], hi[k]]."""
+    t = np.zeros(op.dim)
+    W, lo, hi = [], [], []
+    for i, cone in enumerate(op.blocks):
+        sl = op.block_slice(i)
+        if cone.dim == 1 and (cone.whole_space or cone.n_generators > 1):
+            G = np.array([-1.0, 1.0]) if cone.whole_space else cone.generators[:, 0]
+            W.append(sl.start)
+            lo.append(G.min())
+            hi.append(G.max())
+        elif cone.n_generators == 1:
+            t[sl] = cone.generators[0]
+        elif cone.whole_space or cone.n_generators:
+            return None
+    return t, np.array(W, dtype=int), np.array(lo), np.array(hi)
+
+
+def _n_hull_candidates(m: int, d: int) -> int:
+    """The number of rows _interval_hull_candidates builds for m pieces
+    over d interval coordinates."""
+    return sum(_lp._ncr(d, f) * 2 ** (d - f) * (_lp._ncr(m, f + 1) if f else 1)
+               for f in range(d + 1))
+
+
+def _interval_hull_candidates(a, B, lo, hi) -> np.ndarray:
+    """Points s of the box [lo, hi] among which one minimises max_v (a_v +
+    B_v s): the s of every vertex of the epigraph, clipped into the box.
+
+    A vertex has d + 1 independent tight rows.  So p of the coordinates are
+    pinned at a bound and f = d - p are free, with f + 1 pieces equal there:
+    one f x f solve per choice of coordinates, bounds and pieces (a singular
+    choice has no vertex).  By the fundamental theorem of linear programming
+    a minimiser is among them; a row that rounding puts outside the box is
+    clipped back, which keeps it feasible.
+    """
+    m, d = B.shape
+    out = []
+    for f in range(d + 1):
+        S = _subsets(m, f + 1)
+        if not len(S):
+            break
+        for F in itertools.combinations(range(d), f):
+            P = [k for k in range(d) if k not in F]
+            corners = np.array(list(itertools.product(*zip(lo[P], hi[P]))))
+            corners = corners.reshape(2 ** len(P), len(P))
+            if f == 0:
+                out.append(corners)
+                continue
+            F = list(F)
+            ap = a + corners @ B[:, P].T  # (corners, m): the pieces with P pinned
+            M = B[S[:, 1:]][..., F] - B[S[:, :1]][..., F]
+            rhs = ap[:, S[:, :1]] - ap[:, S[:, 1:]]
+            ok = np.linalg.det(M) != 0.0
+            # one factorisation per choice of pieces, one column per corner
+            sol = np.linalg.solve(M[ok], rhs[:, ok].transpose(1, 2, 0)).transpose(2, 0, 1)
+            s = np.empty(sol.shape[:2] + (d,))
+            s[..., P] = corners[:, None, :]
+            s[..., F] = sol
+            out.append(s.reshape(-1, d))
+    S = np.vstack(out)
+    return np.clip(S[np.isfinite(S).all(axis=1)], lo, hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m), one per row, in lexicographic order
+    (read-only: every caller shares the cached array)."""
+    S = np.array(list(itertools.combinations(range(m), k)), dtype=int).reshape(-1, k)
+    S.flags.writeable = False
+    return S
+
+
+def _hull_lp(op: OperatorEval, x, V):
+    """hull_residual by one LP in the generator weights.  Whole-space blocks
+    contribute the cross-polytope generators (which is an
+    under-approximation containing 0, so convergence claims stay sound).
+    Blocks with a zero cone contribute t_i = 0 and no variables."""
     m = len(V)
-    gens, owners = [], []
+    gens = []
     for i, cone in enumerate(op.blocks):
         sl = op.block_slice(i)
         if cone.whole_space:
@@ -726,12 +831,9 @@ def _improvements_for_player(game: GameInstance, pm, nodes_f: np.ndarray,
     reps = nodes_f[first]
     # _own_quadratic at every representative: A2 is fixed, a1 moves with the rivals
     v = pm.variant
-    if isinstance(v, QuadUtility):
-        A2 = v.Q[pm.block, pm.block]
-        a1 = reps @ v.Q[pm.block].T - reps[:, pm.block] @ A2 + v.c[pm.block]
-    else:
-        A2 = np.zeros((pm.block_dim, pm.block_dim))
-        a1 = np.tile(v.c[pm.block], (len(reps), 1))
+    A2 = (v.Q[pm.block, pm.block] if isinstance(v, QuadUtility)
+          else np.zeros((pm.block_dim, pm.block_dim)))
+    a1 = _own_linear_terms(pm, reps)
     M = _group_maxima(game, pm, reps, A2, a1)
     if M is None:
         return _improvements_per_group(game, pm, nodes_f, tol, seed)

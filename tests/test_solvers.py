@@ -37,6 +37,7 @@ from gnepkit.solvers import (
     vi_residual,
 )
 from gnepkit import instances as gi
+from hull_reference import hull_residual_lp
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -88,10 +89,12 @@ def test_hull_residual_singleton_matches_direct_max():
     V = g.shared_set.vertices()
     for x in (np.array([0.3, 0.3]), np.array([0.1, 0.6])):
         op = evaluate_T(g, x)
+        assert all(cone.n_generators == 1 for cone in op.blocks)
         r, t = hull_residual(op, x, V)
-        # single generator per block: the LP must equal max_v <t, x - v>
+        # single generator per block: t is fixed, and r is max_v <t, x - v>
         direct = max(float(t @ (x - v)) for v in V)
         assert r == pytest.approx(max(direct, 0.0), abs=1e-9)
+        assert r == pytest.approx(hull_residual_lp(op, x, V)[0], rel=0.0, abs=1e-15)
 
 
 def test_residual_zero_exactly_on_solutions():
@@ -170,13 +173,8 @@ def test_finish_step_bounds_the_vi_pool_iterations():
     # a count, not a time: the 50 games of the benchmark's vi_pool(1) at
     # criterion 3's settings took 3,364 iterations when alpha halved toward
     # each face and take 789 with the finish step
-    spec = importlib.util.spec_from_file_location(
-        "gnepbench_inputs", Path(__file__).resolve().parents[1] / "gnepbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # its dataclasses look their module up
-    spec.loader.exec_module(inputs)
     runs = [solve_vi(case.game, SolverConfig(residual_tol=5e-7, restarts=4),
-                     Tolerances(eps_open=1e-6)) for case in inputs.vi_pool(1)]
+                     Tolerances(eps_open=1e-6)) for case in _load_gnepbench_inputs().vi_pool(1)]
     assert all(r.converged and r.certificate.is_equilibrium for r in runs)
     assert sum(r.iterations for r in runs) <= 1000
     assert sum(r.finish_accepted for r in runs) > 0
@@ -302,6 +300,39 @@ def test_oracle_counts_no_node_of_an_empty_fixed_body(strict):
     assert orc.feasible_count == 0 and len(orc.certified) == 0
 
 
+def test_grid_oracle_reads_the_verifiers_a1_bit_for_bit(monkeypatch):
+    # the oracle forms a1 for a batch of rival groups and the verifier
+    # (_own_quadratic) for one point; a row must have the same bits either
+    # way.  Batches of one group are the sharp case: there a plain product
+    # of the rows is a dot product, 1 ulp off the verifier's matrix-vector
+    # product on about a third of rows
+    import gnepkit.solvers as S
+
+    seen, real = [], S._group_maxima
+    monkeypatch.setattr(S, "_group_maxima", lambda game, pm, reps, A2, a1: (
+        seen.append((pm, reps.copy(), a1.copy())) or real(game, pm, reps, A2, a1)))
+    rng = np.random.default_rng(19)
+    box = Box([-0.5], [1.5])
+    for _ in range(150):
+        n = int(rng.integers(2, 6))
+        prefs = []
+        for i in range(n):
+            Q = rng.uniform(-1.0, 1.0, (n, n))
+            Q = Q + Q.T
+            Q[i, i] = -1.0 - abs(Q[i, i])
+            prefs.append(PreferenceMap(i, i, box, QuadUtility(Q, rng.uniform(-1.0, 1.0, n))))
+        game = GameInstance(tuple(prefs), (FixedConstraint(box),) * n, None, "a1")
+        for pm in game.preferences:
+            one_group = np.tile(rng.uniform(-0.5, 1.5, n), (3, 1))
+            one_group[:, pm.player] = rng.uniform(-0.5, 1.5, 3)
+            for nodes in (one_group, rng.uniform(-0.5, 1.5, (6, n))):
+                S._improvements_for_player(game, pm, nodes, Tolerances(), 0)
+    assert sum(len(reps) == 1 for _, reps, _ in seen) > 400
+    for pm, reps, a1 in seen:
+        for rep, row in zip(reps, a1):
+            assert np.array_equal(row, _own_quadratic(pm, rep)[1])
+
+
 def test_whole_space_blocks_enter_residual_conservatively():
     # at a satiated block the residual must still catch other players' slack
     g = gi.splitting_game()
@@ -311,10 +342,157 @@ def test_whole_space_blocks_enter_residual_conservatively():
     assert r <= 1e-9   # (1,0) is a genuine VI solution here
 
 
+# -- the hull residual without an LP ---------------------------------------------
+#
+# When every block's hull co G_i is a point or an interval, hull_residual
+# enumerates the vertices of the epigraph of max_v <t, x - v> over the box of
+# interval coordinates.  The oracle is the LP of hull_reference.
+
+
+def _section_hull_holds(op, t):
+    """t lies in co T(x): each block's point, or its interval ([-1, 1] for a
+    whole-space 1-D block)."""
+    for i, cone in enumerate(op.blocks):
+        ti = t[op.block_slice(i)]
+        if cone.dim == 1 and (cone.whole_space or cone.n_generators > 1):
+            G = [-1.0, 1.0] if cone.whole_space else cone.generators[:, 0]
+            if not min(G) <= ti[0] <= max(G):
+                return False
+        elif not np.array_equal(ti, cone.generators[0] if cone.n_generators else 0 * ti):
+            return False
+    return True
+
+
+def _assert_exact_hull_residual(op, x, V, rel=1e-12):
+    x, V = np.asarray(x, dtype=float), np.asarray(V, dtype=float)
+    r, t = hull_residual(op, x, V)
+    assert r == max(float(np.max((x - V) @ t)), 0.0)  # bit for bit
+    assert _section_hull_holds(op, t)
+    r_lp, _ = hull_residual_lp(op, x, V)
+    assert abs(r - r_lp) <= rel * max(1.0, abs(r_lp)), (r, r_lp)
+    return r, t
+
+
+def _interval_dim(op):
+    return sum(c.dim == 1 and (c.whole_space or c.n_generators > 1) for c in op.blocks)
+
+
+def test_hull_residual_matches_the_lp_on_random_jointly_convex():
+    # 20 points per game, three in four on the shared set (projections of
+    # far-off draws, mostly on its faces) and one in four off it
+    dims = set()
+    for eps_open in (1e-7, 1e-6, 1e-2):
+        tol = Tolerances(eps_open=eps_open)
+        for seed in range(100):
+            game = gi.random_jointly_convex(seed)
+            V = game.shared_set.vertices()
+            rng = np.random.default_rng(seed)
+            for k in range(20):
+                y = rng.uniform(-1.0, 2.0, V.shape[1])
+                x = game.shared_set.project(y) if k % 4 else y
+                op = evaluate_T(game, x, tol)
+                dims.add(_interval_dim(op))
+                _assert_exact_hull_residual(op, x, V)
+    assert {0, 1, 2} <= dims
+
+
+def _point(*g):
+    return ConeSection(len(g), np.array([g], dtype=float))
+
+
+def test_hull_residual_hand_cases(monkeypatch):
+    import gnepkit.solvers as S
+
+    monkeypatch.setattr(S, "_hull_lp", None)  # every case below is enumerated
+    V = np.array([[0.0, 0.0], [1.0, 0.2], [0.0, 1.0], [1.0, 1.0]])
+    x = np.array([0.2, 0.3])
+    # d = 0: t is fixed, and max_v <t, x - v> = 0.5 - v0 - v1 is 0.5 at v = 0
+    op = OperatorEval((_point(1.0), _point(1.0)), (0, 1))
+    r, t = _assert_exact_hull_residual(op, x, V)
+    assert np.array_equal(t, [1.0, 1.0]) and r == pytest.approx(0.5, abs=1e-15)
+    # d = 1: max(0.2 s + 0.3, -0.8 s + 0.1) is least at s = -0.2
+    op = OperatorEval((ConeSection.whole(1), _point(1.0)), (0, 1))
+    r, t = _assert_exact_hull_residual(op, x, V)
+    assert r == pytest.approx(0.26, abs=1e-15) and t == pytest.approx([-0.2, 1.0], abs=1e-15)
+    # d = 2 and d = 3, each with a point block, over a tilted simplex
+    for d in (2, 3):
+        w = np.linspace(0.5, 2.0, d + 1)
+        body = HPoly(np.vstack([-np.eye(d + 1), w]), np.concatenate([np.zeros(d + 1), [1.0]]))
+        W = body.vertices()
+        op = OperatorEval((ConeSection.whole(1),) * d + (_point(-1.0),), tuple(range(d + 1)))
+        assert _interval_dim(op) == d
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            _assert_exact_hull_residual(op, body.project(rng.uniform(-1.0, 2.0, d + 1)), W)
+
+
+def test_hull_residual_with_all_interval_rows_equal_takes_a_corner():
+    # every vertex has the same interval coordinates, so max_v (a_v + B s) =
+    # max_v a_v + B s: no two pieces ever cross, and the least is at the
+    # corner s_k = -sign(B_k)
+    V = np.array([[0.3, -0.2, 0.0], [0.3, -0.2, 1.0], [0.3, -0.2, 0.4]])
+    x = np.array([0.5, 0.4, 1.5])
+    op = OperatorEval((ConeSection.whole(1), ConeSection.whole(1), _point(1.0)), (0, 1, 2))
+    r, t = _assert_exact_hull_residual(op, x, V)
+    assert np.array_equal(t, [-1.0, -1.0, 1.0])
+    assert r == pytest.approx(1.5 - 0.2 - 0.6, abs=1e-15)
+
+
+def test_hull_residual_off_the_set_and_with_two_signed_generators():
+    # x a hair outside the unit square, and a 1-D block whose two unit
+    # generators span [-1, 1] without being the whole space
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    both = ConeSection(1, np.array([[1.0], [-1.0]]))
+    for x in ([1.0 + 1e-9, 0.5], [-1e-9, 1.0 + 1e-9], [0.5, -1e-12]):
+        for op in (OperatorEval((both, _point(-1.0)), (0, 1)),
+                   OperatorEval((_point(1.0), both), (0, 1)),
+                   OperatorEval((both, both), (0, 1))):
+            _assert_exact_hull_residual(op, x, V)
+
+
+def _load_gnepbench_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "gnepbench_inputs", Path(__file__).resolve().parents[1] / "gnepbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_vi_pool_hull_residuals_run_no_lp(monkeypatch):
+    # the 50 accepting probes of the benchmark's vi_pool(1) ran one LP each
+    # when the hull residual was always an LP
+    import gnepkit.solvers as S
+    from gnepkit import _lp
+
+    cases = _load_gnepbench_inputs().vi_pool(1)
+    for case in cases:
+        case.game.shared_set.vertices()
+    inside, calls, lps = [False], [0], [0]
+    real_hull, real_lp = S.hull_residual, _lp.solve_lp
+
+    def hull(*args):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return real_hull(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(S, "hull_residual", hull)
+    monkeypatch.setattr(_lp, "solve_lp", lambda *a, **k: (lps.__setitem__(0, lps[0] + inside[0])
+                                                           or real_lp(*a, **k)))
+    runs = [solve_vi(case.game, SolverConfig(residual_tol=5e-7, restarts=4),
+                     Tolerances(eps_open=1e-6)) for case in cases]
+    assert all(r.converged and r.certificate.is_equilibrium for r in runs)
+    assert calls[0] == 50 and lps[0] == 0
+
+
 # -- the separable QVI residual --------------------------------------------------
 #
-# qvi_residual sums one term per block.  The oracle is the joint LP: hull_residual
-# over the Cartesian product of the slices' vertex sets, built here only.
+# qvi_residual sums one term per block.  The oracle is the joint LP
+# (hull_reference) over the Cartesian product of the slices' vertex sets,
+# built here only.
 
 
 def _product_vertices(game, x):
@@ -338,7 +516,7 @@ def _assert_matches_joint_lp(game, x):
     if V is None:
         assert r == np.inf and t is None
         return
-    r_joint, _ = hull_residual(evaluate_T(game, x), x, V)
+    r_joint, _ = hull_residual_lp(evaluate_T(game, x), x, V)
     assert r == pytest.approx(r_joint, rel=0.0, abs=1e-12)
     assert max(float(np.max((x - V) @ t)), 0.0) == pytest.approx(r, rel=0.0, abs=1e-12)
 
