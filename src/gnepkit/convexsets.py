@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -80,11 +81,15 @@ class ConvexBody:
 
     # True when a zero row empties the body (see HPoly); hrep() omits that row
     _poisoned = False
+    # (A, b, strict) of a polyhedral body, read in place; hrep() copies them
+    _rows = None
 
     def hrep(self):
         """(A, b, strict) with unit rows, every row of the closure, an
         equality as an exact +/- pair; None when not polyhedral."""
-        return None
+        if self._rows is None:
+            return None
+        return tuple(a.copy() for a in self._rows)
 
     def equalities(self):
         """(C, d): one row of each equality +/- pair in hrep() (unit rows;
@@ -157,19 +162,15 @@ class Box(ConvexBody):
     def project(self, x):
         return np.clip(_as_vec(x, self.dim), self.lo, self.hi)
 
-    def hrep(self):
+    @cached_property
+    def _rows(self):
+        """Per coordinate its hi row e_j, then its lo row -e_j, each only
+        when that bound is finite."""
         eye = np.eye(self.dim)
-        rows, rhs = [], []
-        for j in range(self.dim):
-            if np.isfinite(self.hi[j]):
-                rows.append(eye[j])
-                rhs.append(self.hi[j])
-            if np.isfinite(self.lo[j]):
-                rows.append(-eye[j])
-                rhs.append(-self.lo[j])
-        A = np.array(rows).reshape(-1, self.dim)
-        b = np.array(rhs)
-        return A, b, np.zeros(len(b), dtype=bool)
+        A = np.stack([eye, -eye], axis=1).reshape(-1, self.dim)
+        b = np.stack([self.hi, -self.lo], axis=1).reshape(-1)
+        finite = np.isfinite(b)
+        return A[finite], b[finite], np.zeros(int(finite.sum()), dtype=bool)
 
     def equalities(self):
         """The row e_j and hi_j of each finite coordinate with lo == hi: the
@@ -224,7 +225,8 @@ class Simplex(ConvexBody):
     def project(self, x):
         return project_simplex(_as_vec(x, self.dim), self.scale)
 
-    def hrep(self):
+    @cached_property
+    def _rows(self):
         C, d = self.equalities()
         A = np.vstack([-np.eye(self.dim), C, -C])
         return A, np.concatenate([np.zeros(self.dim), d, -d]), np.zeros(self.dim + 2, dtype=bool)
@@ -278,6 +280,21 @@ class HPoly(ConvexBody):
         object.__setattr__(self, "_poisoned", bool(degenerate.any()))
         if A.shape[0] == 0 and not self._poisoned:
             raise ValueError("HPoly needs at least one nontrivial row")
+
+    @classmethod
+    def _on_unit_rows(cls, A, b, strict=None) -> "HPoly":
+        """HPoly(A, b, strict) for rows A that are nonzero and already of
+        unit norm as HPoly keeps them (_unit_norms takes each norm as
+        exactly 1.0, so normalising would change no bit): A and strict are
+        shared, not copied, and nothing is divided.  Builds a game's slices
+        (game.constraint_body), VertexForm.body and closure()."""
+        b = np.asarray(b, dtype=float)
+        if not len(b):
+            raise ValueError("HPoly needs at least one nontrivial row")
+        P = object.__new__(cls)
+        vars(P).update(A=A, b=b, _poisoned=False,
+                       strict=np.zeros(len(b), dtype=bool) if strict is None else strict)
+        return P
 
     @property
     def dim(self):
@@ -385,8 +402,9 @@ class HPoly(ConvexBody):
         # rounding is still the hull of its vertices
         return x + _min_norm_hull_point(self.vertices() - x)
 
-    def hrep(self):
-        return self.A.copy(), self.b.copy(), self.strict.copy()
+    @property
+    def _rows(self):
+        return self.A, self.b, self.strict
 
     @cached_property
     def _pairs(self):
@@ -472,7 +490,7 @@ class HPoly(ConvexBody):
         form = vars(self).get("_form")
         if form is not None:
             return form.body(self.b)
-        P = HPoly(self.A, self.b)
+        P = HPoly._on_unit_rows(self.A, self.b)
         if "_bounded" in vars(self):
             object.__setattr__(P, "_bounded", self._bounded)
         return P
@@ -721,9 +739,8 @@ class VertexForm:
         """{z : A z <= b} (strict rows open) as a bounded HPoly on this
         form, which answers emptiness, vertices, bounding box and linear
         maximization from its candidates."""
-        P = HPoly(self.A, b, strict)
-        object.__setattr__(P, "_form", self)
-        object.__setattr__(P, "_bounded", True)
+        P = HPoly._on_unit_rows(self.A, b, strict)
+        vars(P).update(_form=self, _bounded=True)
         return P
 
 
@@ -942,11 +959,12 @@ def maximize(body: ConvexBody, c, Q=None):
     """(value, argmax) of max 0.5 z'Qz + <c, z> over the closure of body.
 
     Q absent or zero (every entry at most 1e-13) is the support function:
-    closed forms for Box, Simplex, Ball and 1-D polyhedra, the best feasible
-    vertex candidate of a bounded polyhedron of 2 or more dimensions within
-    the _VERTEX_FORM_SUBSETS gate (HPoly._form), else one LP.  A nonzero Q
-    must be negative semidefinite.  A diagonal Q over a Box or a 1-D
-    polyhedron separates into one clip per coordinate; any other Q is
+    closed forms for Box, Simplex, Ball and a 1-D HPoly (read as its
+    interval), the best feasible vertex candidate of a bounded polyhedron of
+    2 or more dimensions within the _VERTEX_FORM_SUBSETS gate (HPoly._form),
+    else one LP.  A nonzero Q must be negative semidefinite.  A diagonal Q
+    over a Box or a 1-D HPoly separates into one clip per coordinate; any
+    other Q is
     answered by exact KKT enumeration over the rows and equalities (hrep()
     rows are the closure's: only the strict flags differ; an equality's
     +/- pair is passed as the equality).
@@ -960,7 +978,7 @@ def maximize(body: ConvexBody, c, Q=None):
     if quadratic:
         Q = np.asarray(Q, dtype=float)
         q = np.diag(Q)
-        separable = np.count_nonzero(Q) == np.count_nonzero(q) and np.all(q <= 0.0)
+        separable = np.count_nonzero(Q) == np.count_nonzero(q) and bool((q <= 0.0).all())
     else:
         q, separable = np.zeros(body.dim), True
         if isinstance(body, Simplex):
@@ -974,16 +992,19 @@ def maximize(body: ConvexBody, c, Q=None):
         z = _argmax_separable(c, q, body.lo, body.hi)
         val = 0.5 * z @ Q @ z + c @ z if quadratic else np.sum(c * z)
         return float(val), z
-    h = body.hrep()
-    if h is None:
+    if body._rows is None:
         raise EnumerationError(f"no maximization over kind={body.kind!r}")
-    if body._poisoned:
-        raise EmptyBodyError("maximization over an empty polyhedron")
-    if separable and body.dim == 1:
-        z = _argmax_separable(c, q, *body.bounding_box())
+    if separable and isinstance(body, HPoly) and body.dim == 1:
+        interval = body._interval  # None when empty, poisoned included
+        if interval is None:
+            raise EmptyBodyError("maximization over an empty polyhedron")
+        c0 = float(c[0])
+        z = np.array([_interval_argmax(c0, float(q[0]), *interval)])
         if quadratic:
             return float(0.5 * z @ Q @ z + c @ z), z
-        return (float(c[0] * z[0]) if c[0] != 0.0 else 0.0), z
+        return (c0 * float(z[0]) if c0 != 0.0 else 0.0), z
+    if body._poisoned:
+        raise EmptyBodyError("maximization over an empty polyhedron")
     if not quadratic and body._form is not None:
         V = body._candidates
         if not len(V):
@@ -992,6 +1013,7 @@ def maximize(body: ConvexBody, c, Q=None):
         k = int(np.argmax(vals))
         return float(vals[k]), V[k].copy()
     # each equality once, as an equality, not also as its two rows
+    h = body._rows
     first, paired = _pair_masks(*h)
     A, b = h[0][~paired], h[1][~paired]
     eq = (h[0][first], h[1][first]) if first.any() else (None, None)
@@ -1018,12 +1040,36 @@ def _argmax_separable(c, q, lo, hi):
 
 def _clip_argmax(c, q, lo, hi):
     """_argmax_separable elementwise, with an infinite entry where the
-    maximum is unbounded; the arguments broadcast."""
-    z = np.where(c > 0, hi, np.where(c < 0, lo, np.clip(0.0, lo, hi)))
+    maximum is unbounded; the arguments broadcast.
+
+    Each clip to [lo, hi] is np.clip's, maximum(x, lo) then minimum(., hi):
+    a tie returns the bound (so clip(0.0, -0.0, hi) is -0.0) and a NaN
+    stays NaN, without np.clip's Python wrapper.  _interval_argmax is the
+    same rule on one coordinate; tests/test_convexsets.py holds both to the
+    np.clip form bit for bit, signed zeros included.
+    """
+    z = np.where(c > 0, hi, np.where(c < 0, lo, np.minimum(np.maximum(0.0, lo), hi)))
     curved = np.less(q, 0.0)
     if curved.any():
-        z = np.where(curved, np.clip(-c / np.where(curved, q, -1.0), lo, hi), z)
+        t = -c / np.where(curved, q, -1.0)
+        z = np.where(curved, np.minimum(np.maximum(t, lo), hi), z)
     return z
+
+
+def _interval_argmax(c, q, lo, hi):
+    """_clip_argmax of one coordinate, on floats; raises UnboundedLP when
+    the end point it takes is infinite."""
+    if q < 0.0 or not (c > 0 or c < 0):
+        # the stationary point (0 when flat), clipped by np.clip's rule:
+        # the bound on a tie, NaN kept
+        t = -c / q if q < 0.0 else 0.0
+        t = t if t > lo or t != t else lo
+        t = t if t < hi or t != t else hi
+    else:
+        t = hi if c > 0 else lo  # the end point c points to, as it is
+    if not math.isfinite(t):
+        raise _lp.UnboundedLP("maximum over an unbounded box or interval")
+    return t
 
 
 def support_max(body: ConvexBody, c) -> float:

@@ -261,7 +261,8 @@ def slice_body(body: ConvexBody, x, block: slice) -> HPoly:
 
 def constraint_body(game: GameInstance, i: int, x) -> ConvexBody:
     """K_i(x).  A shared-set slice is one HPoly on the player's fixed rows
-    (GameInstance._slice_rows) with the right-hand side at x, in vertex form
+    (GameInstance._slice_rows, already of unit norm, so taken as they are
+    by HPoly._on_unit_rows) with the right-hand side at x, in vertex form
     when GameInstance._slice_forms has one for the player."""
     c = game.constraints[i]
     x = np.asarray(x, dtype=float)
@@ -269,7 +270,7 @@ def constraint_body(game: GameInstance, i: int, x) -> ConvexBody:
         A, strict, b_X, b, rival, scale = game._slice_rows[i]
         rhs = np.concatenate([b_X, (b - rival @ x) / scale])
         form = game._slice_forms[i]
-        return HPoly(A, rhs, strict) if form is None else form.body(rhs, strict)
+        return HPoly._on_unit_rows(A, rhs, strict) if form is None else form.body(rhs, strict)
     if isinstance(c, FixedConstraint):
         return c.body
     return c.build(x)
@@ -280,11 +281,10 @@ def membership_violation(body: ConvexBody, z) -> float:
     margin); an equality's +/- pair gives its absolute residual."""
     z = np.asarray(z, dtype=float)
     worst = -np.inf
-    h = body.hrep()
-    if h is not None:
-        A, b, _ = h
+    if body._rows is not None:
+        A, b, _ = body._rows
         if len(b):
-            worst = max(worst, float(np.max(A @ z - b)))
+            worst = float((A @ z - b).max())
     if isinstance(body, Ball):
         worst = max(worst, float(np.linalg.norm(z - body.center) - body.radius))
     if worst == -np.inf:
@@ -333,12 +333,10 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
         # (EmptyBodyError) or LP (InfeasibleLP) support of the improvement,
         # or as a quadratic improvement without a KKT point
         empty = False
+        xi = pm.own(x)
         try:
             K = constraint_body(game, i, x)
-            feas[i] = max(
-                membership_violation(K, pm.own(x)),
-                membership_violation(pm.ambient, pm.own(x)),
-            )
+            feas[i] = max(membership_violation(K, xi), membership_violation(pm.ambient, xi))
             empt[i], a_i = max_improvement(pm, x, K, tol.eps_open, seed)
         except (EmptyBodyError, _lp.InfeasibleLP):
             empty = True
@@ -352,7 +350,7 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
             notes.append(f"player {i}: constraint slice empty")
             continue
         approx = approx or a_i
-    ok = bool(np.all(feas <= tol.eps_feas) and np.all(empt <= tol.eps_open))
+    ok = bool((feas <= tol.eps_feas).all() and (empt <= tol.eps_open).all())
     return EquilibriumCertificate(
         x.copy(), feas, empt, ok, tol, approx, seed, tuple(notes)
     )

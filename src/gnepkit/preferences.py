@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -161,11 +162,13 @@ class PreferenceMap:
             raise ValueError(f"player {self.player}: X_i kind={self.ambient.kind!r} is not "
                              "polyhedral, but the preference is given by rows")
 
-    @property
+    # read several times per player in every operator evaluation and
+    # certificate, so kept once per (frozen) map
+    @cached_property
     def block_dim(self) -> int:
         return self.ambient.dim
 
-    @property
+    @cached_property
     def block(self) -> slice:
         return slice(self.block_start, self.block_start + self.block_dim)
 

@@ -107,7 +107,10 @@ class SolveResult:
     best_attempt (1 for the first) is the one whose point this is; iterations
     and trace belong to that attempt.  finish_tried and finish_accepted count
     the finish steps (_Finish) that the probe judged, and those it accepted,
-    over all attempts."""
+    over all attempts.  approximate is True when a section of T was
+    approximate or a residual of the attempt read boundary samples in place
+    of vertices (_body_vertices: an unbounded shared set or slice), so that
+    converged is then no exact claim."""
 
     point: np.ndarray
     residual: float
@@ -308,18 +311,23 @@ def residual_with_filter(op, x, V, tol):
 # vertex suppliers and per-block residual terms
 
 
-def _body_vertices(body: ConvexBody, rng) -> np.ndarray:
+def _body_vertices(body: ConvexBody, rng):
+    """(V, sampled): the body's vertices, or 64 boundary samples (sampled
+    True) when they cannot be enumerated, as for an unbounded body.  A
+    residual over samples is not exact, so a solve that reads one reports
+    itself approximate."""
     try:
         vs = body.vertices()
     except EnumerationError:
-        return body.boundary_samples(rng, 64)
+        return body.boundary_samples(rng, 64), True
     if not len(vs):
         raise EmptyBodyError("vertex set of an empty body")
-    return vs
+    return vs, False
 
 
 def _block_terms(K: ConvexBody, cone, xi, rng):
-    """(lower bound, exact term, t_i, vertices) of one block of the QVI residual.
+    """(lower bound, exact term, t_i, vertices, sampled) of one block of the
+    QVI residual; sampled as _body_vertices says.
 
     The bound is the block's part of _residual_prefilter; the term is min over
     t_i in co G_i of max over v in K of <t_i, x_i - v>, or None when only the
@@ -332,22 +340,22 @@ def _block_terms(K: ConvexBody, cone, xi, rng):
             raise EmptyBodyError("support over an empty body")
         try:
             r = float(g @ xi) + maximize(C, -g)[0]
-            return r, r, g, None
+            return r, r, g, None, False
         except _lp.UnboundedLP:
-            return np.inf, np.inf, g, None
-    V = _body_vertices(K, rng)
+            return np.inf, np.inf, g, None, False
+    V, sampled = _body_vertices(K, rng)
     lb = _residual_prefilter(OperatorEval((cone,), (0,)), xi, V)
     if cone.n_generators == 0 and not cone.whole_space:
         # the zero cone: co G_i is the point 0
-        return lb, lb, cone.min_norm_point(), V
+        return lb, lb, cone.min_norm_point(), V, sampled
     if cone.dim == 1:
         # the whole space or unit generators of both signs: co G_i = [-1, 1];
         # max_v t (x_i - v) is convex in t with its only kink at 0
         W = xi[0] - V[:, 0]
         vals = [float(np.max(-W)), 0.0, float(np.max(W))]
         k = int(np.argmin(vals))
-        return lb, vals[k], np.array([k - 1.0]), V
-    return lb, None, None, V
+        return lb, vals[k], np.array([k - 1.0]), V, sampled
+    return lb, None, None, V, sampled
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +380,7 @@ class _SharedSetVI:
 
     def __init__(self, game, rng):
         self.game = game
-        self._vertices = _body_vertices(game.shared_set, rng)
+        self._vertices, self.sampled = _body_vertices(game.shared_set, rng)
 
     def project(self, x, t, alpha):
         return self.game.shared_set.project(x - alpha * t)
@@ -390,6 +398,7 @@ class _MovingSlicesQVI:
     def __init__(self, game, rng):
         self.game = game
         self._rng = rng
+        self.sampled = False
 
     def project(self, x, t, alpha):
         game = self.game
@@ -417,13 +426,14 @@ class _MovingSlicesQVI:
                      for i, K in enumerate(slices)]
         except EmptyBodyError:
             return np.inf, None, False
+        self.sampled = self.sampled or any(term[4] for term in terms)
         feasible = all(membership_violation(K, pm.own(x)) <= eps
                        for K, pm in zip(slices, self.game.preferences))
         lb = sum(term[0] for term in terms)
         if lb > tol:
             return lb, None, feasible
         r, t = 0.0, np.zeros(op.dim)
-        for i, (_, r_i, t_i, V) in enumerate(terms):
+        for i, (_, r_i, t_i, V, _) in enumerate(terms):
             sl = op.block_slice(i)
             if r_i is None:
                 t_i = hull_residual(OperatorEval((op.blocks[i],), (0,)), x[sl], V)[1]
@@ -608,7 +618,7 @@ def _solve(game: GameInstance, config: SolverConfig, problem_type,
         x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol, finish)
         cand = SolveResult(x, r, iters, ok, restarts_used=attempt + 1,
                            best_attempt=attempt + 1, problem=problem.name,
-                           trace=trace, approximate=approx)
+                           trace=trace, approximate=approx or problem.sampled)
         if best is None or cand.residual < best.residual:
             best = cand
         if ok:

@@ -50,6 +50,28 @@ def test_box_membership_and_projection():
     assert np.allclose(B.project([2.0, -1.0]), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([-np.inf, 0.0, -1.5, -np.inf, -0.0], [np.inf, np.inf, 2.0, 3.0, 0.0]),
+    ([-np.inf, -np.inf], [np.inf, np.inf]),
+    ([0.0, 1.0, -np.inf], [0.0, 1.0, -2.0]),
+    ([-1.0], [np.inf]),
+])
+def test_box_rows_match_the_coordinate_loop(lo, hi):
+    # per coordinate the hi row, then the lo row, finite bounds only: the
+    # rows a loop over the coordinates builds, bit for bit
+    from verifier_reference import box_rows
+
+    B = Box(lo, hi)
+    A, b, strict = B.hrep()
+    A_ref, b_ref = box_rows(B)
+    assert A.shape == A_ref.shape and b.shape == b_ref.shape
+    assert A.tobytes() == A_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+    assert strict.dtype == bool and not strict.any() and len(strict) == len(b)
+    # hrep() hands out copies
+    A[:], b[:] = 7.0, 7.0
+    assert B.hrep()[0].tobytes() == A_ref.tobytes()
+
+
 def test_membership_monotone_in_slack(rng):
     B = triangle()
     for _ in range(100):
@@ -1178,3 +1200,51 @@ def test_budget_sets_match_exact_references(seed, monkeypatch):
         _check_budget_set(K, rng, calls)
     verdicts = [K.is_empty(eps_open=0.0) for K in bodies]
     assert verdicts == [off < 0 for _ in range(8) for off in _BUDGET_OFFSETS + (1.0,)]
+
+
+def _clip_grid():
+    """Every (c, q, lo, hi) with lo <= hi over values that hold both signed
+    zeros and both infinities."""
+    vals = [-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf]
+    rows = [(c, q, lo, hi) for c in vals for q in (-np.inf, -2.0, -0.5, -0.0, 0.0, 1.0)
+            for lo in vals for hi in vals if lo <= hi]
+    return (np.array(col) for col in zip(*rows))
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_clip_argmax_equals_the_np_clip_form_bit_for_bit():
+    # _clip_argmax and its one-coordinate form _interval_argmax against the
+    # np.clip form they replace, signed zeros included: whole, in chunks of
+    # every few sizes (numpy's vector loops and their tails) and with the
+    # curvature as one scalar, as the grid oracle passes it
+    from gnepkit import _lp
+    from gnepkit.convexsets import _clip_argmax, _interval_argmax
+    from verifier_reference import clip_argmax
+
+    C, Q, L, H = _clip_grid()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ref = clip_argmax(C, Q, L, H)
+        assert _same_bits(_clip_argmax(C, Q, L, H), ref)
+        for n in (1, 2, 3, 5, 8, 17):
+            for s in range(0, len(C), n):
+                k = slice(s, s + n)
+                assert _same_bits(_clip_argmax(C[k], Q[k], L[k], H[k]), ref[k])
+        for q in (-2.0, 0.0):
+            assert _same_bits(_clip_argmax(C, q, L, H), clip_argmax(C, q, L, H))
+    assert np.isnan(ref).any() and np.isinf(ref).any()
+    for c, q, lo, hi, z in zip(C, Q, L, H, ref):
+        if not np.isfinite(z):
+            with pytest.raises(_lp.UnboundedLP):
+                _interval_argmax(float(c), float(q), float(lo), float(hi))
+        else:
+            assert _same_bits(_interval_argmax(float(c), float(q), float(lo), float(hi)), z)
+
+
+def test_quadratic_maximum_over_a_one_point_simplex():
+    # Simplex(1, 2) is the point {2}: the maximum of -0.5 z^2 - z there is -4
+    val, z = maximize(Simplex(1, 2.0), [-1.0], [[-1.0]])
+    assert z.tolist() == [2.0] and val == pytest.approx(-4.0, abs=1e-12)

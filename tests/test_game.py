@@ -130,6 +130,42 @@ def test_cached_slice_rows_match_intersection_bit_for_bit():
     assert 0 < poisoned < played
 
 
+def _unit_row_games():
+    yield from gi.grid_aligned_instances()
+    for seed in range(20):
+        yield gi.random_jointly_convex(seed)
+        yield gi.random_qvi(seed)
+
+
+def test_slices_on_unit_rows_equal_the_normalised_slices_bit_for_bit():
+    # the stored slice rows are unit as HPoly keeps them (each norm taken as
+    # exactly 1.0), so HPoly._on_unit_rows builds the body the normalising
+    # constructor builds, at a feasible point and at wandering ones
+    from gnepkit.convexsets import _unit_norms
+
+    rng = np.random.default_rng(3)
+    played = 0
+    for g in _unit_row_games():
+        if not g.jointly_convex:
+            continue
+        x0 = g.shared_set.project(np.zeros(g.n))
+        for x in [x0] + list(rng.uniform(-1.0, 2.0, (3, g.n))):
+            for i in range(g.n_players):
+                A, strict, b_X, b, rival, scale = g._slice_rows[i]
+                norms, keep = _unit_norms(A)
+                assert keep.all() and np.all(norms == 1.0)
+                rhs = np.concatenate([b_X, (b - rival @ x) / scale])
+                K, M = HPoly._on_unit_rows(A, rhs, strict), HPoly(A, rhs, strict)
+                assert not K._poisoned and not M._poisoned
+                for field in ("A", "b", "strict"):
+                    assert getattr(K, field).tobytes() == getattr(M, field).tobytes()
+                    assert getattr(K, field).shape == getattr(M, field).shape
+                K = constraint_body(g, i, x)
+                assert K.b.tobytes() == M.b.tobytes() and K.A is A
+                played += 1
+    assert played > 100
+
+
 def test_rival_breaking_its_own_row_is_the_rivals_infeasibility():
     # S = {x0 <= 1, x1 <= 1, x0 + x1 <= 1.5} at x1 = 1.7: the exact slice
     # over x0 is empty, as the rival breaks x1 <= 1.  K_0(x) keeps the rows
@@ -305,6 +341,74 @@ def test_verify_1d_game_runs_no_lp(monkeypatch):
     cert = verify_equilibrium(g, np.array([0.5, 0.5]))
     assert cert.is_equilibrium
     assert calls == []
+
+
+def test_verify_shared_slice_builds_no_rows(monkeypatch):
+    # the slices are built on the game's stored unit rows, and membership
+    # and the maxima read rows in place: no row is normalised or copied
+    from gnepkit import convexsets
+
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    # 1-D slices of linear and quadratic players, and the 2-D vertex-form
+    # slice of a box_argmax game
+    games = [gi.splitting_game(), *gi.grid_aligned_instances()[1:5], gi.random_jointly_convex(4)]
+    assert any(form is not None for g in games for form in g._slice_forms)
+    for g in games:
+        # the stored rows and forms are the game's, built once
+        assert len(g._slice_rows) == len(g._slice_forms) == g.n_players
+    monkeypatch.setattr(convexsets, "_unit_norms", counted("_unit_norms", convexsets._unit_norms))
+    monkeypatch.setattr(game_module, "_unit_norms", counted("_unit_norms", game_module._unit_norms))
+    monkeypatch.setattr(convexsets.ConvexBody, "hrep", counted("hrep", convexsets.ConvexBody.hrep))
+    for g in games:
+        for x in (np.full(g.n, 0.25), np.full(g.n, 0.5), np.full(g.n, 2.0)):
+            verify_equilibrium(g, x)
+    assert calls == []
+
+
+def _grid_nodes(game, h):
+    """Every node of the grid the oracle lays over the X_i at step h."""
+    import itertools
+
+    from gnepkit.solvers import _block_grid
+
+    grids = [_block_grid(pm.ambient, h) for pm in game.preferences]
+    return [np.concatenate(p) for p in itertools.product(*grids)]
+
+
+def _assert_same_certificate(g, x):
+    from verifier_reference import verify_equilibrium as reference
+
+    a, b = verify_equilibrium(g, x), reference(g, x)
+    assert a.feasibility_slacks.tobytes() == b.feasibility_slacks.tobytes()
+    assert a.emptiness_slacks.tobytes() == b.emptiness_slacks.tobytes()
+    assert (a.is_equilibrium, a.approximate, a.notes) == (b.is_equilibrium, b.approximate, b.notes)
+    return a.is_equilibrium
+
+
+def test_certificates_equal_the_reference_verifier_bit_for_bit():
+    # every node of the h = 0.1 grid over the bundled grid games (feasible
+    # or not), and the solved points of the random families with two
+    # points off each: slacks byte for byte, signed zeros included
+    from gnepkit.solvers import solve_qvi, solve_vi
+
+    verdicts = set()
+    for g in gi.grid_aligned_instances():
+        for x in _grid_nodes(g, 0.1):
+            verdicts.add(_assert_same_certificate(g, x))
+    for seed in range(50):
+        for g, solve in ((gi.random_jointly_convex(seed), solve_vi),
+                         (gi.random_qvi(seed), solve_qvi)):
+            x = solve(g).point
+            for y in (x, x + 1e-3, x - 0.3):
+                verdicts.add(_assert_same_certificate(g, y))
+    assert verdicts == {True, False}
 
 
 def test_certificate_serializes():

@@ -499,7 +499,7 @@ def _product_vertices(game, x):
     """Every combination of the slices' vertices at x; None when one is empty."""
     rng = np.random.default_rng(0)
     try:
-        per = [_body_vertices(constraint_body(game, i, x), rng)
+        per = [_body_vertices(constraint_body(game, i, x), rng)[0]
                for i in range(game.n_players)]
     except EmptyBodyError:
         return None
@@ -729,3 +729,17 @@ def test_vertex_form_game_runs_no_support_lp(monkeypatch):
     orc = grid_oracle(games[1], h=0.25, cross_sample=50)
     assert not orc.disagreements and orc.cross_checked >= 50
     assert calls == []
+
+
+def test_residual_over_samples_makes_the_solve_approximate():
+    # the shared set of coercive_inward_game is the orthant: no vertices, so
+    # the residual reads boundary samples, all far from the origin, and
+    # reads 0 at the start point (1, 1), where the exact value is 2 and the
+    # certificate rejects.  The solve must not pass that off as exact
+    g = gi.coercive_inward_game()
+    res = solve_vi(g)
+    assert not res.certificate.is_equilibrium
+    assert res.approximate and jsonable(res)["approximate"] is True
+    assert solve_qvi(g).approximate
+    # a bounded shared set reads vertices
+    assert not solve_vi(gi.splitting_game()).approximate
