@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success/equilibrium, 2 parse or instance error (raised while
-loading the instance or reading --point/--point-file), 3 solver failure
+Exit codes: 0 success/equilibrium, 2 parse or instance error (an
+out-of-range flag, or an error raised while loading the instance or reading
+--point/--point-file), 3 solver failure
 (including the self-preference guard and an empty constraint set met while
 solving), 4 verified non-equilibrium, 5 dimension mismatch, 6 problem too
 large for the grid oracle.  Unexpected internal errors exit 1.
@@ -123,7 +124,6 @@ def _reading_input():
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
-        method=args.method,
         alpha=args.alpha,
         max_iters=args.max_iters,
         residual_tol=args.tol,
@@ -234,15 +234,12 @@ def cmd_economy(args) -> int:
 def _add_common(p, solver_flags: bool = True):
     p.add_argument("instance", help="path to a game or economy JSON file")
     p.add_argument("--out-dir", default=".", help="directory for output files")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     if solver_flags:
         default = SolverConfig()
-        p.add_argument("--method", choices=["projection", "extragradient"],
-                       default=default.method)
-        p.add_argument("--alpha", type=float, default=default.alpha)
-        p.add_argument("--max-iters", type=int, default=default.max_iters)
-        # the tolerance of the certificate's emptiness test (see SolverConfig)
-        p.add_argument("--tol", type=float, default=Tolerances().eps_open,
+        p.add_argument("--alpha", type=_positive, default=default.alpha)
+        p.add_argument("--max-iters", type=_count, default=default.max_iters)
+        p.add_argument("--tol", type=_nonnegative, default=default.residual_tol,
                        help="hull residual convergence tolerance "
                             "(default: the certificate's eps_open)")
         p.add_argument("--trace", action="store_true",
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="definition-based grid search for equilibria")
     _add_common(po, solver_flags=False)
-    po.add_argument("--h", type=_grid_step, default=0.05, help="grid step")
+    po.add_argument("--h", type=_positive, default=0.05, help="grid step")
     po.add_argument("--no-cross-check", action="store_true")
     po.set_defaults(func=cmd_oracle)
 
@@ -289,12 +286,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _grid_step(text: str) -> float:
-    """--h as a float; argparse exits 2 unless it is finite and positive."""
-    h = float(text)
-    if not (np.isfinite(h) and h > 0.0):
-        raise argparse.ArgumentTypeError(f"grid step must be finite and positive, got {text}")
-    return h
+def _bounded(cast, strict: bool):
+    """An argparse type for a number flag: argparse exits 2 unless the value
+    is finite and above 0 (strict) or at least 0."""
+    def parse(text: str):
+        v = cast(text)
+        if not (np.isfinite(v) and (v > 0 if strict else v >= 0)):
+            bound = "positive" if strict else ">= 0"
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        return v
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_positive = _bounded(float, strict=True)
+_nonnegative = _bounded(float, strict=False)
+_count = _bounded(int, strict=False)
 
 
 def _fold_point(argv):

@@ -56,10 +56,6 @@ class OperatorEval:
         return self.starts[-1] + self.blocks[-1].dim
 
     @property
-    def any_whole_space(self) -> bool:
-        return any(b.whole_space for b in self.blocks)
-
-    @property
     def approximate(self) -> bool:
         return any(b.approximate for b in self.blocks)
 

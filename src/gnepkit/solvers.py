@@ -1,15 +1,18 @@
-"""Projection-type methods for the VI/QVI reformulations, plus a grid oracle.
+"""One projection method for the VI/QVI reformulations, plus a grid oracle.
 
-The VI route treats jointly convex games: iterate x <- proj_X(x - a t) with
-t drawn from T(x), declare convergence when the hull residual
+Both routes take one step rule, x <- proj(x - a t) with t selected from
+T(x), halving a when the residual stalls.  The VI route treats jointly
+convex games: it projects onto the shared set X and declares convergence
+when the hull residual
 
     r(x) = min over t in co T(x) of max over vertices v of <t, x - v>
 
-drops below tolerance (a single t must witness all vertices -- that is the
-existential quantifier in the VI).  Any point passing this test solves the
-VI restricted to the enumerated vertex set exactly, and solving the VI is a
-*sufficient* condition for equilibrium; the converse direction is not claimed
-and genuinely fails on easy examples.
+drops below SolverConfig.residual_tol, by default the certificate's eps_open
+(a single t must witness all vertices -- that is the existential quantifier
+in the VI).  Any point passing this test solves the VI restricted to the
+enumerated vertex set exactly, and solving the VI is a *sufficient*
+condition for equilibrium; the converse direction is not claimed and
+genuinely fails on easy examples.
 
 The QVI route projects blockwise onto the moving sets K_i(x).  Both co T(x)
 and K(x) are products over the blocks, so its residual is a sum of one term
@@ -32,6 +35,7 @@ import numpy as np
 from . import _lp
 from .convexsets import (
     _VERTEX_FORM_SUBSETS,
+    DEFAULT_EPS_OPEN,
     EPS_ACTIVE,
     ConvexBody,
     EmptyBodyError,
@@ -71,11 +75,13 @@ class SolverConfig:
 
     A solve converges when its hull residual is at most residual_tol, and
     its operator T takes satiation from the solve's Tolerances.eps_open.
-    The two numbers are not tied.  A block whose only generator is
-    -∇u_i/|∇u_i| adds its improvement over K_i(x) divided by |∇u_i| to the
-    residual, so with residual_tol above eps_open a run can converge at a
-    point the certificate rejects.  random_qvi(189), two linear players with
-    unit gradients, at residual_tol=5e-7, restarts=4 and default Tolerances
+    residual_tol defaults to the default eps_open (DEFAULT_EPS_OPEN, 1e-7),
+    the certificate's tolerance, but the two numbers are not tied when
+    either is set.  A block whose only generator is -∇u_i/|∇u_i| adds its
+    improvement over K_i(x) divided by |∇u_i| to the residual, so with
+    residual_tol above eps_open a run can converge at a point the
+    certificate rejects.  random_qvi(189), two linear players with unit
+    gradients, at residual_tol=5e-7, restarts=4 and default Tolerances
     converges with residual 4.333e-7 = 2.044e-7 + 2.289e-7, one term per
     block, but both improvements exceed eps_open = 1e-7; at
     residual_tol=5e-8 the same game is certified.  `converged` is the
@@ -85,17 +91,11 @@ class SolverConfig:
     periodic probe after the first that does not accept: the point nearest
     x on the face the iterates identified, judged by the same probe.  It
     has no option.
-
-    method="extragradient" still stops at the halving cap without converging
-    on about a third of random_qvi games (52 of seeds 0-149 at
-    residual_tol=5e-7, restarts=4 and eps_open=1e-6, none of them certified);
-    "projection" is the default.
     """
 
-    method: str = "projection"  # or "extragradient"
     alpha: float = 0.5
     max_iters: int = 5000
-    residual_tol: float = 1e-6
+    residual_tol: float = DEFAULT_EPS_OPEN
     restarts: int = 8
     seed: int = 0
     trace: bool = False
@@ -579,14 +579,7 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=N
                 break
             last_probe_r = r
 
-        if config.method == "extragradient":
-            y = problem.project(x, t, alpha)
-            t2 = select(evaluate_T(game, y, tol, config.seed))
-            # 0 in T(y) makes y a solution candidate: step onto it, so the
-            # next iteration's probe judges it
-            x_new = y if np.linalg.norm(t2) <= 1e-14 else problem.project(x, t2, alpha)
-        else:
-            x_new = problem.project(x, t, alpha)
+        x_new = problem.project(x, t, alpha)
 
         cycling = x_prev is not None and np.linalg.norm(x_new - x_prev) <= _STEP_TOL
         if np.linalg.norm(x_new - x) <= _STEP_TOL or cycling:

@@ -47,11 +47,6 @@ def test_solve_writes_result_and_exits_zero(splitting, tmp_path):
     assert "result.json" in man["outputs"]
 
 
-def test_solve_extragradient_flag(splitting, tmp_path):
-    assert run("solve", splitting, "--method", "extragradient",
-               "--out-dir", tmp_path / "o") == 0
-
-
 def test_solve_max_iters_zero(tmp_path):
     # the start of the splitting game is a solution: the closing probe accepts it
     assert run("solve", os.path.join(INST, "splitting_game.json"), "--max-iters", 0,
@@ -128,6 +123,28 @@ def test_oracle_too_fine_exit_6(splitting, tmp_path):
                "--out-dir", tmp_path / "o") == 6
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    *(("solve", "--alpha", v) for v in ("0", "-1", "nan", "inf")),
+    *(("solve", "--tol", v) for v in ("-1", "nan", "inf")),
+    ("solve", "--max-iters", "-3"),
+    ("solve", "--seed", "-1"),
+    ("economy", "--alpha", "nan"),
+    ("economy", "--tol", "-1e-7"),
+    ("economy", "--max-iters", "-1"),
+    ("solve", "--method", "projection"),
+])
+def test_bad_solver_flag_exits_2(splitting, exchange, tmp_path, command, flag, value):
+    # --alpha must be finite and positive, --tol finite and >= 0, and
+    # --max-iters and --seed >= 0; the projection step is the only method, so
+    # --method is an unknown flag: an argparse error, exit 2, nothing written
+    out = tmp_path / "o"
+    instance = splitting if command == "solve" else exchange
+    with pytest.raises(SystemExit) as e:
+        run(command, instance, flag, value, "--out-dir", out)
+    assert e.value.code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h", ["0", "-0.1", "nan", "inf"])
 def test_oracle_rejects_a_grid_step_that_is_not_finite_and_positive(splitting, tmp_path, h):
     # an argparse error: exit 2, nothing written
@@ -162,17 +179,16 @@ def test_economy_check_only(exchange, tmp_path):
 def test_economy_manifest_records_the_solve(exchange, tmp_path):
     # a solving run records its SolverConfig and, with --trace, its trace;
     # a --check-only run solves nothing and records only its seed
-    mans = {}
-    for method in ("projection", "extragradient"):
-        out = tmp_path / method
-        assert run("economy", exchange, "--method", method, "--trace", "--out-dir", out) == 0
-        mans[method] = json.loads((out / "manifest.json").read_text())
-        assert mans[method]["outputs"] == ["diagnostics.csv", "outcome.json", "trace.csv"]
+    config = {"alpha": 0.5, "max_iters": 5000, "residual_tol": 1e-7, "restarts": 8,
+              "seed": 0, "trace": True}
+    for flags, changed in (((), {}), (("--alpha", "0.25", "--tol", "1e-8"),
+                                      {"alpha": 0.25, "residual_tol": 1e-8})):
+        out = tmp_path / f"solve{len(flags)}"
+        assert run("economy", exchange, *flags, "--trace", "--out-dir", out) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"] == ["diagnostics.csv", "outcome.json", "trace.csv"]
         assert (out / "trace.csv").read_text().startswith("iter,residual,alpha\n")
-    config = {"alpha": 0.5, "max_iters": 5000, "method": "projection",
-              "residual_tol": 1e-7, "restarts": 8, "seed": 0, "trace": True}
-    assert mans["projection"]["config"] == config
-    assert mans["extragradient"]["config"] == {**config, "method": "extragradient"}
+        assert man["config"] == {**config, **changed}
     out = tmp_path / "check"
     assert run("economy", exchange, "--check-only", "--trace", "--point", "1,1,0,0,0.5,0.5",
                "--out-dir", out) == 0

@@ -26,7 +26,7 @@ SQ2 = np.sqrt(2.0)
 def test_splitting_blocks_are_minus_one():
     g = gi.splitting_game()
     op = evaluate_T(g, np.array([0.3, 0.3]))
-    assert not op.any_whole_space
+    assert not any(blk.whole_space for blk in op.blocks)
     for blk in op.blocks:
         assert len(blk.generators) == 1
         assert np.allclose(blk.generators[0], [-1.0], atol=1e-12)
@@ -83,7 +83,7 @@ def test_select_whole_space_contributes_zero():
                        QuadUtility(np.array([[-2.0]]), np.array([1.0])))
     g = GameInstance((pm,), (FixedConstraint(Box([0.0], [1.0])),), None, "sat")
     op = evaluate_T(g, np.array([0.5]))
-    assert op.any_whole_space
+    assert op.blocks[0].whole_space
     assert np.allclose(select(op), [0.0])
 
 

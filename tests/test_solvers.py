@@ -57,11 +57,6 @@ def test_splitting_qvi_from_origin_bisects():
     assert np.allclose(res.point, [0.5, 0.5], atol=1e-6)
 
 
-def test_extragradient_also_converges():
-    res = solve_vi(gi.splitting_game(), SolverConfig(method="extragradient"))
-    assert res.converged and abs(res.point.sum() - 1.0) <= 1e-6
-
-
 def test_simplex_argmax_solution():
     # maximize p1 + 2 p2 over the simplex: unique solution (0, 1)
     res = solve_vi(gi.simplex_argmax_game((1.0, 2.0)))
@@ -146,6 +141,13 @@ def test_residual_tol_above_eps_open_converges_uncertified():
     assert slacks == pytest.approx([2.044e-7, 2.289e-7], rel=1e-3)
     assert res.residual == pytest.approx(slacks.sum(), rel=1e-9)
     res = solve_qvi(g, SolverConfig(residual_tol=5e-8, restarts=4))
+    assert res.converged and res.certificate.is_equilibrium
+
+
+def test_default_residual_tol_is_the_certificates_eps_open():
+    # one default for both tolerances: at it, random_qvi(189) is certified
+    assert SolverConfig().residual_tol == Tolerances().eps_open
+    res = solve_qvi(gi.random_qvi(189), SolverConfig(restarts=4))
     assert res.converged and res.certificate.is_equilibrium
 
 
