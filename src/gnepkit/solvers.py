@@ -5,18 +5,21 @@ T(x), halving a when the residual stalls.  The VI route treats jointly
 convex games: it projects onto the shared set X and declares convergence
 when the hull residual
 
-    r(x) = min over t in co T(x) of max over vertices v of <t, x - v>
+    r(x) = min over t in co T(x) of <t, x> + sigma_X(-t),
 
-drops below SolverConfig.residual_tol, by default the certificate's eps_open
-(a single t must witness all vertices -- that is the existential quantifier
-in the VI).  Any point passing this test solves the VI restricted to the
-enumerated vertex set exactly, and solving the VI is a *sufficient*
-condition for equilibrium; the converse direction is not claimed and
-genuinely fails on easy examples.
+sigma_X the support function of X's closure, drops below
+SolverConfig.residual_tol, by default the certificate's eps_open (a single t
+must witness every point of X -- that is the existential quantifier in the
+VI).  hull_residual reads it from the support function alone, over a
+bounded or unbounded X, with or without a vertex list; it is exact, save
+that a whole-space block of 2 or more dimensions enters as a cross polytope,
+which can only raise r.  Any point passing this test solves the VI, and
+solving the VI is a *sufficient* condition for equilibrium; the converse
+direction is not claimed and genuinely fails on easy examples.
 
 The QVI route projects blockwise onto the moving sets K_i(x).  Both co T(x)
-and K(x) are products over the blocks, so its residual is a sum of one term
-per block: a closed form for one generator or a 1-D block, else one small LP.
+and K(x) are products over the blocks, so its residual is the sum of one
+hull_residual per block over that block's slice.
 
 The grid oracle is the independent ground truth: it enumerates grid nodes
 and applies the equilibrium definition directly (feasibility + emptiness of
@@ -107,10 +110,9 @@ class SolveResult:
     best_attempt (1 for the first) is the one whose point this is; iterations
     and trace belong to that attempt.  finish_tried and finish_accepted count
     the finish steps (_Finish) that the probe judged, and those it accepted,
-    over all attempts.  approximate is True when a section of T was
-    approximate or a residual of the attempt read boundary samples in place
-    of vertices (_body_vertices: an unbounded shared set or slice), so that
-    converged is then no exact claim."""
+    over all attempts.  approximate is True when a section of T of the
+    attempt was approximate (a relation oracle's sampled preferred set), so
+    that converged is then no exact claim."""
 
     point: np.ndarray
     residual: float
@@ -130,56 +132,134 @@ class SolveResult:
 # residual
 
 
+def hull_residual(op: OperatorEval, x, body: ConvexBody, tol: float = np.inf):
+    """(r, t): r = min over t in co T(x) of <t, x> + sigma_body(-t), and a t
+    there; r is +inf where sigma_body(-t) is unbounded for every such t.
+
+    sigma is the support function of body's closure, so on the body r >= 0,
+    and r = 0 exactly when x maximises <-t, .> over it for some t in
+    co T(x); off the body r may be negative, and r is returned unclipped.
+    The first case that applies gives r:
+      1. every block's hull co G_i is a point (one generator, or 0 for a
+         zero cone): r = <t, x> + maximize(body, -t);
+      2. a Ball: r = 0 at t = 0 when every block is the whole space or a
+         zero cone, so that 0 is in co T(x); else EnumerationError;
+      3. body.vertices() enumerates a vertex list V, so sigma_body(-t) =
+         max_v <-t, v>: (lb, None) when the lower bound lb of
+         _residual_prefilter exceeds tol (never at tol = inf); else, when
+         every hull is a point or an interval and the candidates fit
+         _VERTEX_FORM_SUBSETS, the least of max_v <t, x - v> over the
+         epigraph's vertices (_interval_hull_candidates), exact and finite;
+      4. one LP in the closure's rows (_rows_lp).
+    A whole-space block of 2 or more dimensions enters 4 as the cross
+    polytope co{±e_k}, which contains 0 and lies in the unit ball, so r can
+    only come out too large and a convergence claim stays sound.  Raises
+    EmptyBodyError when the closure is empty.
+    """
+    x = np.asarray(x, dtype=float)
+    C = body.closure()
+    if C.is_empty():
+        raise EmptyBodyError("hull residual over an empty body")
+    intervals = _hull_intervals(op)
+    if intervals is not None and not intervals[1]:
+        return _support_residual(C, x, intervals[0])
+    if C._rows is None:
+        if all(cone.whole_space or not cone.n_generators for cone in op.blocks):
+            return 0.0, np.zeros(op.dim)
+        raise EnumerationError("no hull residual over a Ball unless every block's hull "
+                               "is a point, or every block is the whole space or 0")
+    try:
+        V = C.vertices()
+    except EnumerationError:
+        return _rows_lp(op, x, C)
+    if tol < np.inf:
+        lb = _residual_prefilter(op, x, V)
+        if lb > tol:
+            return lb, None
+    if intervals is None or _n_hull_candidates(len(V), len(intervals[1])) > _VERTEX_FORM_SUBSETS:
+        return _rows_lp(op, x, C)
+    t, W, lo, hi = intervals
+    W, lo, hi = np.array(W), np.array(lo), np.array(hi)
+    # max_v <t, x - v> = a_v + B_v t_W, with t_W in the box [lo, hi]
+    a, B = (x - V) @ t, x[W] - V[:, W]
+    S = _interval_hull_candidates(a, B, lo, hi)
+    t[W] = S[np.argmin(np.max(a[:, None] + B @ S.T, axis=0))]
+    return float(np.max((x - V) @ t)), t
+
+
+def residual_with_filter(op, x, body, tol):
+    """The VI probe's residual: hull_residual over body clipped at 0, or
+    (lb, None) when its lower bound lb already exceeds tol."""
+    r, t = hull_residual(op, x, body, tol)
+    return max(r, 0.0), t
+
+
+def _support_residual(body: ConvexBody, x, t):
+    """(<t, x> + sigma_body(-t), t) for a nonempty body; +inf when sigma is
+    unbounded."""
+    try:
+        return float(t @ x) + maximize(body, -t)[0], t
+    except _lp.UnboundedLP:
+        return np.inf, t
+
+
 def _whole_block_generators(d):
     """LP-representable under-approximation of the unit ball: co{±e_k}."""
     eye = np.eye(d)
     return np.vstack([eye, -eye])
 
 
-def hull_residual(op: OperatorEval, x, vertices):
-    """(r, t): r = min over t in co T(x) of max_v <t, x - v>, and a t there.
-
-    When every block's hull co G_i is a point (one generator, or 0 for a
-    zero cone) or an interval (a 1-D block: [-1, 1] for the whole space,
-    else the hull of its generators), the minimum is exact and finite
-    (_interval_hull_candidates).  Otherwise, with a block of 2 or more
-    dimensions that is the whole space or has several generators, or with
-    more than _VERTEX_FORM_SUBSETS candidates, it is one LP in the generator
-    weights (_hull_lp).  Either way r = max(max_v <t, x - v>, 0) at the
-    returned t, so a convergence claim rests on a t it evaluated.
-    """
-    x = np.asarray(x, dtype=float)
-    V = np.asarray(vertices, dtype=float)
-    intervals = _hull_intervals(op)
-    if intervals is None or _n_hull_candidates(len(V), len(intervals[1])) > _VERTEX_FORM_SUBSETS:
-        return _hull_lp(op, x, V)
-    t, W, lo, hi = intervals
-    if len(W):
-        # max_v <t, x - v> = a_v + B_v t_W, with t_W in the box [lo, hi]
-        a, B = (x - V) @ t, x[W] - V[:, W]
-        S = _interval_hull_candidates(a, B, lo, hi)
-        t[W] = S[np.argmin(np.max(a[:, None] + B @ S.T, axis=0))]
-    return max(float(np.max((x - V) @ t)), 0.0), t
+def _rows_lp(op: OperatorEval, x, body: ConvexBody):
+    """hull_residual by one LP in the rows (A, b) of the nonempty closure
+    body: by LP duality sigma_body(-t) = min b'mu over mu >= 0 with A'mu +
+    t = 0, so r is the least of <t, x> + b'mu over t = sum_i G_i' lam_i
+    (each block's weights lam_i >= 0 summing to 1; the cross polytope for a
+    whole-space block, none for a zero cone) and such mu.  An infeasible LP
+    means sigma_body(-t) = +inf for every t of the hull: r = +inf at the
+    generators' mean.  Otherwise r is read again at the LP's t by maximize,
+    so a convergence claim rests on a t it evaluated."""
+    A, b, _ = body._rows
+    gens = [(op.block_slice(i),
+             _whole_block_generators(cone.dim) if cone.whole_space else cone.generators)
+            for i, cone in enumerate(op.blocks) if cone.whole_space or cone.n_generators]
+    n = op.dim
+    at = np.cumsum([0] + [len(G) for _, G in gens])
+    A_eq = np.zeros((n + len(gens), at[-1] + len(b)))
+    A_eq[:n, at[-1]:] = A.T
+    for k, (sl, G) in enumerate(gens):
+        A_eq[sl, at[k]:at[k + 1]] = G.T
+        A_eq[n + k, at[k]:at[k + 1]] = 1.0
+    c = np.concatenate([G @ x[sl] for sl, G in gens] + [b])
+    b_eq = np.concatenate([np.zeros(n), np.ones(len(gens))])
+    t = np.zeros(n)
+    try:
+        lam = _lp.solve_lp(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None)).x
+    except _lp.InfeasibleLP:
+        for sl, G in gens:
+            t[sl] = G.mean(axis=0)
+        return np.inf, t
+    for k, (sl, G) in enumerate(gens):
+        t[sl] = G.T @ lam[at[k]:at[k + 1]]
+    return _support_residual(body, x, t)
 
 
 def _hull_intervals(op: OperatorEval):
     """(t, W, lo, hi) when every block's co G_i is a point or an interval,
     else None: t holds the points (0 on the intervals), and coordinate W[k]
-    ranges over [lo[k], hi[k]]."""
+    ranges over [lo[k], hi[k]] (lists, empty when every hull is a point)."""
     t = np.zeros(op.dim)
     W, lo, hi = [], [], []
-    for i, cone in enumerate(op.blocks):
-        sl = op.block_slice(i)
-        if cone.dim == 1 and (cone.whole_space or cone.n_generators > 1):
-            G = np.array([-1.0, 1.0]) if cone.whole_space else cone.generators[:, 0]
-            W.append(sl.start)
-            lo.append(G.min())
-            hi.append(G.max())
-        elif cone.n_generators == 1:
-            t[sl] = cone.generators[0]
-        elif cone.whole_space or cone.n_generators:
+    for start, cone in zip(op.starts, op.blocks):
+        G = cone.generators
+        if cone.dim == 1 and (cone.whole_space or len(G) > 1):
+            W.append(start)
+            lo.append(-1.0 if cone.whole_space else G.min())
+            hi.append(1.0 if cone.whole_space else G.max())
+        elif len(G) == 1:
+            t[start:start + cone.dim] = G[0]
+        elif cone.whole_space or len(G):
             return None
-    return t, np.array(W, dtype=int), np.array(lo), np.array(hi)
+    return t, W, lo, hi
 
 
 def _n_hull_candidates(m: int, d: int) -> int:
@@ -237,58 +317,8 @@ def _subsets(m: int, k: int) -> np.ndarray:
     return S
 
 
-def _hull_lp(op: OperatorEval, x, V):
-    """hull_residual by one LP in the generator weights.  Whole-space blocks
-    contribute the cross-polytope generators (which is an
-    under-approximation containing 0, so convergence claims stay sound).
-    Blocks with a zero cone contribute t_i = 0 and no variables."""
-    m = len(V)
-    gens = []
-    for i, cone in enumerate(op.blocks):
-        sl = op.block_slice(i)
-        if cone.whole_space:
-            G = _whole_block_generators(sl.stop - sl.start)
-        elif cone.n_generators == 0:
-            continue
-        else:
-            G = cone.generators
-        gens.append((i, sl, G))
-    if not gens:
-        return 0.0, np.zeros(op.dim)
-
-    nvar = sum(len(G) for _, _, G in gens) + 1
-    A_ub = np.zeros((m, nvar))
-    at = 0
-    for i, sl, G in gens:
-        # (k, m): <g, x_i - v_i>
-        d = (G @ x[sl])[:, None] - G @ V[:, sl].T
-        A_ub[:, at : at + len(G)] = d.T
-        at += len(G)
-    A_ub[:, -1] = -1.0
-    b_ub = np.zeros(m)
-    A_eq = np.zeros((len(gens), nvar))
-    pos = 0
-    for r, (_, _, G) in enumerate(gens):
-        A_eq[r, pos : pos + len(G)] = 1.0
-        pos += len(G)
-    b_eq = np.ones(len(gens))
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    bounds = [(0, None)] * (nvar - 1) + [(None, None)]
-    res = _lp.solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
-    lam = res.x[:-1]
-    t = np.zeros(op.dim)
-    pos = 0
-    for i, sl, G in gens:
-        t[sl] = G.T @ lam[pos : pos + len(G)]
-        pos += len(G)
-    r_exact = float(np.max((x - V) @ t)) if m else 0.0
-    return max(r_exact, 0.0), t
-
-
 def _residual_prefilter(op: OperatorEval, x, V) -> float:
     """Cheap lower bound: max_v sum_i min_t <t_i, x_i - v_i>."""
-    x = np.asarray(x, dtype=float)
     total = np.zeros(len(V))
     for i, cone in enumerate(op.blocks):
         sl = op.block_slice(i)
@@ -297,65 +327,7 @@ def _residual_prefilter(op: OperatorEval, x, V) -> float:
             total -= np.max(np.abs(W), axis=1)
         elif cone.n_generators:
             total += np.min(W @ cone.generators.T, axis=1)
-    return float(np.max(total)) if len(V) else 0.0
-
-
-def residual_with_filter(op, x, V, tol):
-    lb = _residual_prefilter(op, x, V)
-    if lb > tol:
-        return lb, None
-    return hull_residual(op, x, V)
-
-
-# --------------------------------------------------------------------------
-# vertex suppliers and per-block residual terms
-
-
-def _body_vertices(body: ConvexBody, rng):
-    """(V, sampled): the body's vertices, or 64 boundary samples (sampled
-    True) when they cannot be enumerated, as for an unbounded body.  A
-    residual over samples is not exact, so a solve that reads one reports
-    itself approximate."""
-    try:
-        vs = body.vertices()
-    except EnumerationError:
-        return body.boundary_samples(rng, 64), True
-    if not len(vs):
-        raise EmptyBodyError("vertex set of an empty body")
-    return vs, False
-
-
-def _block_terms(K: ConvexBody, cone, xi, rng):
-    """(lower bound, exact term, t_i, vertices, sampled) of one block of the
-    QVI residual; sampled as _body_vertices says.
-
-    The bound is the block's part of _residual_prefilter; the term is min over
-    t_i in co G_i of max over v in K of <t_i, x_i - v>, or None when only the
-    block's own LP gives it.  Raises EmptyBodyError when K's closure is empty.
-    """
-    if cone.n_generators == 1:
-        # both are <g, x_i> + sigma_K(-g), with no vertices
-        g, C = cone.generators[0], K.closure()
-        if C.is_empty():
-            raise EmptyBodyError("support over an empty body")
-        try:
-            r = float(g @ xi) + maximize(C, -g)[0]
-            return r, r, g, None, False
-        except _lp.UnboundedLP:
-            return np.inf, np.inf, g, None, False
-    V, sampled = _body_vertices(K, rng)
-    lb = _residual_prefilter(OperatorEval((cone,), (0,)), xi, V)
-    if cone.n_generators == 0 and not cone.whole_space:
-        # the zero cone: co G_i is the point 0
-        return lb, lb, cone.min_norm_point(), V, sampled
-    if cone.dim == 1:
-        # the whole space or unit generators of both signs: co G_i = [-1, 1];
-        # max_v t (x_i - v) is convex in t with its only kink at 0
-        W = xi[0] - V[:, 0]
-        vals = [float(np.max(-W)), 0.0, float(np.max(W))]
-        k = int(np.argmin(vals))
-        return lb, vals[k], np.array([k - 1.0]), V, sampled
-    return lb, None, None, V, sampled
+    return float(np.max(total))
 
 
 # --------------------------------------------------------------------------
@@ -374,20 +346,20 @@ def _start(game: GameInstance, attempt: int, rng) -> np.ndarray:
 
 
 class _SharedSetVI:
-    """VI(T, X): projection onto the shared set X, whose vertices are fixed."""
+    """VI(T, X): projection onto the shared set X; the residual reads X's closure."""
 
     name = "vi"
 
-    def __init__(self, game, rng):
+    def __init__(self, game):
         self.game = game
-        self._vertices, self.sampled = _body_vertices(game.shared_set, rng)
+        self._body = game.shared_set.closure()
 
     def project(self, x, t, alpha):
         return self.game.shared_set.project(x - alpha * t)
 
     def probe(self, op, x, tol=np.inf, eps=np.inf):
         """(r, t, feasible) at x; see residual_with_filter."""
-        return (*residual_with_filter(op, x, self._vertices, tol), True)
+        return (*residual_with_filter(op, x, self._body, tol), True)
 
 
 class _MovingSlicesQVI:
@@ -395,10 +367,8 @@ class _MovingSlicesQVI:
 
     name = "qvi"
 
-    def __init__(self, game, rng):
+    def __init__(self, game):
         self.game = game
-        self._rng = rng
-        self.sampled = False
 
     def project(self, x, t, alpha):
         game = self.game
@@ -417,30 +387,20 @@ class _MovingSlicesQVI:
         return game.join(blocks)
 
     def probe(self, op, x, tol=np.inf, eps=np.inf):
-        """(r, t, feasible) at x: r is the sum of the blocks' lower bounds when
-        that exceeds tol (t is then None), else the residual; (inf, None,
-        False) when a slice is empty."""
+        """(r, t, feasible) at x: co T(x) and K(x) are products over the
+        blocks, so r is the sum of each block's unclipped hull_residual over
+        its slice, clipped at 0 once; (inf, None, False) when a slice is
+        empty."""
         try:
             slices = [constraint_body(self.game, i, x) for i in range(self.game.n_players)]
-            terms = [_block_terms(K, op.blocks[i], x[op.block_slice(i)], self._rng)
+            terms = [hull_residual(OperatorEval((op.blocks[i],), (0,)), x[op.block_slice(i)], K)
                      for i, K in enumerate(slices)]
         except EmptyBodyError:
             return np.inf, None, False
-        self.sampled = self.sampled or any(term[4] for term in terms)
         feasible = all(membership_violation(K, pm.own(x)) <= eps
                        for K, pm in zip(slices, self.game.preferences))
-        lb = sum(term[0] for term in terms)
-        if lb > tol:
-            return lb, None, feasible
-        r, t = 0.0, np.zeros(op.dim)
-        for i, (_, r_i, t_i, V, _) in enumerate(terms):
-            sl = op.block_slice(i)
-            if r_i is None:
-                t_i = hull_residual(OperatorEval((op.blocks[i],), (0,)), x[sl], V)[1]
-                r_i = float(np.max((x[sl] - V) @ t_i))
-            r += r_i
-            t[sl] = t_i
-        return max(r, 0.0), t, feasible
+        r = sum(r_i for r_i, _ in terms)
+        return max(r, 0.0), np.concatenate([t_i for _, t_i in terms]), feasible
 
 
 class _Finish:
@@ -607,11 +567,11 @@ def _solve(game: GameInstance, config: SolverConfig, problem_type,
     best = None
     for attempt in range(max(1, config.restarts)):
         x0 = _start(game, attempt, rng)
-        problem = problem_type(game, rng)
+        problem = problem_type(game)
         x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol, finish)
         cand = SolveResult(x, r, iters, ok, restarts_used=attempt + 1,
                            best_attempt=attempt + 1, problem=problem.name,
-                           trace=trace, approximate=approx or problem.sampled)
+                           trace=trace, approximate=approx)
         if best is None or cand.residual < best.residual:
             best = cand
         if ok:
@@ -639,22 +599,23 @@ def solve_qvi(game: GameInstance, config: SolverConfig = SolverConfig(),
 
 def _residual_at(game, x, problem_type, tol, seed):
     x = np.asarray(x, dtype=float)
-    problem = problem_type(game, np.random.default_rng(seed))
-    return problem.probe(evaluate_T(game, x, tol, seed), x)[:2]
+    return problem_type(game).probe(evaluate_T(game, x, tol, seed), x)[:2]
 
 
 def vi_residual(game: GameInstance, x, seed: int = 0, tol: Tolerances = Tolerances()):
-    """(r, t) of the hull residual at x over the shared set's vertices, with
-    T's satiation test at tol.eps_open, as in a solve at tol."""
+    """(r, t) of the hull residual at x over the shared set (hull_residual,
+    clipped at 0), with T's satiation test at tol.eps_open, as in a solve at
+    tol; r is +inf when the support function is unbounded for every t."""
     if not game.jointly_convex:
         raise ValueError("vi_residual needs a jointly convex game")
     return _residual_at(game, x, _SharedSetVI, tol, seed)
 
 
 def qvi_residual(game: GameInstance, x, seed: int = 0, tol: Tolerances = Tolerances()):
-    """(r, t) of the hull residual at x over the slices K_i(x), summed block
-    by block, with T's satiation test at tol.eps_open; (inf, None) when a
-    slice is empty."""
+    """(r, t) of the hull residual at x over the slices K_i(x): one
+    unclipped hull_residual per block over its slice, summed and clipped at
+    0, with T's satiation test at tol.eps_open, as in a solve at tol;
+    (inf, None) when a slice is empty."""
     return _residual_at(game, x, _MovingSlicesQVI, tol, seed)
 
 

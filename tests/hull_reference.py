@@ -1,7 +1,7 @@
 """The hull-residual reference the residual tests compare against: one LP in
-the generator weights of every block, kept out of gnepkit, whose
-hull_residual enumerates the epigraph's vertices when every block's hull is
-a point or an interval."""
+the generator weights of every block over a vertex list, kept out of
+gnepkit, whose hull_residual reads the body's support function (one
+maximize, the epigraph's vertices, or one LP in the body's rows)."""
 
 import numpy as np
 

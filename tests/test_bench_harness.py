@@ -24,11 +24,16 @@ def test_bench_selftest_passes():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_tracer_wraps_and_restores_every_layer_function():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location(
         "gnepbench_tracing", os.path.join(BENCH, "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_wraps_and_restores_every_layer_function():
+    tracing = _load_tracing()
     before = {}
     for _, modname, attr in tracing.FUNCTIONS:
         fn = getattr(importlib.import_module(modname), attr)
@@ -42,3 +47,19 @@ def test_tracer_wraps_and_restores_every_layer_function():
         tracer.uninstall()
     for (modname, attr), fn in before.items():
         assert getattr(sys.modules[modname], attr) is fn, (modname, attr)
+
+
+def test_tracer_counts_the_vi_residual_calls():
+    # the tracer counts prefilter hits through solvers.residual_with_filter,
+    # which every VI probe must call by its module name
+    from gnepkit import instances as gi
+    from gnepkit.solvers import solve_vi
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer().install()
+    try:
+        res = solve_vi(gi.splitting_game())
+    finally:
+        tracer.uninstall()
+    assert res.converged
+    assert tracer.filter_calls > 0

@@ -297,9 +297,11 @@ def test_poisoned_part_empties_intersection():
           strict=[True, False, False]),
 ], ids=["closed", "strict"])
 def test_poisoned_hpoly_one_emptiness_verdict(P):
-    from gnepkit.solvers import _body_vertices
+    from gnepkit.operators import OperatorEval
+    from gnepkit.solvers import hull_residual
 
     rng = np.random.default_rng(0)
+    op = OperatorEval((ConeSection.whole(2),), (0,))
     for body in (P, P.closure()):
         assert body.is_empty() and body.is_empty(eps_open=0.0)
         assert body.vertices().shape == (0, 2)
@@ -311,7 +313,7 @@ def test_poisoned_hpoly_one_emptiness_verdict(P):
                       lambda: body.boundary_samples(rng, 3),
                       lambda: maximize(body, [1.0, 0.0]),
                       lambda: support_max(body, [0.0, 1.0]),
-                      lambda: _body_vertices(body, rng)):
+                      lambda: hull_residual(op, np.array([0.5, 0.5]), body)):
             with pytest.raises(EmptyBodyError):
                 query()
 

@@ -107,8 +107,8 @@ CASES = [
             (11, 1.5441101806810509, 0.125),
             (14, 1.4737194796417274, 0.0625),
             (17, 1.4737194796417274, 0.03125),
-            (20, 0.47586987349965704, 0.015625),
-            (23, 0.15118420760627682, 0.0078125),
+            (20, 0.5277244290258823, 0.015625),
+            (23, 0.354548614252171, 0.0078125),
             (25, 0.0, 0.00390625),
         ],
     ),

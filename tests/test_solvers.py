@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnepkit.convexsets import Ball, Box, ConeSection, EmptyBodyError, EnumerationError, HPoly
+from gnepkit.convexsets import (Ball, Box, ConeSection, EmptyBodyError, EnumerationError, HPoly,
+                                hull_body)
 from gnepkit.economy import to_gnep
 from gnepkit.game import (
     FixedConstraint,
@@ -27,7 +28,6 @@ from gnepkit.preferences import (
 )
 from gnepkit.solvers import (
     SolverConfig,
-    _body_vertices,
     _start,
     grid_oracle,
     hull_residual,
@@ -36,6 +36,7 @@ from gnepkit.solvers import (
     solve_vi,
     vi_residual,
 )
+import gnepkit.solvers as S
 from gnepkit import instances as gi
 from hull_reference import hull_residual_lp
 
@@ -81,15 +82,16 @@ def test_one_sided_point_rejected_by_vi_residual():
 
 def test_hull_residual_singleton_matches_direct_max():
     g = gi.splitting_game()
-    V = g.shared_set.vertices()
+    X = g.shared_set
+    V = X.vertices()
     for x in (np.array([0.3, 0.3]), np.array([0.1, 0.6])):
         op = evaluate_T(g, x)
         assert all(cone.n_generators == 1 for cone in op.blocks)
-        r, t = hull_residual(op, x, V)
+        r, t = hull_residual(op, x, X)
         # single generator per block: t is fixed, and r is max_v <t, x - v>
         direct = max(float(t @ (x - v)) for v in V)
-        assert r == pytest.approx(max(direct, 0.0), abs=1e-9)
-        assert r == pytest.approx(hull_residual_lp(op, x, V)[0], rel=0.0, abs=1e-15)
+        assert r == pytest.approx(direct, abs=1e-9)
+        assert max(r, 0.0) == pytest.approx(hull_residual_lp(op, x, V)[0], rel=0.0, abs=1e-15)
 
 
 def test_residual_zero_exactly_on_solutions():
@@ -339,16 +341,16 @@ def test_whole_space_blocks_enter_residual_conservatively():
     # at a satiated block the residual must still catch other players' slack
     g = gi.splitting_game()
     op = evaluate_T(g, np.array([1.0, 0.0]))   # player 1 satiated at cap
-    V = g.shared_set.vertices()
-    r, _ = hull_residual(op, np.array([1.0, 0.0]), V)
+    r, _ = hull_residual(op, np.array([1.0, 0.0]), g.shared_set)
     assert r <= 1e-9   # (1,0) is a genuine VI solution here
 
 
 # -- the hull residual without an LP ---------------------------------------------
 #
-# When every block's hull co G_i is a point or an interval, hull_residual
-# enumerates the vertices of the epigraph of max_v <t, x - v> over the box of
-# interval coordinates.  The oracle is the LP of hull_reference.
+# When every block's hull co G_i is a point, hull_residual is one support
+# evaluation; when some hull is an interval, it enumerates the vertices of the
+# epigraph of max_v <t, x - v> over the box of interval coordinates.  The
+# oracle is the LP of hull_reference.
 
 
 def _section_hull_holds(op, t):
@@ -365,13 +367,17 @@ def _section_hull_holds(op, t):
     return True
 
 
-def _assert_exact_hull_residual(op, x, V, rel=1e-12):
-    x, V = np.asarray(x, dtype=float), np.asarray(V, dtype=float)
-    r, t = hull_residual(op, x, V)
-    assert r == max(float(np.max((x - V) @ t)), 0.0)  # bit for bit
+def _assert_exact_hull_residual(op, x, body, rel=1e-12):
+    x, V = np.asarray(x, dtype=float), body.vertices()
+    r, t = hull_residual(op, x, body)
+    d = _interval_dim(op)
+    if d and S._n_hull_candidates(len(V), d) <= S._VERTEX_FORM_SUBSETS:
+        assert r == float(np.max((x - V) @ t))  # bit for bit: the epigraph's vertices
+    else:
+        assert r == pytest.approx(float(np.max((x - V) @ t)), rel=0.0, abs=1e-15)
     assert _section_hull_holds(op, t)
     r_lp, _ = hull_residual_lp(op, x, V)
-    assert abs(r - r_lp) <= rel * max(1.0, abs(r_lp)), (r, r_lp)
+    assert abs(max(r, 0.0) - r_lp) <= rel * max(1.0, abs(r_lp)), (r, r_lp)
     return r, t
 
 
@@ -387,14 +393,13 @@ def test_hull_residual_matches_the_lp_on_random_jointly_convex():
         tol = Tolerances(eps_open=eps_open)
         for seed in range(100):
             game = gi.random_jointly_convex(seed)
-            V = game.shared_set.vertices()
             rng = np.random.default_rng(seed)
             for k in range(20):
-                y = rng.uniform(-1.0, 2.0, V.shape[1])
+                y = rng.uniform(-1.0, 2.0, game.n)
                 x = game.shared_set.project(y) if k % 4 else y
                 op = evaluate_T(game, x, tol)
                 dims.add(_interval_dim(op))
-                _assert_exact_hull_residual(op, x, V)
+                _assert_exact_hull_residual(op, x, game.shared_set)
     assert {0, 1, 2} <= dims
 
 
@@ -405,37 +410,36 @@ def _point(*g):
 def test_hull_residual_hand_cases(monkeypatch):
     import gnepkit.solvers as S
 
-    monkeypatch.setattr(S, "_hull_lp", None)  # every case below is enumerated
-    V = np.array([[0.0, 0.0], [1.0, 0.2], [0.0, 1.0], [1.0, 1.0]])
+    monkeypatch.setattr(S, "_rows_lp", None)  # every case below is enumerated
+    P = hull_body(np.array([[0.0, 0.0], [1.0, 0.2], [0.0, 1.0], [1.0, 1.0]]))
     x = np.array([0.2, 0.3])
     # d = 0: t is fixed, and max_v <t, x - v> = 0.5 - v0 - v1 is 0.5 at v = 0
     op = OperatorEval((_point(1.0), _point(1.0)), (0, 1))
-    r, t = _assert_exact_hull_residual(op, x, V)
+    r, t = _assert_exact_hull_residual(op, x, P)
     assert np.array_equal(t, [1.0, 1.0]) and r == pytest.approx(0.5, abs=1e-15)
     # d = 1: max(0.2 s + 0.3, -0.8 s + 0.1) is least at s = -0.2
     op = OperatorEval((ConeSection.whole(1), _point(1.0)), (0, 1))
-    r, t = _assert_exact_hull_residual(op, x, V)
+    r, t = _assert_exact_hull_residual(op, x, P)
     assert r == pytest.approx(0.26, abs=1e-15) and t == pytest.approx([-0.2, 1.0], abs=1e-15)
     # d = 2 and d = 3, each with a point block, over a tilted simplex
     for d in (2, 3):
         w = np.linspace(0.5, 2.0, d + 1)
         body = HPoly(np.vstack([-np.eye(d + 1), w]), np.concatenate([np.zeros(d + 1), [1.0]]))
-        W = body.vertices()
         op = OperatorEval((ConeSection.whole(1),) * d + (_point(-1.0),), tuple(range(d + 1)))
         assert _interval_dim(op) == d
         rng = np.random.default_rng(d)
         for _ in range(10):
-            _assert_exact_hull_residual(op, body.project(rng.uniform(-1.0, 2.0, d + 1)), W)
+            _assert_exact_hull_residual(op, body.project(rng.uniform(-1.0, 2.0, d + 1)), body)
 
 
 def test_hull_residual_with_all_interval_rows_equal_takes_a_corner():
     # every vertex has the same interval coordinates, so max_v (a_v + B s) =
     # max_v a_v + B s: no two pieces ever cross, and the least is at the
     # corner s_k = -sign(B_k)
-    V = np.array([[0.3, -0.2, 0.0], [0.3, -0.2, 1.0], [0.3, -0.2, 0.4]])
+    segment = Box([0.3, -0.2, 0.0], [0.3, -0.2, 1.0])
     x = np.array([0.5, 0.4, 1.5])
     op = OperatorEval((ConeSection.whole(1), ConeSection.whole(1), _point(1.0)), (0, 1, 2))
-    r, t = _assert_exact_hull_residual(op, x, V)
+    r, t = _assert_exact_hull_residual(op, x, segment)
     assert np.array_equal(t, [-1.0, -1.0, 1.0])
     assert r == pytest.approx(1.5 - 0.2 - 0.6, abs=1e-15)
 
@@ -443,13 +447,13 @@ def test_hull_residual_with_all_interval_rows_equal_takes_a_corner():
 def test_hull_residual_off_the_set_and_with_two_signed_generators():
     # x a hair outside the unit square, and a 1-D block whose two unit
     # generators span [-1, 1] without being the whole space
-    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    square = Box([0.0, 0.0], [1.0, 1.0])
     both = ConeSection(1, np.array([[1.0], [-1.0]]))
     for x in ([1.0 + 1e-9, 0.5], [-1e-9, 1.0 + 1e-9], [0.5, -1e-12]):
         for op in (OperatorEval((both, _point(-1.0)), (0, 1)),
                    OperatorEval((_point(1.0), both), (0, 1)),
                    OperatorEval((both, both), (0, 1))):
-            _assert_exact_hull_residual(op, x, V)
+            _assert_exact_hull_residual(op, x, square)
 
 
 def _load_gnepbench_inputs():
@@ -462,8 +466,11 @@ def _load_gnepbench_inputs():
 
 
 def test_vi_pool_hull_residuals_run_no_lp(monkeypatch):
-    # the 50 accepting probes of the benchmark's vi_pool(1) ran one LP each
-    # when the hull residual was always an LP
+    # all 223 probes of the benchmark's vi_pool(1) enter hull_residual, and
+    # none runs an LP: a point hull is one support evaluation over the
+    # shared set's vertex form, an interval hull an enumeration of the
+    # epigraph's vertices (the 50 accepting probes ran one LP each when the
+    # hull residual was always an LP)
     import gnepkit.solvers as S
     from gnepkit import _lp
 
@@ -487,7 +494,7 @@ def test_vi_pool_hull_residuals_run_no_lp(monkeypatch):
     runs = [solve_vi(case.game, SolverConfig(residual_tol=5e-7, restarts=4),
                      Tolerances(eps_open=1e-6)) for case in cases]
     assert all(r.converged and r.certificate.is_equilibrium for r in runs)
-    assert calls[0] == 50 and lps[0] == 0
+    assert calls[0] == 223 and lps[0] == 0
 
 
 # -- the separable QVI residual --------------------------------------------------
@@ -499,11 +506,11 @@ def test_vi_pool_hull_residuals_run_no_lp(monkeypatch):
 
 def _product_vertices(game, x):
     """Every combination of the slices' vertices at x; None when one is empty."""
-    rng = np.random.default_rng(0)
     try:
-        per = [_body_vertices(constraint_body(game, i, x), rng)[0]
-               for i in range(game.n_players)]
+        per = [constraint_body(game, i, x).vertices() for i in range(game.n_players)]
     except EmptyBodyError:
+        return None
+    if not all(len(P) for P in per):
         return None
     V = per[0]
     for P in per[1:]:
@@ -733,15 +740,69 @@ def test_vertex_form_game_runs_no_support_lp(monkeypatch):
     assert calls == []
 
 
-def test_residual_over_samples_makes_the_solve_approximate():
-    # the shared set of coercive_inward_game is the orthant: no vertices, so
-    # the residual reads boundary samples, all far from the origin, and
-    # reads 0 at the start point (1, 1), where the exact value is 2 and the
-    # certificate rejects.  The solve must not pass that off as exact
+def test_residual_over_an_unbounded_shared_set_is_exact():
+    # the shared set of coercive_inward_game is the orthant, which has no
+    # vertices: the residual at the start point (1, 1), which the
+    # certificate rejects, is 2 from one LP in the orthant's rows, and the
+    # solve goes on to the equilibrium (0, 0) as an exact claim
     g = gi.coercive_inward_game()
-    res = solve_vi(g)
-    assert not res.certificate.is_equilibrium
-    assert res.approximate and jsonable(res)["approximate"] is True
-    assert solve_qvi(g).approximate
-    # a bounded shared set reads vertices
-    assert not solve_vi(gi.splitting_game()).approximate
+    assert vi_residual(g, np.array([1.0, 1.0]))[0] == 2.0
+    for solve in (solve_vi, solve_qvi):
+        res = solve(g)
+        assert res.converged and res.certificate.is_equilibrium and not res.approximate
+        assert np.array_equal(res.point, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [10, 16, 24])
+def test_vi_certifies_jointly_convex_games_past_the_vertex_cap(n):
+    # the shared set is the unit cube cut by 1-2 rows, whose (2n + 1 or 2)
+    # choose n row subsets exceed the vertex enumeration's cap, so the
+    # residual reads support LPs and the LP in the rows
+    for s in range(5):
+        game = gi.random_jointly_convex(s, n_players=n)
+        with pytest.raises(EnumerationError):
+            game.shared_set.vertices()
+        res = solve_vi(game)
+        assert res.converged and res.certificate.is_equilibrium, s
+
+
+def test_rows_lp_matches_the_vertex_lp_on_bounded_bodies(monkeypatch):
+    # with vertices() refused, every hull that is not a point takes the LP in
+    # the closure's rows; on a bounded body it is the LP dual of the vertex
+    # LP of hull_reference, so both give the same r
+    games = [gi.random_jointly_convex(s) for s in range(20)]
+    vertices = [g.shared_set.vertices() for g in games]
+    calls = []
+    real = S._rows_lp
+    monkeypatch.setattr(S, "_rows_lp", lambda *a: calls.append(1) or real(*a))
+
+    def refused(self):
+        raise EnumerationError("vertex path patched off")
+
+    monkeypatch.setattr(HPoly, "vertices", refused)
+    for s, (game, V) in enumerate(zip(games, vertices)):
+        X = game.shared_set
+        rng = np.random.default_rng(s)
+        for k in range(10):
+            y = rng.uniform(-1.0, 2.0, game.n)
+            x = X.project(y) if k % 4 else y
+            op = evaluate_T(game, x, Tolerances(eps_open=1e-2))
+            r, t = hull_residual(op, x, X)
+            assert _section_hull_holds(op, t)
+            assert r == pytest.approx(float(np.max((x - V) @ t)), rel=0.0, abs=1e-12)
+            assert max(r, 0.0) == pytest.approx(hull_residual_lp(op, x, V)[0], rel=0.0, abs=1e-9)
+    assert len(calls) > 20
+
+
+def test_ball_hull_residual_holds_zero_or_refuses():
+    # a Ball has no rows: a hull that is not a point is exact only when every
+    # block is the whole space or a zero cone (0 in co T(x), so r = 0 on the
+    # ball); any other hull is refused, naming the Ball
+    disc = Ball([0.0, 0.0], 1.0)
+    x = np.array([0.3, -0.4])
+    whole = OperatorEval((ConeSection.whole(1), ConeSection.zero(1)), (0, 1))
+    r, t = hull_residual(whole, x, disc)
+    assert r == 0.0 and np.array_equal(t, [0.0, 0.0])
+    two = OperatorEval((ConeSection(2, np.array([[1.0, 0.0], [0.0, 1.0]])),), (0,))
+    with pytest.raises(EnumerationError, match="Ball"):
+        hull_residual(two, x, disc)
