@@ -408,8 +408,6 @@ def _point(*g):
 
 
 def test_hull_residual_hand_cases(monkeypatch):
-    import gnepkit.solvers as S
-
     monkeypatch.setattr(S, "_rows_lp", None)  # every case below is enumerated
     P = hull_body(np.array([[0.0, 0.0], [1.0, 0.2], [0.0, 1.0], [1.0, 1.0]]))
     x = np.array([0.2, 0.3])
@@ -469,9 +467,7 @@ def test_vi_pool_hull_residuals_run_no_lp(monkeypatch):
     # all 223 probes of the benchmark's vi_pool(1) enter hull_residual, and
     # none runs an LP: a point hull is one support evaluation over the
     # shared set's vertex form, an interval hull an enumeration of the
-    # epigraph's vertices (the 50 accepting probes ran one LP each when the
-    # hull residual was always an LP)
-    import gnepkit.solvers as S
+    # epigraph's vertices
     from gnepkit import _lp
 
     cases = _load_gnepbench_inputs().vi_pool(1)
