@@ -788,7 +788,6 @@ class ConeSection:
     dim: int
     generators: np.ndarray
     whole_space: bool = False
-    approximate: bool = False
 
     @staticmethod
     def whole(dim: int) -> "ConeSection":
@@ -799,7 +798,7 @@ class ConeSection:
         return ConeSection(dim, np.zeros((0, dim)))
 
     @staticmethod
-    def from_vectors(vs, dim: int, approximate: bool = False) -> "ConeSection":
+    def from_vectors(vs, dim: int) -> "ConeSection":
         arr = np.asarray(vs, dtype=float).reshape(-1, dim)
         out = []
         for v in arr:
@@ -809,7 +808,7 @@ class ConeSection:
             u = v / n
             if all(abs(u @ w - 1.0) > 1e-12 for w in out):
                 out.append(u)
-        return ConeSection(dim, np.array(out).reshape(-1, dim), approximate=approximate)
+        return ConeSection(dim, np.array(out).reshape(-1, dim))
 
     @property
     def n_generators(self) -> int:

@@ -319,8 +319,10 @@ def check_market_clearing(econ: EconomyInstance, outcome: CompetitiveOutcome) ->
 
 
 def check_walras(econ: EconomyInstance, outcome: CompetitiveOutcome) -> float:
-    """|<p, excess>|; warns when its hypotheses could not all be verified."""
-    sampled = any(isinstance(c.utility, RelationOracle) for c in econ.consumers)
+    """|<p, excess>|; warns when its hypotheses could not all be verified:
+    the outcome's certificate is approximate (oracle preferences), or a
+    consumer has no survival bundle."""
+    sampled = outcome.certificate.approximate
     missing_survival = any(c.survival is None for c in econ.consumers)
     if sampled or missing_survival:
         reasons = []

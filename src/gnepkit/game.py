@@ -37,6 +37,7 @@ from .preferences import (
     PolyhedralPref,
     PreferenceMap,
     QuadUtility,
+    RelationOracle,
     UnionPref,
     UnboundedPreferenceError,
     _own_quadratic,
@@ -140,6 +141,13 @@ class GameInstance:
     @property
     def jointly_convex(self) -> bool:
         return self.shared_set is not None
+
+    @cached_property
+    def sampled(self) -> bool:
+        """Whether some player's preference is a RelationOracle: the one
+        variant known only through samples, so that every verdict on this
+        game (a solve's convergence, a certificate) is approximate."""
+        return any(isinstance(pm.variant, RelationOracle) for pm in self.preferences)
 
     def join(self, blocks):
         return np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in blocks])
@@ -304,6 +312,8 @@ class EquilibriumCertificate:
     emptiness_slacks[i] is the player's best strict improvement inside K_i(x)
     (see preferences.max_improvement for per-variant units).  The verdict is
     exactly "all feasibility <= eps_feas and all emptiness <= eps_open".
+    approximate is the game's sampled flag: True exactly when some player's
+    preference is a RelationOracle, whose emptiness slack rests on samples.
     """
 
     point: np.ndarray
@@ -323,7 +333,6 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
         raise ValueError(f"point has dim {x.size}, game has {game.n}")
     feas = np.empty(game.n_players)
     empt = np.empty(game.n_players)
-    approx = False
     notes = []
     for i, pm in enumerate(game.preferences):
         if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
@@ -337,22 +346,20 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
         try:
             K = constraint_body(game, i, x)
             feas[i] = max(membership_violation(K, xi), membership_violation(pm.ambient, xi))
-            empt[i], a_i = max_improvement(pm, x, K, tol.eps_open, seed)
+            empt[i] = max_improvement(pm, x, K, tol.eps_open, seed)
         except (EmptyBodyError, _lp.InfeasibleLP):
             empty = True
         except UnboundedPreferenceError as e:
             empty = K.is_empty(eps_open=0.0)
             if not empty:
-                empt[i], a_i = np.inf, False
+                empt[i] = np.inf
                 notes.append(f"player {i}: {e}")
         if empty:
             feas[i], empt[i] = np.inf, 0.0
             notes.append(f"player {i}: constraint slice empty")
-            continue
-        approx = approx or a_i
     ok = bool((feas <= tol.eps_feas).all() and (empt <= tol.eps_open).all())
     return EquilibriumCertificate(
-        x.copy(), feas, empt, ok, tol, approx, seed, tuple(notes)
+        x.copy(), feas, empt, ok, tol, game.sampled, seed, tuple(notes)
     )
 
 

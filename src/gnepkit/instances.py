@@ -18,7 +18,6 @@ from .preferences import (
     PolyhedralPref,
     PreferenceMap,
     QuadUtility,
-    RelationOracle,
     UnionPref,
 )
 

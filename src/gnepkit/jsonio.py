@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .convexsets import ConvexBody, body_from_dict
+from .convexsets import body_from_dict
 from .economy import Consumer, EconomyInstance, Producer
 from .game import FixedConstraint, GameInstance, SharedSlice
 from .preferences import (

@@ -55,10 +55,6 @@ class OperatorEval:
     def dim(self) -> int:
         return self.starts[-1] + self.blocks[-1].dim
 
-    @property
-    def approximate(self) -> bool:
-        return any(b.approximate for b in self.blocks)
-
     def block_slice(self, i: int) -> slice:
         return slice(self.starts[i], self.starts[i] + self.blocks[i].dim)
 
@@ -231,7 +227,9 @@ def normal_map(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
 
     A graded variant is the one-block pass of _graded_sections.  Set-valued
     variants go through the convexified region's geometry, empty at the
-    same eps_open, and inherit its approximate flag.
+    same eps_open; for a relation oracle that region is the hull of the
+    sampled members, so the section is as good as the sample (the game's
+    sampled flag says when).
     """
     x = np.asarray(x, dtype=float)
     if isinstance(pm.variant, (LinearUtility, QuadUtility)):
@@ -239,11 +237,9 @@ def normal_map(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
     xi = pm.own(x)
     d = pm.block_dim
     region = convexified_set(pm, x, eps_open, seed)
-    approx = bool(getattr(region, "approximate", False))
     if region.is_empty(eps_open):
         return ConeSection.whole(d)
-    body = region.body if hasattr(region, "body") else region
-    cone = convexsets.normal_cone_generators(body, xi)
+    cone = convexsets.normal_cone_generators(region, xi)
     if cone.whole_space:
         return ConeSection.whole(d)
     gens = cone.generators
@@ -251,7 +247,7 @@ def normal_map(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
         # the projector is the identity unless the choice set has equalities
         P_t = tangent_projector(pm.ambient)
         gens = [P_t @ v for v in gens]
-    return ConeSection.from_vectors(gens, d, approximate=approx or cone.approximate)
+    return ConeSection.from_vectors(gens, d)
 
 
 def evaluate_T(game, x, tol: Tolerances = Tolerances(), seed: int = 0) -> OperatorEval:

@@ -17,16 +17,16 @@ every theorem downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import QhullError
 
 from . import _lp
 from .convexsets import (
     DEFAULT_EPS_OPEN,
-    Box,
     ConvexBody,
     EmptyBodyError,
     EnumerationError,
@@ -256,7 +256,6 @@ def _own_linear_terms(pm: PreferenceMap, X) -> np.ndarray:
 @dataclass(frozen=True)
 class EmptyRegion:
     dim: int
-    approximate: bool = False
 
     def contains(self, z, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
         return False
@@ -273,7 +272,6 @@ class QuadRegion:
     a1: np.ndarray
     a0: float
     ambient: ConvexBody
-    approximate: bool = False
 
     @property
     def dim(self):
@@ -303,7 +301,6 @@ class QuadRegion:
 class UnionRegion:
     pieces: tuple
     dim: int
-    approximate: bool = False
 
     def contains(self, z, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
         return any(p.contains(z, eps, eps_open) for p in self.pieces)
@@ -319,7 +316,6 @@ class SampledRegion:
     members: np.ndarray
     member_fn: Callable
     ambient: ConvexBody
-    approximate: bool = field(default=True, init=False)
 
     @property
     def dim(self):
@@ -420,7 +416,8 @@ def _hull_guard(pm, points, xi, eps_open):
     """Raise when xi is *strictly* inside the hull of the given points."""
     try:
         hull = hull_body(points)
-    except Exception:  # qhull chokes on degenerate clouds; guard is best-effort
+    except (EnumerationError, QhullError):
+        # a cloud flat in some direction has no interior for xi to be in
         return
     A, b, _ = hull.hrep()
     inside = bool(np.all(A @ xi - b < -eps_open))
@@ -440,30 +437,8 @@ def convexified_set(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN, se
     if isinstance(region, SampledRegion):
         if len(region.members) == 0:
             return EmptyRegion(region.dim)
-        if len(region.members) == 1:
-            m = region.members[0]
-            return Box(m, m)
-        return SampledHull(hull_body(region.members), region.members)
+        return hull_body(region.members)
     return region
-
-
-@dataclass(frozen=True)
-class SampledHull:
-    """Hull of sampled members: best-effort stand-in for co(P_i(x))."""
-
-    body: ConvexBody
-    members: np.ndarray
-    approximate: bool = field(default=True, init=False)
-
-    @property
-    def dim(self):
-        return self.body.dim
-
-    def contains(self, z, eps=0.0, eps_open=DEFAULT_EPS_OPEN):
-        return self.body.contains(z, eps, eps_open)
-
-    def is_empty(self, eps_open=DEFAULT_EPS_OPEN):
-        return False
 
 
 # --------------------------------------------------------------------------
@@ -472,14 +447,14 @@ class SampledHull:
 
 def max_improvement(pm: PreferenceMap, x, over: ConvexBody,
                     eps_open: float = DEFAULT_EPS_OPEN, seed: int = 0):
-    """(slack, approximate): how strongly the player can improve inside `over`.
+    """The slack: how strongly the player can improve inside `over`.
 
     Graded variants report sup u(x_{-i}, z) - u(x) -- exact, via
     convexsets.maximize.  Polyhedral variants report the largest
     margin by which some z clears every strict row (row-normalized units).
-    The oracle variant reports 1.0 when any sampled z is preferred, else 0.0,
-    and flags itself approximate.  P_i(x) ∩ over is empty (up to eps_open)
-    iff the slack is <= eps_open.
+    The oracle variant reports 1.0 when any sampled z is preferred, else 0.0:
+    the one variant whose slack rests on samples.  P_i(x) ∩ over is empty
+    (up to eps_open) iff the slack is <= eps_open.
     """
     x = np.asarray(x, dtype=float)
     v = pm.variant
@@ -493,20 +468,20 @@ def max_improvement(pm: PreferenceMap, x, over: ConvexBody,
             raise UnboundedPreferenceError(
                 f"player {pm.player}: improvement unbounded"
             ) from None
-        return float(val + a0), False
+        return float(val + a0)
 
     if isinstance(v, PolyhedralPref):
-        return _poly_slack(v.rows(x), over), False
+        return _poly_slack(v.rows(x), over)
 
     if isinstance(v, UnionPref):
         slacks = [_poly_slack(pc.rows(x), over) for pc in v.pieces]
-        return max(slacks), False
+        return max(slacks)
 
     if isinstance(v, RelationOracle):
         rng = np.random.default_rng(seed)
         cands = _ambient_candidates(over, rng, v.budget)
         found = any(v.succ(x, z) for z in cands)
-        return (1.0 if found else 0.0), True
+        return 1.0 if found else 0.0
 
     raise TypeError(f"unknown variant {type(v).__name__}")
 
@@ -544,8 +519,7 @@ def is_satiated(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN,
     is at most eps_open, the verifier's test for an empty preferred set.
     X_i contains every constraint slice K_i(x), so a satiated player also
     passes verify_equilibrium's emptiness test at the same eps_open."""
-    slack, _ = max_improvement(pm, x, pm.ambient, eps_open, seed)
-    return slack <= eps_open
+    return max_improvement(pm, x, pm.ambient, eps_open, seed) <= eps_open
 
 
 # --------------------------------------------------------------------------

@@ -110,9 +110,10 @@ class SolveResult:
     best_attempt (1 for the first) is the one whose point this is; iterations
     and trace belong to that attempt.  finish_tried and finish_accepted count
     the finish steps (_Finish) that the probe judged, and those it accepted,
-    over all attempts.  approximate is True when a section of T of the
-    attempt was approximate (a relation oracle's sampled preferred set), so
-    that converged is then no exact claim."""
+    over all attempts.  approximate is the game's sampled flag, the same as
+    the certificate's: True exactly when some player's preference is a
+    RelationOracle, known only through samples, so that neither converged
+    nor the certificate is then an exact claim."""
 
     point: np.ndarray
     residual: float
@@ -132,7 +133,7 @@ class SolveResult:
 # residual
 
 
-def hull_residual(op: OperatorEval, x, body: ConvexBody, tol: float = np.inf):
+def hull_residual(op: OperatorEval, x, body: ConvexBody):
     """(r, t): r = min over t in co T(x) of <t, x> + sigma_body(-t), and a t
     there; r is +inf where sigma_body(-t) is unbounded for every such t.
 
@@ -144,12 +145,11 @@ def hull_residual(op: OperatorEval, x, body: ConvexBody, tol: float = np.inf):
          zero cone): r = <t, x> + maximize(body, -t);
       2. a Ball: r = 0 at t = 0 when every block is the whole space or a
          zero cone, so that 0 is in co T(x); else EnumerationError;
-      3. body.vertices() enumerates a vertex list V, so sigma_body(-t) =
-         max_v <-t, v>: (lb, None) when the lower bound lb of
-         _residual_prefilter exceeds tol (never at tol = inf); else, when
-         every hull is a point or an interval and the candidates fit
-         _VERTEX_FORM_SUBSETS, the least of max_v <t, x - v> over the
-         epigraph's vertices (_interval_hull_candidates), exact and finite;
+      3. every hull is a point or an interval, body.vertices() enumerates
+         a vertex list V (so sigma_body(-t) = max_v <-t, v>) and the
+         candidates fit _VERTEX_FORM_SUBSETS: the least of max_v <t, x - v>
+         over the epigraph's vertices (_interval_hull_candidates), exact and
+         finite;
       4. one LP in the closure's rows (_rows_lp).
     A whole-space block of 2 or more dimensions enters 4 as the cross
     polytope co{±e_k}, which contains 0 and lies in the unit ball, so r can
@@ -172,10 +172,6 @@ def hull_residual(op: OperatorEval, x, body: ConvexBody, tol: float = np.inf):
         V = C.vertices()
     except EnumerationError:
         return _rows_lp(op, x, C)
-    if tol < np.inf:
-        lb = _residual_prefilter(op, x, V)
-        if lb > tol:
-            return lb, None
     if intervals is None or _n_hull_candidates(len(V), len(intervals[1])) > _VERTEX_FORM_SUBSETS:
         return _rows_lp(op, x, C)
     t, W, lo, hi = intervals
@@ -187,10 +183,10 @@ def hull_residual(op: OperatorEval, x, body: ConvexBody, tol: float = np.inf):
     return float(np.max((x - V) @ t)), t
 
 
-def residual_with_filter(op, x, body, tol):
-    """The VI probe's residual: hull_residual over body clipped at 0, or
-    (lb, None) when its lower bound lb already exceeds tol."""
-    r, t = hull_residual(op, x, body, tol)
+def residual_with_filter(op, x, body):
+    """The VI probe's residual: (r, t) of hull_residual over body, r
+    clipped at 0.  The benchmark's tracer counts the probes by this name."""
+    r, t = hull_residual(op, x, body)
     return max(r, 0.0), t
 
 
@@ -317,19 +313,6 @@ def _subsets(m: int, k: int) -> np.ndarray:
     return S
 
 
-def _residual_prefilter(op: OperatorEval, x, V) -> float:
-    """Cheap lower bound: max_v sum_i min_t <t_i, x_i - v_i>."""
-    total = np.zeros(len(V))
-    for i, cone in enumerate(op.blocks):
-        sl = op.block_slice(i)
-        W = x[sl][None, :] - V[:, sl]
-        if cone.whole_space:
-            total -= np.max(np.abs(W), axis=1)
-        elif cone.n_generators:
-            total += np.min(W @ cone.generators.T, axis=1)
-    return float(np.max(total))
-
-
 # --------------------------------------------------------------------------
 # iteration core
 
@@ -357,9 +340,9 @@ class _SharedSetVI:
     def project(self, x, t, alpha):
         return self.game.shared_set.project(x - alpha * t)
 
-    def probe(self, op, x, tol=np.inf, eps=np.inf):
+    def probe(self, op, x, eps=np.inf):
         """(r, t, feasible) at x; see residual_with_filter."""
-        return (*residual_with_filter(op, x, self._body, tol), True)
+        return (*residual_with_filter(op, x, self._body), True)
 
 
 class _MovingSlicesQVI:
@@ -386,7 +369,7 @@ class _MovingSlicesQVI:
                 blocks.append(pm.ambient.project(target))
         return game.join(blocks)
 
-    def probe(self, op, x, tol=np.inf, eps=np.inf):
+    def probe(self, op, x, eps=np.inf):
         """(r, t, feasible) at x: co T(x) and K(x) are products over the
         blocks, so r is the sum of each block's unclipped hull_residual over
         its slice, clipped at 0 once; (inf, None, False) when a slice is
@@ -478,13 +461,12 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=N
     best_r, best_x, best_it = np.inf, x.copy(), 0
     trace = [] if config.trace else None
     x_prev = None
-    approx = False
 
     def probe(k, op_c, xc):
         """Residual at xc, recorded as the best point when feasible; returns
         (r, accepted).  The closing probe (k == max_iters) is not traced."""
         nonlocal best_r, best_x, best_it
-        r, _, feas_ok = problem.probe(op_c, xc, config.residual_tol, tol.eps_feas)
+        r, _, feas_ok = problem.probe(op_c, xc, tol.eps_feas)
         if trace is not None and k < config.max_iters:
             trace.append({"iter": k, "residual": float(r), "alpha": alpha})
         if r < best_r and feas_ok:
@@ -498,29 +480,28 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=N
         return alpha < 1e-8 or halvings > 60
 
     def finish_from(k, xc):
-        """The finish step after a probe of xc that did not accept: (z, r,
-        op at z) when the probe accepts z, else None.  A rejected step
-        leaves the run as it was (no trace row, no best point)."""
+        """The finish step after a probe of xc that did not accept: (z, r)
+        when the probe accepts z, else None.  A rejected step leaves the
+        run as it was (no trace row, no best point)."""
         flagged = finish.take_flags()
         z = finish.point(xc, flagged) if k > 0 else None
         if z is None:
             return None
         finish.tried += 1
         op_z = evaluate_T(game, z, tol, config.seed)
-        r, _, feas_ok = problem.probe(op_z, z, config.residual_tol, tol.eps_feas)
+        r, _, feas_ok = problem.probe(op_z, z, tol.eps_feas)
         if not (r <= config.residual_tol and feas_ok):
             return None
         finish.accepted += 1
         if trace is not None:
             trace.append({"iter": k, "residual": float(r), "alpha": alpha})
-        return z, r, op_z
+        return z, r
 
     if finish is not None:
         finish.restart()
     last_probe_r = np.inf
     for k in range(config.max_iters):
         op = evaluate_T(game, x, tol, config.seed)
-        approx = approx or op.approximate
         t = select(op)
         if finish is not None:
             finish.observe(t)
@@ -528,11 +509,11 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=N
         if k % _RESIDUAL_EVERY == 0 or np.linalg.norm(t) <= 1e-14:
             r, accepted = probe(k, op, x)
             if accepted:
-                return x, r, k, True, trace, approx
+                return x, r, k, True, trace
             done = finish_from(k, x) if finish is not None else None
             if done is not None:
-                z, r, op_z = done
-                return z, r, k, True, trace, approx or op_z.approximate
+                z, r = done
+                return z, r, k, True, trace
             # normalized directions limit-cycle at radius ~alpha near interior
             # maxima; damp whenever a probe shows no progress
             if k > 0 and r >= last_probe_r - 1e-12 and halve():
@@ -545,7 +526,7 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=N
         if np.linalg.norm(x_new - x) <= _STEP_TOL or cycling:
             r, accepted = probe(k, op, x)
             if accepted:
-                return x, r, k, True, trace, approx
+                return x, r, k, True, trace
             # fixed point (or 2-cycle) of this step size that is not a
             # solution: shrink the step and keep going
             if halve():
@@ -555,9 +536,8 @@ def _run_from(game, x0, config: SolverConfig, problem, tol: Tolerances, finish=N
     else:
         # out of iterations: probe the last iterate with T taken there
         op = evaluate_T(game, x, tol, config.seed)
-        approx = approx or op.approximate
     probe(config.max_iters, op, x)
-    return best_x, best_r, best_it, best_r <= config.residual_tol, trace, approx
+    return best_x, best_r, best_it, best_r <= config.residual_tol, trace
 
 
 def _solve(game: GameInstance, config: SolverConfig, problem_type,
@@ -568,10 +548,10 @@ def _solve(game: GameInstance, config: SolverConfig, problem_type,
     for attempt in range(max(1, config.restarts)):
         x0 = _start(game, attempt, rng)
         problem = problem_type(game)
-        x, r, iters, ok, trace, approx = _run_from(game, x0, config, problem, tol, finish)
+        x, r, iters, ok, trace = _run_from(game, x0, config, problem, tol, finish)
         cand = SolveResult(x, r, iters, ok, restarts_used=attempt + 1,
                            best_attempt=attempt + 1, problem=problem.name,
-                           trace=trace, approximate=approx)
+                           trace=trace, approximate=game.sampled)
         if best is None or cand.residual < best.residual:
             best = cand
         if ok:
@@ -832,7 +812,7 @@ def _improvements_per_group(game: GameInstance, pm, nodes_f: np.ndarray,
             out[idx] = M - vals
         else:
             for j in idx:
-                out[j], _ = max_improvement(pm, nodes_f[j], K, tol.eps_open, seed)
+                out[j] = max_improvement(pm, nodes_f[j], K, tol.eps_open, seed)
     return out
 
 

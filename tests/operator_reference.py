@@ -22,7 +22,7 @@ def own_gradient(pm, x):
 
 def graded_section(pm, x, eps_open):
     x = np.asarray(x, dtype=float)
-    slack, _ = max_improvement(pm, x, pm.ambient, eps_open)
+    slack = max_improvement(pm, x, pm.ambient, eps_open)
     if slack <= eps_open:
         return ConeSection.whole(pm.block_dim)
     gens = [-own_gradient(pm, x)]

@@ -50,8 +50,9 @@ def test_tracer_wraps_and_restores_every_layer_function():
 
 
 def test_tracer_counts_the_vi_residual_calls():
-    # the tracer counts prefilter hits through solvers.residual_with_filter,
-    # which every VI probe must call by its module name
+    # the tracer counts the VI probes through solvers.residual_with_filter,
+    # which every VI probe must call by its module name; with no residual
+    # prefilter no call is settled by a lower bound, so its hit ratio is 0
     from gnepkit import instances as gi
     from gnepkit.solvers import solve_vi
 

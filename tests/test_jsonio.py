@@ -196,11 +196,10 @@ def test_operator_eval_nests_its_cone_sections():
     from gnepkit.convexsets import ConeSection
     from gnepkit.operators import OperatorEval
 
-    op = OperatorEval((ConeSection.whole(1),
-                       ConeSection.from_vectors([[2.0, 0.0]], 2, approximate=True)), (0, 1))
+    op = OperatorEval((ConeSection.whole(1), ConeSection.from_vectors([[2.0, 0.0]], 2)), (0, 1))
     assert canonical_dumps(op) == (
-        '{"blocks":[{"approximate":false,"dim":1,"generators":[],"whole_space":true},'
-        '{"approximate":true,"dim":2,"generators":[[1.0,0.0]],"whole_space":false}],'
+        '{"blocks":[{"dim":1,"generators":[],"whole_space":true},'
+        '{"dim":2,"generators":[[1.0,0.0]],"whole_space":false}],'
         '"starts":[0,1]}\n')
 
 

@@ -216,7 +216,7 @@ def test_satiation_edge_is_the_verifiers(pm, x):
     """At eps_open equal to the verifier's own slack the block is satiated,
     one step of eps_open below it is not, in the pass and the reference."""
     x = np.asarray(x)
-    slack, _ = max_improvement(pm, x, pm.ambient)
+    slack = max_improvement(pm, x, pm.ambient)
     assert slack > 0.0
     for eps, whole in ((slack, True), (np.nextafter(slack, -np.inf), False)):
         got = normal_map(pm, x, eps)

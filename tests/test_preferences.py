@@ -77,6 +77,18 @@ def test_union_hull_guard_fires_when_hull_swallows_anchor():
         convexified_set(pm, np.array([0.5]))
 
 
+def test_union_hull_guard_skips_a_flat_cloud():
+    # two pieces on the plane z_2 = 0.5, either side of x_i: their hull holds
+    # x_i in its relative interior but has no interior in R^3, so hull_body's
+    # EnumerationError skips the guard and no SelfPreferenceError is raised
+    plane = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    left = PolyhedralPref.constant([[1.0, 0.0, 0.0], *plane], [0.2, 0.5, -0.5], [False] * 3)
+    right = PolyhedralPref.constant([[-1.0, 0.0, 0.0], *plane], [-0.8, 0.5, -0.5], [False] * 3)
+    pm = PreferenceMap(0, 0, Box([0.0] * 3, [1.0] * 3), UnionPref((left, right)))
+    region = pref_set(pm, np.full(3, 0.5))
+    assert region.contains([0.1, 0.5, 0.5]) and not region.contains([0.5, 0.5, 0.5])
+
+
 def test_union_one_sided_hull_bridges_the_gap():
     def low(x):
         return (np.array([[-1.0], [1.0]]),
@@ -103,9 +115,8 @@ def test_oracle_irreflexivity_guard():
 def test_max_improvement_linear_closed_form():
     pm = linear_player((1.0,))
     over = Box([0.0], [1.0])
-    s, approx = max_improvement(pm, np.array([0.3]), over)
+    s = max_improvement(pm, np.array([0.3]), over)
     assert s == pytest.approx(0.7, abs=1e-9)
-    assert not approx
 
 
 def test_max_improvement_quad_boundary():
@@ -113,7 +124,7 @@ def test_max_improvement_quad_boundary():
                        QuadUtility(np.array([[-2.0]]), np.array([2.4])))
     over = Box([0.0], [1.0])
     # u(z) = -(z - 1.2)^2 + const, max on [0,1] at z=1
-    s, _ = max_improvement(pm, np.array([0.5]), over)
+    s = max_improvement(pm, np.array([0.5]), over)
     want = -(1 - 1.2) ** 2 - (-(0.5 - 1.2) ** 2)
     assert s == pytest.approx(want, abs=1e-9)
 
@@ -130,10 +141,10 @@ def test_max_improvement_polyhedral_slack_signs():
         return np.array([[-1.0]]), np.array([-(x[0] + 0.1)]), np.array([True])
 
     pm = PreferenceMap(0, 0, Box([0.0], [1.0]), PolyhedralPref(above))
-    s_mid, _ = max_improvement(pm, np.array([0.4]), Box([0.0], [1.0]))
+    s_mid = max_improvement(pm, np.array([0.4]), Box([0.0], [1.0]))
     assert s_mid > 1e-3
     # unreachable set: the best margin goes negative by the shortfall
-    s_top, _ = max_improvement(pm, np.array([1.0]), Box([0.0], [1.0]))
+    s_top = max_improvement(pm, np.array([1.0]), Box([0.0], [1.0]))
     assert s_top == pytest.approx(-0.1, abs=1e-6)
 
 

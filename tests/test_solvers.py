@@ -125,7 +125,7 @@ def test_satiated_blocks_pass_the_verifiers_emptiness_test(family, solve):
             if cone.whole_space:
                 satiated += 1
                 pm = game.preferences[i]
-                imp, _ = max_improvement(pm, x, constraint_body(game, i, x), tol.eps_open)
+                imp = max_improvement(pm, x, constraint_body(game, i, x), tol.eps_open)
                 assert imp <= tol.eps_open, (s, i, imp)
     assert satiated
 
@@ -661,6 +661,24 @@ def test_relation_oracle_players_meet_on_the_shared_face():
         assert res.approximate and jsonable(res)["approximate"] is True
     orc = grid_oracle(g, h=0.1)
     assert np.allclose(orc.certified, [[0.2, 0.8], [0.3, 0.7]]) and not orc.disagreements
+
+
+def _catalog_game(name):
+    box = gi.catalog_ambient()
+    succ, _ = gi.relation_catalog()[name]
+    return GameInstance((PreferenceMap(0, 0, box, RelationOracle(succ)),), (FixedConstraint(box),))
+
+
+# not_equal is left out: its convexified preferred set holds x, so every
+# solve raises SelfPreferenceError
+@pytest.mark.parametrize("name", [*sorted(set(gi.relation_catalog()) - {"not_equal"}), "graded"])
+def test_approximate_exactly_when_a_player_is_a_relation_oracle(name):
+    """The solve and its certificate read one flag, the game's: a `never`
+    relation, whose preferred set no sample ever hits, is as approximate as
+    any other relation, and a graded game is exact."""
+    g = gi.splitting_game() if name == "graded" else _catalog_game(name)
+    res = solve_qvi(g, SolverConfig(restarts=2))
+    assert g.sampled == res.approximate == res.certificate.approximate == (name != "graded")
 
 
 def _batch_family(seed):

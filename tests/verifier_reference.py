@@ -13,6 +13,7 @@ from gnepkit.game import EquilibriumCertificate, FixedConstraint, SharedSlice, T
 from gnepkit.preferences import (
     LinearUtility,
     QuadUtility,
+    RelationOracle,
     UnboundedPreferenceError,
     _own_quadratic,
     max_improvement,
@@ -113,14 +114,13 @@ def _improvement(pm, x, K, eps_open, seed):
         val = _maximum(K, a1, A2)
     except _lp.UnboundedLP:
         raise UnboundedPreferenceError(f"player {pm.player}: improvement unbounded") from None
-    return float(val + a0), False
+    return float(val + a0)
 
 
 def verify_equilibrium(game, x, tol=Tolerances(), seed=0):
     x = np.asarray(x, dtype=float)
     feas = np.empty(game.n_players)
     empt = np.empty(game.n_players)
-    approx = False
     notes = []
     for i, pm in enumerate(game.preferences):
         if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
@@ -132,18 +132,17 @@ def verify_equilibrium(game, x, tol=Tolerances(), seed=0):
                 membership_violation(K, pm.own(x)),
                 membership_violation(pm.ambient, pm.own(x)),
             )
-            empt[i], a_i = _improvement(pm, x, K, tol.eps_open, seed)
+            empt[i] = _improvement(pm, x, K, tol.eps_open, seed)
         except (EmptyBodyError, _lp.InfeasibleLP):
             empty = True
         except UnboundedPreferenceError as e:
             empty = K.is_empty(eps_open=0.0)
             if not empty:
-                empt[i], a_i = np.inf, False
+                empt[i] = np.inf
                 notes.append(f"player {i}: {e}")
         if empty:
             feas[i], empt[i] = np.inf, 0.0
             notes.append(f"player {i}: constraint slice empty")
-            continue
-        approx = approx or a_i
     ok = bool(np.all(feas <= tol.eps_feas) and np.all(empt <= tol.eps_open))
+    approx = any(isinstance(pm.variant, RelationOracle) for pm in game.preferences)
     return EquilibriumCertificate(x.copy(), feas, empt, ok, tol, approx, seed, tuple(notes))
