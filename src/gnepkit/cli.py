@@ -99,6 +99,8 @@ def _parse_point(args, n: int) -> np.ndarray:
     x = np.asarray(vals, dtype=float)
     if x.size != n:
         raise _DimMismatch(f"point has {x.size} coordinates, instance needs {n}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"point coordinates must be finite, got {x.tolist()}")
     return x
 
 

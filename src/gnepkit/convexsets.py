@@ -44,6 +44,13 @@ _VERTEX_SUBSET_CAP = 200_000
 # as long as its LP (about 2 ms) at about 2,500 candidates, over 2 or 3
 # interval coordinates on the same host (mean of 5 calls on random vertex sets)
 _VERTEX_FORM_SUBSETS = 2_000
+# numpy's minimum and maximum reduce a contiguous run of this many float64
+# or more in SIMD lanes (4 under AVX2, 8 under AVX-512), and a shorter run
+# one element at a time, the order HPoly._interval follows.  A numpy whose
+# registers hold 2 float64 (SSE2, NEON) also vectorises runs of 2 and 3, so
+# there the two could give opposite signs for a zero end; the test of
+# _interval against _intervals would show it.
+_SIMD_RUN = 4
 
 
 class EmptyBodyError(ValueError):
@@ -312,12 +319,39 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _interval(self):
-        """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty
-        (see _intervals)."""
+        """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty:
+        _intervals on this one body, read as Python floats, and equal to it
+        bit for bit (tests/test_convexsets.py holds the two together).
+
+        The min and max keep the later of two equal ratios, as numpy's
+        reductions do one element at a time; that decides a tie of +0.0 with
+        -0.0.  numpy reduces a run of _SIMD_RUN or more consecutive rows of
+        one side in vector lanes instead, so a body with such a run and a
+        tie at zero, or with a NaN ratio, is left to _intervals.
+        """
         if self._poisoned:
             return None
-        lo, hi, empty = _intervals(self.A[:, 0], self.b[None])
-        return None if empty[0] else (float(lo[0]), float(hi[0]))
+        col = self.A[:, 0].tolist()
+        lo, hi, zero_tie, nan = -math.inf, math.inf, False, False
+        for a, r in zip(col, self.b.tolist()):
+            r /= a
+            nan |= r != r
+            if a > 0:
+                if r <= hi:
+                    zero_tie |= r == hi == 0.0
+                    hi = r
+            elif r >= lo:
+                zero_tie |= r == lo == 0.0
+                lo = r
+        if nan or zero_tie and _has_simd_run(col):
+            lo, hi, empty = _intervals(self.A[:, 0], self.b[None])
+            return None if empty[0] else (float(lo[0]), float(hi[0]))
+        gap = lo - hi
+        if gap > 0:
+            if gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi)):
+                return None
+            lo = hi = 0.5 * (lo + hi)
+        return lo, hi
 
     @cached_property
     def _chebyshev(self):
@@ -654,6 +688,18 @@ def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
     k = ks[u - css / ks > 0.0][-1]
     tau = css[k - 1] / k
     return np.maximum(y - tau, 0.0)
+
+
+def _has_simd_run(col) -> bool:
+    """Whether _SIMD_RUN or more consecutive coefficients of col share a sign."""
+    run, prev = 0, None
+    for a in col:
+        up = a > 0
+        run = run + 1 if up is prev else 1
+        if run == _SIMD_RUN:
+            return True
+        prev = up
+    return False
 
 
 def _intervals(a, B):

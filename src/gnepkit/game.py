@@ -353,7 +353,7 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
             empty = K.is_empty(eps_open=0.0)
             if not empty:
                 empt[i] = np.inf
-                notes.append(f"player {i}: {e}")
+                notes.append(str(e))  # the error names the player
         if empty:
             feas[i], empt[i] = np.inf, 0.0
             notes.append(f"player {i}: constraint slice empty")

@@ -215,17 +215,20 @@ def utility(pm: PreferenceMap, x) -> float:
 
 
 def _own_quadratic(pm: PreferenceMap, x):
-    """(A2, a1, a0) with u(x_{-i}, z) - u(x) = 0.5 z'A2 z + a1'z + a0, q(x_i)=0."""
+    """(A2, a1, a0) with u(x_{-i}, z) - u(x) = 0.5 z'A2 z + a1'z + a0, q(x_i)=0.
+
+    A2 is None for a linear variant, which maximize reads as no curvature.
+    Its a0 adds +0.0 where the zero matrix added 0.5 x_i'0 x_i, which is
+    +0.0 at a finite point, so a0 keeps the bits it had, signed zeros too.
+    """
     v = pm.variant
     x = np.asarray(x, dtype=float)
     xi = pm.own(x)
-    if isinstance(v, LinearUtility):
-        A2 = np.zeros((pm.block_dim, pm.block_dim))
-    else:
-        A2 = v.Q[pm.block, pm.block] if v.Q.shape[0] == x.size else v.Q
     a1 = _own_linear_terms(pm, x)
-    a0 = -(0.5 * xi @ A2 @ xi + a1 @ xi)
-    return A2, a1, a0
+    if isinstance(v, LinearUtility):
+        return None, a1, -(0.0 + a1 @ xi)
+    A2 = v.Q[pm.block, pm.block] if v.Q.shape[0] == x.size else v.Q
+    return A2, a1, -(0.5 * xi @ A2 @ xi + a1 @ xi)
 
 
 def _own_linear_terms(pm: PreferenceMap, X) -> np.ndarray:
@@ -364,7 +367,7 @@ def pref_set(pm: PreferenceMap, x, eps_open: float = DEFAULT_EPS_OPEN, seed: int
 
     if isinstance(v, (LinearUtility, QuadUtility)):
         A2, a1, a0 = _own_quadratic(pm, x)
-        if np.abs(A2).max(initial=0.0) <= 1e-13:
+        if A2 is None or np.abs(A2).max(initial=0.0) <= 1e-13:
             if np.linalg.norm(a1) <= 1e-13:
                 return EmptyRegion(d)
             # {z : a1.z > a1.xi} as a strict half-space row
@@ -458,31 +461,21 @@ def max_improvement(pm: PreferenceMap, x, over: ConvexBody,
     """
     x = np.asarray(x, dtype=float)
     v = pm.variant
-    xi = pm.own(x)
-
-    if isinstance(v, (LinearUtility, QuadUtility)):
-        A2, a1, a0 = _own_quadratic(pm, x)
-        try:
+    try:
+        if isinstance(v, (LinearUtility, QuadUtility)):
+            A2, a1, a0 = _own_quadratic(pm, x)
             val, _ = maximize(over, a1, A2)
-        except _lp.UnboundedLP:
-            raise UnboundedPreferenceError(
-                f"player {pm.player}: improvement unbounded"
-            ) from None
-        return float(val + a0)
-
-    if isinstance(v, PolyhedralPref):
-        return _poly_slack(v.rows(x), over)
-
-    if isinstance(v, UnionPref):
-        slacks = [_poly_slack(pc.rows(x), over) for pc in v.pieces]
-        return max(slacks)
-
+            return float(val + a0)
+        if isinstance(v, (PolyhedralPref, UnionPref)):
+            pieces = v.pieces if isinstance(v, UnionPref) else (v,)
+            return max(_poly_slack(pc.rows(x), over) for pc in pieces)
+    except _lp.UnboundedLP:
+        raise UnboundedPreferenceError(f"player {pm.player}: improvement unbounded") from None
     if isinstance(v, RelationOracle):
         rng = np.random.default_rng(seed)
         cands = _ambient_candidates(over, rng, v.budget)
         found = any(v.succ(x, z) for z in cands)
         return 1.0 if found else 0.0
-
     raise TypeError(f"unknown variant {type(v).__name__}")
 
 
@@ -508,8 +501,6 @@ def _poly_slack(rows, over: ConvexBody) -> float:
         s, _ = _lp.max_slack(A, b, s_mask, cap=1.0)
     except _lp.InfeasibleLP:
         return -1.0
-    except _lp.UnboundedLP as e:
-        raise UnboundedPreferenceError(str(e)) from None
     return float(s)
 
 

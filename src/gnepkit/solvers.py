@@ -808,7 +808,8 @@ def _improvements_per_group(game: GameInstance, pm, nodes_f: np.ndarray,
             continue
         if graded:
             Z = nodes_f[idx][:, pm.block]
-            vals = 0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z) + Z @ a1
+            quad = 0.0 if A2 is None else 0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z)
+            vals = quad + Z @ a1
             out[idx] = M - vals
         else:
             for j in idx:

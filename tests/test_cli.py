@@ -98,6 +98,23 @@ def test_verify_point_file(splitting, tmp_path):
                "--out-dir", tmp_path / "d") == 0
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_non_finite_point_exits_2_and_writes_nothing(splitting, exchange, tmp_path, capsys,
+                                                      coord):
+    # from --point or from a --point-file, which json reads NaN and Infinity into
+    text = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[coord]
+    pf = tmp_path / "pt.json"
+    pf.write_text(f'{{"point": [{text}, 0.5]}}')
+    cases = [("verify", splitting, "--point", f"{coord},0.5"),
+             ("verify", splitting, "--point-file", pf),
+             ("economy", exchange, "--check-only", "--point", f"1,1,0,0,{coord},0.5")]
+    for k, args in enumerate(cases):
+        out = tmp_path / f"o{k}"
+        assert run(*args, "--out-dir", out) == 2, args
+        assert not out.exists()
+    assert capsys.readouterr().err.count("point coordinates must be finite") == len(cases)
+
+
 def test_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -5,6 +5,8 @@ The separation/normal-cone checks deliberately use a projection-based oracle
 routines are judged by independent machinery.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,8 @@ def test_hpoly_projection_onto_empty_raises():
     (0.0, False, True),
     (7.5e-17, False, False),
     (1e-12, False, False),
+    (1e-11, False, False),
+    (-0.0, False, True),
     (1e-9, True, True),
     (1e-7, True, True),
 ])
@@ -189,7 +193,8 @@ def test_interval_slab_one_emptiness_verdict(g, empty, nnls_agrees):
                 P.project(np.array([y]))
         return
     lo, hi = (v[0] for v in P.bounding_box())
-    assert lo <= hi and lo == pytest.approx(min(g, 0.0), abs=1e-12)
+    # a crossing that is not empty collapses to its midpoint
+    assert lo <= hi and lo == pytest.approx(min(g, 0.5 * g), abs=1e-12)
     want = [[lo]] if hi - lo <= 1e-9 else [[lo], [hi]]
     assert np.array_equal(P.vertices(), want)
     assert support_max(P, np.array([1.0])) == hi
@@ -399,6 +404,56 @@ def test_interval_closed_forms_match_exact_reference(monkeypatch):
             assert np.allclose(B.vertices(), V, atol=1e-9), k
         ip = B.interior_point()
         assert ip is None or (lo[0] < ip[0] < hi[0])
+
+
+def _interval_inputs():
+    """1-D bodies for the float interval: the closed-form family and the
+    emptiness test's slabs, crossings of 1e-9 and 1e-11 at 0 and at 1, and
+    every sign pattern of up to 4 rows over right-hand sides that tie +0.0
+    with -0.0 or are infinite or NaN, then seeded longer ones, whose runs of
+    one side numpy reduces in SIMD lanes."""
+    bodies = _one_d_family(np.random.default_rng(3))
+    for g in (-1e-6, -1e-9, -1e-11, -0.0, 0.0, 7.5e-17, 1e-12, 1e-11, 1e-9, 1e-7):
+        bodies += [HPoly([[1.0], [-1.0]], [0.0, -g]), HPoly([[-1.0], [1.0]], [-1.0 - g, 1.0])]
+    special = [0.0, -0.0, -1.0, np.inf, np.nan]
+    for m in range(1, 5):
+        for signs in itertools.product([1.0, -1.0], repeat=m):
+            for rhs in itertools.product(special, repeat=m):
+                bodies.append(HPoly(np.array(signs)[:, None], rhs))
+    rng = np.random.default_rng(11)
+    for k in range(2000):
+        m = int(rng.integers(5, 13))
+        signs = rng.choice([1.0, -1.0], m, p=[0.8, 0.2])
+        values = [0.0, -0.0, 0.5] if k % 2 else special + [-np.inf, -np.nan, 1e-9, 1e-11, 1.0]
+        bodies.append(HPoly(signs[:, None], rng.choice(values, m) * signs))
+    return bodies
+
+
+def test_interval_floats_equal_intervals_bit_for_bit():
+    # HPoly._interval reads the ratio test as floats; _intervals, the batched
+    # numpy rule, is its reference: lo, hi and the empty verdict, byte for byte
+    from gnepkit.convexsets import _intervals
+
+    with np.errstate(invalid="ignore"):
+        for k, P in enumerate(_interval_inputs()):
+            lo, hi, empty = _intervals(P.A[:, 0], P.b[None])
+            got = P._interval
+            assert (got is None) == bool(empty[0]), k
+            if got is not None:
+                assert np.float64(got[0]).tobytes() == lo.tobytes(), (k, P.b, got, lo)
+                assert np.float64(got[1]).tobytes() == hi.tobytes(), (k, P.b, got, hi)
+
+
+def test_interval_reads_a_zero_tie_as_floats(monkeypatch):
+    # a benchmark grid slice: [0, 1/2] cut by x >= 0 and x <= 0.3 ties the
+    # lower ends +0.0 and -0.0 in a run of two rows, which numpy reduces one
+    # element at a time; the float form reads it without _intervals
+    from gnepkit import convexsets
+
+    monkeypatch.setattr(convexsets, "_intervals", None)
+    P = HPoly([[1.0], [-1.0], [-1.0], [1.0]], [0.5, -0.0, 0.0, 0.3])
+    assert np.float64(P._interval[0]).tobytes() == np.float64(-0.0).tobytes()
+    assert P._interval[1] == 0.3
 
 
 def test_intersection_merges_polyhedral_parts():

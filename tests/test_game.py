@@ -289,6 +289,19 @@ def test_zero_gradient_on_unbounded_axis_certified():
     assert not any("improvement unbounded" in n for n in cert.notes)
 
 
+def test_unbounded_improvement_note_names_the_player_once():
+    X = Box([0.0], [np.inf])
+    g = GameInstance((PreferenceMap(0, 0, X, LinearUtility([1.0])),),
+                     (FixedConstraint(X),), None, "unbounded")
+    cert = verify_equilibrium(g, np.array([1.0]))
+    assert not cert.is_equilibrium
+    assert cert.notes == ("player 0: improvement unbounded",)
+    # a NaN point: each slice's interval is NaN, so each maximum unbounded
+    with np.errstate(invalid="ignore"):
+        cert = verify_equilibrium(gi.splitting_game(), np.array([np.nan, 0.5]))
+    assert cert.notes == ("player 0: improvement unbounded", "player 1: improvement unbounded")
+
+
 def test_infeasible_point_rejected():
     g = gi.splitting_game()
     cert = verify_equilibrium(g, np.array([0.8, 0.8]))
@@ -392,15 +405,33 @@ def _assert_same_certificate(g, x):
     return a.is_equilibrium
 
 
+def _benchmark_grid_games():
+    """The shapes of the benchmark's grid games: three linear players
+    splitting half a unit over [0, 1/2]^3, whose slices tie a +0.0 lower
+    end with a -0.0 one (again with a first player who prefers less, whose
+    slack takes its sign from that end), and a 2-D linear block over a
+    shared Box whose lower corner is -0.0."""
+    def split(c0):
+        return jointly_convex_game(
+            [Box([0.0], [0.5])] * 3, [LinearUtility([c0]), *[LinearUtility([1.0])] * 2],
+            HPoly(np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0] * 3 + [0.5]), name="split-half")
+
+    X = Box([-0.0, -0.0], [1.0, 1.0])
+    block = jointly_convex_game([X], [LinearUtility([-0.5, 1.0])], X, name="box-block")
+    return [(split(1.0), 0.1), (split(-1.0), 0.1), (block, 0.05)]
+
+
 def test_certificates_equal_the_reference_verifier_bit_for_bit():
     # every node of the h = 0.1 grid over the bundled grid games (feasible
-    # or not), and the solved points of the random families with two
-    # points off each: slacks byte for byte, signed zeros included
+    # or not), every node of the benchmark-shaped grid games (216, 216, 441),
+    # and the solved points of the random families with two points off
+    # each: slacks byte for byte, signed zeros included
     from gnepkit.solvers import solve_qvi, solve_vi
 
     verdicts = set()
-    for g in gi.grid_aligned_instances():
-        for x in _grid_nodes(g, 0.1):
+    grids = [(g, 0.1) for g in gi.grid_aligned_instances()] + _benchmark_grid_games()
+    for g, h in grids:
+        for x in _grid_nodes(g, h):
             verdicts.add(_assert_same_certificate(g, x))
     for seed in range(50):
         for g, solve in ((gi.random_jointly_convex(seed), solve_vi),

@@ -2,8 +2,9 @@
 definition checked as gnepkit checked it while every slice was normalised
 again by HPoly's constructor.  Membership reads copied rows (a Box's built
 one coordinate at a time), and a separable maximum over a Box or a 1-D
-polyhedron clips with np.clip, over the polyhedron's bounding box.  It is
-kept out of gnepkit, whose verifier is game.verify_equilibrium."""
+polyhedron clips with np.clip, over the polyhedron's interval from numpy's
+ratio test.  A linear player keeps a d x d zero quadratic term.  It is kept
+out of gnepkit, whose verifier is game.verify_equilibrium."""
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from gnepkit.preferences import (
     QuadUtility,
     RelationOracle,
     UnboundedPreferenceError,
-    _own_quadratic,
+    _own_linear_terms,
     max_improvement,
     pref_set,
 )
@@ -28,6 +29,39 @@ def clip_argmax(c, q, lo, hi):
     if curved.any():
         z = np.where(curved, np.clip(-c / np.where(curved, q, -1.0), lo, hi), z)
     return z
+
+
+def own_quadratic(pm, x):
+    """(A2, a1, a0) with u(x_{-i}, z) - u(x) = 0.5 z'A2 z + a1'z + a0: a zero
+    A2 for a linear player, and a0 through it."""
+    v = pm.variant
+    x = np.asarray(x, dtype=float)
+    xi = pm.own(x)
+    if isinstance(v, LinearUtility):
+        A2 = np.zeros((pm.block_dim, pm.block_dim))
+    else:
+        A2 = v.Q[pm.block, pm.block] if v.Q.shape[0] == x.size else v.Q
+    a1 = _own_linear_terms(pm, x)
+    a0 = -(0.5 * xi @ A2 @ xi + a1 @ xi)
+    return A2, a1, a0
+
+
+def interval(body):
+    """(lo, hi) of a 1-D HPoly by the ratio test, numpy's min and max over
+    b / a; raises EmptyBodyError when lo - hi exceeds 1e-10 relative to
+    |lo| + |hi|, and a smaller crossing collapses to the midpoint."""
+    if body._poisoned:
+        raise EmptyBodyError("maximization over an empty polyhedron")
+    a, b = body.A[:, 0], body.b
+    R, up = b[None] / a, a > 0
+    hi = np.minimum.reduce(R, axis=1, where=up, initial=np.inf)
+    lo = np.maximum.reduce(R, axis=1, where=~up, initial=-np.inf)
+    gap = lo - hi
+    if gap[0] > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo[0]) + abs(hi[0])):
+        raise EmptyBodyError("maximization over an empty polyhedron")
+    if gap[0] > 0:
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
 
 
 def box_rows(box):
@@ -93,9 +127,7 @@ def _maximum(body, c, Q):
     one_d = isinstance(body, HPoly) and body.dim == 1
     if not separable or not (one_d or isinstance(body, Box)):
         return maximize(body, c, Q)[0]
-    if one_d and body._poisoned:
-        raise EmptyBodyError("maximization over an empty polyhedron")
-    lo, hi = body.bounding_box() if one_d else (body.lo, body.hi)
+    lo, hi = interval(body) if one_d else (body.lo, body.hi)
     z = clip_argmax(c, q, lo, hi)
     if not np.all(np.isfinite(z)):
         raise _lp.UnboundedLP("maximum over an unbounded box or interval")
@@ -109,7 +141,7 @@ def _maximum(body, c, Q):
 def _improvement(pm, x, K, eps_open, seed):
     if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
         return max_improvement(pm, x, K, eps_open, seed)
-    A2, a1, a0 = _own_quadratic(pm, x)
+    A2, a1, a0 = own_quadratic(pm, x)
     try:
         val = _maximum(K, a1, A2)
     except _lp.UnboundedLP:
@@ -139,7 +171,7 @@ def verify_equilibrium(game, x, tol=Tolerances(), seed=0):
             empty = K.is_empty(eps_open=0.0)
             if not empty:
                 empt[i] = np.inf
-                notes.append(f"player {i}: {e}")
+                notes.append(str(e))
         if empty:
             feas[i], empt[i] = np.inf, 0.0
             notes.append(f"player {i}: constraint slice empty")
