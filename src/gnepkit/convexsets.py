@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import _lp
 
@@ -1085,13 +1086,15 @@ def _argmax_separable(c, q, lo, hi):
 
 def _clip_argmax(c, q, lo, hi):
     """_argmax_separable elementwise, with an infinite entry where the
-    maximum is unbounded; the arguments broadcast.
+    maximum is unbounded; the arguments broadcast (_argmax_separable's Box
+    and the grid oracle's batch over rival groups).
 
     Each clip to [lo, hi] is np.clip's, maximum(x, lo) then minimum(., hi):
     a tie returns the bound (so clip(0.0, -0.0, hi) is -0.0) and a NaN
     stays NaN, without np.clip's Python wrapper.  _interval_argmax is the
-    same rule on one coordinate; tests/test_convexsets.py holds both to the
-    np.clip form bit for bit, signed zeros included.
+    same rule on one float (maximize's 1-D polyhedra, T's 1-D boxes);
+    tests/test_convexsets.py holds both to the np.clip form bit for bit,
+    signed zeros included.
     """
     z = np.where(c > 0, hi, np.where(c < 0, lo, np.minimum(np.maximum(0.0, lo), hi)))
     curved = np.less(q, 0.0)
@@ -1123,11 +1126,9 @@ def support_max(body: ConvexBody, c) -> float:
 
 
 def hull_body(points: np.ndarray) -> ConvexBody:
-    """Convex hull of finitely many points as a closed body.
-
-    Full-dimensional hulls go through qhull; 1-d (segment) hulls are built
-    directly so degenerate unions stay usable in any ambient dimension.
-    """
+    """Convex hull of finitely many points as a closed body: qhull's (or an
+    interval's) in the points' affine span, each direction across a flat
+    span an exact equality pair, so degenerate unions stay usable."""
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     dim = pts.shape[1]
     if dim == 1:
@@ -1135,27 +1136,28 @@ def hull_body(points: np.ndarray) -> ConvexBody:
     center = pts.mean(axis=0)
     U, s, Vt = np.linalg.svd(pts - center, full_matrices=True)
     rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 0.0)))
-    if rank >= 2 and rank == dim:
-        from scipy.spatial import ConvexHull
-
+    if rank == 0:
+        p = pts[0]
+        return Box(p, p)
+    hull = None
+    if rank == 1:
+        u = Vt[0]
+        t = (pts - center) @ u
+        rows, rhs = [u, -u], [center @ u + t.max(), -(center @ u + t.min())]
+    elif rank == dim:
         hull = ConvexHull(pts)
-        body = HPoly(hull.equations[:, :-1], -hull.equations[:, -1])
+        rows, rhs = list(hull.equations[:, :-1]), list(-hull.equations[:, -1])
+    else:
+        hull = ConvexHull((pts - center) @ Vt[:rank].T)
+        A = hull.equations[:, :-1] @ Vt[:rank]
+        rows, rhs = list(A), list(A @ center - hull.equations[:, -1])
+    for v in Vt[rank:]:
+        rows.extend([v, -v])
+        rhs.extend([center @ v, -(center @ v)])
+    body = HPoly(np.array(rows), np.array(rhs))
+    if hull is not None:
         # qhull's vertices spare vertices() its enumeration, and a hull is
         # bounded with no recession-cone LP
         object.__setattr__(body, "_vertices", _sorted_unique(pts[hull.vertices]))
         object.__setattr__(body, "_bounded", True)
-        return body
-    if rank == 0:
-        p = pts[0]
-        return Box(p, p)
-    if rank == 1:
-        u = Vt[0]
-        t = (pts - center) @ u
-        rows = [u, -u]
-        rhs = [center @ u + t.max(), -(center @ u + t.min())]
-        for j in range(1, dim):
-            v = Vt[j]
-            rows.extend([v, -v])
-            rhs.extend([center @ v, -(center @ v)])
-        return HPoly(np.array(rows), np.array(rhs))
-    raise EnumerationError("hull of points lower-dimensional but rank >= 2")
+    return body

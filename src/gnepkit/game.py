@@ -331,6 +331,8 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
     x = np.asarray(x, dtype=float)
     if x.size != game.n:
         raise ValueError(f"point has dim {x.size}, game has {game.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("point has a non-finite coordinate")
     feas = np.empty(game.n_players)
     empt = np.empty(game.n_players)
     notes = []

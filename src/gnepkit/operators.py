@@ -10,26 +10,29 @@ Without that, T would contain 0 everywhere on such blocks and the variational
 reformulation would be vacuous.
 
 The graded blocks (linear and quadratic utilities) are evaluated in one pass
-over the game's fixed rows (GradedRows, built once per game): one product for
-every quadratic own gradient, one clip for every satiation test over a 1-D
-box, one comparison for every active box face; a graded block over any other
-X_i tests satiation with maximize inside the same pass.  Set-valued blocks
-go block by block through their convexified region's geometry.
+(_graded_sections) over data fixed once per game (GradedRows): one product
+Q @ x gives every quadratic own gradient.  A block over a 1-D box then runs
+on Python floats, since numpy's per-call cost dwarfs arithmetic on one
+coordinate: its satiation test is the verifier's clip (_interval_argmax) and
+its section one of a few fixed ones.  A graded block over any other X_i
+tests satiation with maximize.  Set-valued blocks go block by block through
+their convexified region's geometry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import convexsets
+from . import _lp, convexsets
 from .convexsets import (
     DEFAULT_EPS_OPEN,
     EPS_ACTIVE,
     Box,
     ConeSection,
-    _clip_argmax,
+    _interval_argmax,
     tangent_projector,
 )
 from .game import Tolerances
@@ -59,8 +62,18 @@ class OperatorEval:
         return slice(self.starts[i], self.starts[i] + self.blocks[i].dim)
 
 
-# the rows of a 1-D box, e_0 then -e_0: its active-face normals
-_ROW_SIGNS = np.array([[1.0], [-1.0]])
+def _fixed_section(*rows, whole_space=False) -> ConeSection:
+    gens = np.array(rows, dtype=float).reshape(-1, 1)
+    gens.flags.writeable = False
+    return ConeSection(1, gens, whole_space)
+
+
+# every section a boxed block can have when its gradient is finite: whole
+# space, or its unit gradient -sign(g) (when g moves) followed by its active
+# face normals e_0 then -e_0; shared by every call, so read-only
+_WHOLE_1 = _fixed_section(whole_space=True)
+_SECTIONS_1 = {rows: _fixed_section(*rows)
+               for rows in ((), (1.0,), (-1.0,), (1.0, -1.0), (-1.0, 1.0))}
 
 
 @dataclass(frozen=True)
@@ -68,38 +81,27 @@ class GradedRows:
     """The graded players' fixed data for one pass of T over all their
     blocks (_graded_sections), built once per game (GameInstance._graded_rows).
 
-    Arrays run over the stacked own coordinates, block after block: block k
-    (player index[k], preference map pms[k]) owns cut[k]:cut[k+1], and own
-    maps them to joint coordinates.  The own gradient at x is c plus, on a
-    quadratic player's coordinates (qpos), take(Q @ x, gather): Q stacks the
-    quadratic players' joint Q only (None without one), and a stacked
-    product is each player's own Q @ x bit for bit, the product
-    _own_quadratic and the verifier take.
+    Block k is player index[k] with the joint-sized preference map pms[k].
+    Q stacks the quadratic players' joint Q (None without one), and gather
+    holds the flat positions in Q @ x of their own coordinates, block after
+    block; a stacked product is each player's own Q @ x bit for bit, the
+    product _own_quadratic and the verifier take.
 
-    A block is boxed when X_i is a 1-D Box and maximize separates its own
-    curvature (a linear objective up to 1e-13, else a nonpositive one): q is
-    that curvature, quad says whether maximize takes it as quadratic, and
-    q_clip is the curvature it clips with (q, else 0).  The two rows of
-    bound and thr are the box's rows e_0 and -e_0: the right-hand sides hi
-    and -lo, and the thresholds of _active_normals (inf for an infinite
-    bound, no row).  boxed lists those blocks; general lists (k, tangent
-    projector or None) of the others, which keep the per-block test: their
-    coordinates have q = 0, bound = 0 and no active row.
+    A block is boxed when X_i is a 1-D Box with lo < hi and maximize
+    separates its own curvature (a linear objective up to 1e-13, else a
+    nonpositive one).  boxed holds a tuple of floats per such block,
+    (k, j, at, c, q, quad, lo, hi, lo_thr, hi_thr): its joint coordinate j,
+    its position at in gather (None when linear), its own c and curvature q,
+    whether maximize takes q as quadratic, its bounds and the thresholds of
+    their face tests in _active_normals (inf for an infinite bound, which
+    has no row).  general holds (k, slice of gather or None, own c, tangent
+    projector or None) of the other blocks, which keep the per-block test.
     """
 
     index: tuple
     pms: tuple
-    cut: tuple
-    own: np.ndarray
     Q: np.ndarray | None
     gather: np.ndarray
-    qpos: np.ndarray
-    c: np.ndarray
-    q: np.ndarray
-    q_clip: np.ndarray
-    quad: np.ndarray
-    bound: np.ndarray
-    thr: np.ndarray
     boxed: tuple
     general: tuple
 
@@ -107,59 +109,47 @@ class GradedRows:
     def of(prefs, n: int) -> "GradedRows | None":
         """The rows of the graded players among prefs, a game's n coordinates
         long; None when no player is graded."""
-        index, pms, Qs, gather, qpos, cols, boxed, general = [], [], [], [], [], [], [], []
-        at = 0
+        index, pms, Qs, gather, boxed, general = [], [], [], [], [], []
         for i, pm in enumerate(prefs):
             if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
                 continue
             pm = embed_variant(pm, n)
-            k, v, d, X = len(pms), pm.variant, pm.block_dim, pm.ambient
-            own = np.arange(pm.block.start, pm.block.stop)
+            k, v, d, X, j = len(pms), pm.variant, pm.block_dim, pm.ambient, pm.block.start
             index.append(i)
             pms.append(pm)
+            span, q, quad = None, 0.0, False
             if isinstance(v, QuadUtility):
-                gather.append(len(Qs) * n + own)
-                qpos.append(np.arange(at, at + d))
+                span = slice(len(gather), len(gather) + d)
+                gather.extend(range(len(Qs) * n + j, len(Qs) * n + j + d))
                 Qs.append(v.Q)
                 A2 = v.Q[pm.block, pm.block]
+                # maximize's rules: a linear objective up to 1e-13, else a
+                # separable one only with a nonpositive diagonal
+                q, quad = float(A2[0, 0]), bool(np.abs(A2).max() > 1e-13)
+            # a pinned coordinate (lo == hi) is an equality: general, as a simplex
+            P = tangent_projector(X) if len(X.equalities()[1]) else None
+            if isinstance(X, Box) and d == 1 and P is None and (not quad or q <= 0.0):
+                lo, hi = float(X.lo[0]), float(X.hi[0])
+                lo_thr, hi_thr = (-EPS_ACTIVE * (1.0 + abs(b)) if math.isfinite(b) else math.inf
+                                  for b in (lo, hi))
+                at = None if span is None else span.start
+                boxed.append((k, j, at, float(v.c[j]), q, quad, lo, hi, lo_thr, hi_thr))
             else:
-                A2 = np.zeros((d, d))
-            at += d
-            # maximize's rules: a linear objective up to 1e-13, else a
-            # separable one only with a nonpositive diagonal
-            quad = np.abs(A2).max(initial=0.0) > 1e-13
-            q = np.diag(A2)
-            if isinstance(X, Box) and d == 1 and (not quad or q[0] <= 0.0):
-                bound = np.concatenate([X.hi, -X.lo])[:, None]
-                thr = np.where(np.isfinite(bound), -EPS_ACTIVE * (1.0 + np.abs(bound)), np.inf)
-                boxed.append(k)
-            else:
-                q, bound, thr = np.zeros(d), np.zeros((2, d)), np.full((2, d), np.inf)
-                P = tangent_projector(X) if len(X.equalities()[1]) else None
-                general.append((k, P))
-            cols.append((own, v.c[pm.block], q, q if quad else np.zeros(d),
-                         np.full(d, quad), bound, thr))
+                general.append((k, span, v.c[pm.block], P))
         if not pms:
             return None
-        own, c, q, q_clip, quad, bound, thr = (np.concatenate(col, axis=-1) for col in zip(*cols))
-        cut = np.cumsum([0] + [pm.block_dim for pm in pms]).tolist()
-        none = np.zeros(0, dtype=int)
-        return GradedRows(
-            tuple(index), tuple(pms), tuple(cut), own, np.array(Qs) if Qs else None,
-            np.concatenate([none, *gather]), np.concatenate([none, *qpos]), c, q, q_clip, quad,
-            bound, thr, tuple(boxed), tuple(general))
+        return GradedRows(tuple(index), tuple(pms), np.array(Qs) if Qs else None,
+                          np.array(gather, dtype=int), tuple(boxed), tuple(general))
 
     def gradient_rows(self, k: int):
         """(G, c): block k's own gradient at x is G @ x + c, projected onto
         the tangent space of X_i's equalities when it has any; None for a
         linear block, whose gradient is constant."""
-        a, e = self.cut[k], self.cut[k + 1]
-        mine = (self.qpos >= a) & (self.qpos < e)
-        if not mine.any():
+        v, block = self.pms[k].variant, self.pms[k].block
+        if not isinstance(v, QuadUtility):
             return None
-        G = self.Q.reshape(-1, self.Q.shape[-1])[self.gather[mine]]
-        c = self.c[a:e]
-        P = dict(self.general).get(k)
+        P = next((P for kk, _, _, P in self.general if kk == k), None)
+        G, c = v.Q[block], v.c[block]
         return (G, c) if P is None else (P @ G, P @ c)
 
 
@@ -172,48 +162,46 @@ def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
     gradient plus the active face normals of the player's own choice set --
     exactly the normals of the sup-level set at its boundary point x_i.
 
-    A boxed block takes the terms of maximize and _own_quadratic
-    elementwise, which over its one coordinate are their sums, so every
-    verdict at eps_open is the verifier's.  Its unit gradient is exactly
-    -sign(g), and a face normal repeats it only when they are equal to
-    1e-12, the rule of ConeSection.from_vectors.  A general block tests
+    A boxed block runs on floats read from the one product Q @ x, with the
+    terms of maximize and _own_quadratic in their IEEE order, so every
+    verdict at eps_open is the verifier's; the first boxed block whose
+    clip is unbounded raises.  Its unit gradient is exactly -sign(g) and a
+    face normal repeats it only when they are equal, the 1e-12 rule of
+    ConeSection.from_vectors; so its section is one of the fixed ones,
+    unless g is infinite and the unit gradient NaN.  A general block tests
     satiation with is_satiated (a maximize over X_i) and builds its
     generators through from_vectors.
     """
     x = np.asarray(x, dtype=float)
-    xo = x[R.own]
-    gx = np.zeros(len(xo))
-    if R.Q is not None:
-        gx[R.qpos] = np.take(R.Q @ x, R.gather)
-    g = gx + R.c
-    a1 = gx - R.q * xo + R.c
-    z = _clip_argmax(a1, R.q_clip, -R.bound[1], R.bound[0])
-    if not np.isfinite(z).all():
-        k = int(np.searchsorted(R.cut, np.argmin(np.isfinite(z)), side="right")) - 1
-        raise UnboundedPreferenceError(f"player {R.pms[k].player}: improvement unbounded")
-    slack = (np.where(R.quad, 0.5 * z * R.q * z + a1 * z, a1 * z)
-             - (0.5 * xo * R.q * xo + a1 * xo))
-    gnorm = np.abs(g)
-    moves = gnorm >= 1e-12
-    u = -g / np.where(moves, gnorm, 1.0)
-    keep = ((_ROW_SIGNS * xo - R.bound >= R.thr)
-            & ~(moves & (np.abs(_ROW_SIGNS * u - 1.0) <= 1e-12))).T
-
+    gq = None if R.Q is None else np.take(R.Q @ x, R.gather)
+    qx, xs = ([] if gq is None else gq.tolist()), x.tolist()
     out = [None] * len(R.pms)
-    for k in R.boxed:
-        a = R.cut[k]
-        if slack[a] <= eps_open:
-            out[k] = ConeSection.whole(1)
-        else:
-            gens = _ROW_SIGNS[keep[a]]
-            out[k] = ConeSection(1, np.concatenate((u[None, a:a + 1], gens))
-                                 if moves[a] else gens)
-    for k, P in R.general:
+    for k, j, at, c, q, quad, lo, hi, lo_thr, hi_thr in R.boxed:
+        xo, gx = xs[j], (0.0 if at is None else qx[at])
+        g, a1 = gx + c, gx - q * xo + c
+        try:
+            z = _interval_argmax(a1, q if quad else 0.0, lo, hi)
+        except _lp.UnboundedLP:
+            raise UnboundedPreferenceError(
+                f"player {R.pms[k].player}: improvement unbounded") from None
+        gain = 0.5 * z * q * z + a1 * z if quad else a1 * z
+        if gain - (0.5 * xo * q * xo + a1 * xo) <= eps_open:
+            out[k] = _WHOLE_1
+            continue
+        rows = (-g / abs(g),) if abs(g) >= 1e-12 else ()
+        # a face normal equal to the unit gradient (exactly ±1.0, or NaN for
+        # an infinite g) is not repeated
+        if xo - hi >= hi_thr and rows[:1] != (1.0,):
+            rows += (1.0,)
+        if lo - xo >= lo_thr and rows[:1] != (-1.0,):
+            rows += (-1.0,)
+        out[k] = _SECTIONS_1.get(rows) or ConeSection(1, np.array(rows).reshape(-1, 1))
+    for k, span, c, P in R.general:
         pm = R.pms[k]
         if is_satiated(pm, x, eps_open):
             out[k] = ConeSection.whole(pm.block_dim)
             continue
-        gens = [-g[R.cut[k]:R.cut[k + 1]]]
+        gens = [-((0.0 if span is None else gq[span]) + c)]
         gens.extend(convexsets._active_normals(pm.ambient, pm.own(x)))
         if P is not None:
             gens = [P @ v for v in gens]

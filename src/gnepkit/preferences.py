@@ -419,8 +419,8 @@ def _hull_guard(pm, points, xi, eps_open):
     """Raise when xi is *strictly* inside the hull of the given points."""
     try:
         hull = hull_body(points)
-    except (EnumerationError, QhullError):
-        # a cloud flat in some direction has no interior for xi to be in
+    except QhullError:
+        # too thin for qhull: no interior for xi (a flat cloud's pairs are tight)
         return
     A, b, _ = hull.hrep()
     inside = bool(np.all(A @ xi - b < -eps_open))

@@ -718,8 +718,8 @@ def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:
 
 def _group_maxima(game: GameInstance, pm, reps: np.ndarray, A2, a1):
     """max of 0.5 z'A2 z + <a1[g], z> over K_i(reps[g]) for every rival
-    group g in one pass, inf where the slice is empty or the maximum
-    unbounded; None when the batch cannot score the player.
+    group g in one pass (A2 None: no quadratic term), inf where the slice is
+    empty or the maximum unbounded; None when the batch cannot score it.
 
     A shared-set slice of a 1-D block is an interval by the ratio test and
     the maximum is a clip; an n-D slice with a vertex form and a linear
@@ -727,7 +727,7 @@ def _group_maxima(game: GameInstance, pm, reps: np.ndarray, A2, a1):
     linear objective is one support evaluation per group.
     """
     con = game.constraints[pm.player]
-    linear = np.abs(A2).max(initial=0.0) <= 1e-13
+    linear = A2 is None or np.abs(A2).max(initial=0.0) <= 1e-13
     if isinstance(con, FixedConstraint):
         if not linear:
             return None
@@ -773,17 +773,17 @@ def _improvements_for_player(game: GameInstance, pm, nodes_f: np.ndarray,
         return _improvements_per_group(game, pm, nodes_f, tol, seed)
     first, inverse = _rival_groups(nodes_f, pm.block)
     reps = nodes_f[first]
-    # _own_quadratic at every representative: A2 is fixed, a1 moves with the rivals
+    # _own_quadratic at every representative: A2 is fixed (None if linear), a1 moves
     v = pm.variant
-    A2 = (v.Q[pm.block, pm.block] if isinstance(v, QuadUtility)
-          else np.zeros((pm.block_dim, pm.block_dim)))
+    A2 = v.Q[pm.block, pm.block] if isinstance(v, QuadUtility) else None
     a1 = _own_linear_terms(pm, reps)
     M = _group_maxima(game, pm, reps, A2, a1)
     if M is None:
         return _improvements_per_group(game, pm, nodes_f, tol, seed)
     Z = nodes_f[:, pm.block]
-    a1 = a1[inverse]
-    return M[inverse] - (0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z) + np.einsum("kj,kj->k", Z, a1))
+    # a zero A2's term was +0.0 at a finite node, so 0.0 keeps its bits
+    quad = 0.0 if A2 is None else 0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z)
+    return M[inverse] - (quad + np.einsum("kj,kj->k", Z, a1[inverse]))
 
 
 def _improvements_per_group(game: GameInstance, pm, nodes_f: np.ndarray,

@@ -710,6 +710,30 @@ def test_hull_body_degenerate_segment():
     assert not H.contains([0.5, 0.5, 0.1])
 
 
+@pytest.mark.parametrize("dim,rank", [(3, 2), (4, 2), (4, 3)])
+def test_hull_body_flat_cloud(dim, rank):
+    # a cloud of rank 2 to dim - 1: its hull in the affine span, and the
+    # directions orthogonal to the span as equality pairs
+    from vertex_reference import _enumerate_vertices
+
+    rng = np.random.default_rng(10 * dim + rank)
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rank]
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=rank)))
+    offset = rng.uniform(-1, 1, dim)
+    pts = np.vstack([corners, np.full((1, rank), 0.5)]) @ basis.T + offset
+    H = hull_body(pts)
+    assert isinstance(H, HPoly) and H.is_bounded()
+    V = H.vertices()
+    assert len(V) == 2 ** rank
+    assert np.allclose(np.sort(V, axis=0), np.sort(pts[:-1], axis=0), atol=1e-12)
+    assert np.allclose(_enumerate_vertices(H.A, H.b), V, atol=1e-9)
+    normal = np.linalg.qr(basis, mode="complete")[0][:, rank]
+    for p in pts:
+        assert H.contains(p, eps=1e-12)
+        assert not H.contains(p + 1e-6 * normal, eps=1e-12)
+    assert not H.contains(1.01 * corners[-1] @ basis.T + offset, eps=1e-12)
+
+
 def test_hull_body_interval_1d():
     H = hull_body(np.array([[2.0], [-1.0], [0.5]]))
     assert H.contains([0.0]) and H.contains([2.0]) and not H.contains([2.1])

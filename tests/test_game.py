@@ -296,10 +296,18 @@ def test_unbounded_improvement_note_names_the_player_once():
     cert = verify_equilibrium(g, np.array([1.0]))
     assert not cert.is_equilibrium
     assert cert.notes == ("player 0: improvement unbounded",)
-    # a NaN point: each slice's interval is NaN, so each maximum unbounded
-    with np.errstate(invalid="ignore"):
-        cert = verify_equilibrium(gi.splitting_game(), np.array([np.nan, 0.5]))
-    assert cert.notes == ("player 0: improvement unbounded", "player 1: improvement unbounded")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_refused(bad):
+    """A point with a non-finite coordinate is refused, as a point of the
+    wrong size is, not judged with NaN slacks."""
+    g = gi.splitting_game()
+    for x in ([bad, 0.5], [0.5, bad]):
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_equilibrium(g, np.array(x))
+    with pytest.raises(ValueError, match="has dim 3"):
+        verify_equilibrium(g, np.array([0.5, 0.5, bad]))
 
 
 def test_infeasible_point_rejected():

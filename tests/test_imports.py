@@ -1,9 +1,10 @@
-"""Every name a gnepkit module imports is used in that module.
+"""Every name a gnepkit module imports is used in that module, and every
+private module-level function or class is named somewhere in the package.
 
 Read with the standard library's ast: a name counts as used when it
 appears as a name anywhere in the module's code (an annotation included,
 not a string one).  The package's __init__ imports to re-export, so it is
-left out.
+left out of the first check.
 """
 
 import ast
@@ -38,3 +39,29 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but unused {unused}"
+
+
+def _named(tree):
+    """Every name the module's code reads: bare, as an attribute or as an
+    imported name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_every_private_definition_is_named():
+    """A private (_-prefixed) module-level function or class that no code
+    in the package names is dead: a leftover of a replaced path."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    named = set().union(*map(_named, trees.values()))
+    dead = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in named]
+    assert not dead, f"defined but never named: {dead}"

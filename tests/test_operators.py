@@ -18,7 +18,7 @@ from gnepkit.preferences import (
 )
 from gnepkit import instances as gi
 
-from operator_reference import graded_section
+from operator_reference import graded_section, own_gradient
 
 SQ2 = np.sqrt(2.0)
 
@@ -302,6 +302,144 @@ def test_evaluate_T_on_box_blocks_runs_no_improvement_search(monkeypatch):
     ops = [evaluate_T(game, x) for x in pts]
     assert sum(b.n_generators for op in ops for b in op.blocks) > 0
     assert calls == []
+
+
+# -- edge cases of the float pass over 1-D boxes -------------------------------
+
+_EPS = convexsets.EPS_ACTIVE
+_BOXES = [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-0.0, -0.0), (0.0, 0.0),
+          (0.5, 0.5), (0.0, np.inf), (-np.inf, -0.0), (-np.inf, np.inf), (-2.0, 3.0)]
+# linear coefficients: signed zeros and both sides of the 1e-12 cut
+_SMALL = [0.0, -0.0, 1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0),
+          -1e-12, -np.nextafter(1e-12, 0.0), 0.7, -0.7]
+# own curvatures: linear within maximize's 1e-13, and concave
+_CURVES = [-0.0, 0.0, -1e-14, 1e-14, -0.5, -2.0]
+
+
+def _edge_coordinates(lo, hi):
+    """Signed zeros, the bounds, and points either side of EPS_ACTIVE
+    (1 + |bound|) from each finite face."""
+    out = [0.0, -0.0]
+    for b, inward in ((lo, 1.0), (hi, -1.0)):
+        if np.isfinite(b):
+            tol = _EPS * (1.0 + abs(b))
+            out += [b, b + inward * 0.5 * tol, b + inward * 2.0 * tol,
+                    np.nextafter(b + inward * tol, -inward * np.inf),
+                    np.nextafter(b + inward * tol, inward * np.inf), b - inward * 1e-9]
+    if np.isfinite(lo) and np.isfinite(hi):
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def _edge_game(rng, m):
+    """m players on 1-D boxes: linear ones with small or signed-zero
+    coefficients, quadratic ones with an own curvature of _CURVES coupled
+    to the others."""
+    prefs = []
+    for j in range(m):
+        X = Box(*([b] for b in _BOXES[rng.integers(len(_BOXES))]))
+        if rng.uniform() < 0.5:
+            v = LinearUtility([_SMALL[rng.integers(len(_SMALL))]])
+        else:
+            Q = np.zeros((m, m))
+            Q[j] = Q[:, j] = rng.choice([0.0, -0.0, 0.3, -0.6], size=m)
+            Q[j, j] = _CURVES[rng.integers(len(_CURVES))]
+            c = np.zeros(m)
+            c[j] = _SMALL[rng.integers(len(_SMALL))]
+            v = QuadUtility(Q, c)
+        prefs.append(PreferenceMap(j, j, X, v))
+    return GameInstance(tuple(prefs), tuple(FixedConstraint(pm.ambient) for pm in prefs),
+                        None, "edges")
+
+
+def _assert_same_bits(got, want):
+    assert got.whole_space == want.whole_space
+    assert got.generators.dtype == want.generators.dtype
+    assert got.generators.shape == want.generators.shape
+    assert got.generators.tobytes() == want.generators.tobytes()
+
+
+def test_float_pass_equals_reference_at_edges():
+    """The pass over 1-D box blocks against the per-block reference, bit for
+    bit, at signed zeros, bounds and points within EPS_ACTIVE of a face, on
+    one-sided and infinite boxes, for gradients of 0 and either side of
+    1e-12, and at eps_open equal to a block's own slack and one step below;
+    a game with an unbounded block raises, naming the first in block order."""
+    rng = np.random.default_rng(25)
+    seen = {"whole": 0, "moves": 0, "still": 0, "raised": 0, "edge": 0}
+    for _ in range(1500):
+        game = _edge_game(rng, int(rng.integers(1, 4)))
+        x = np.array([rng.choice(_edge_coordinates(float(pm.ambient.lo[0]),
+                                                   float(pm.ambient.hi[0])))
+                      for pm in game.preferences])
+        unbounded, slacks = [], []
+        for pm in game.preferences:
+            try:
+                slacks.append(max_improvement(pm, x, pm.ambient))
+            except UnboundedPreferenceError:
+                unbounded.append(pm.player)
+        if unbounded:
+            seen["raised"] += 1
+            with pytest.raises(UnboundedPreferenceError,
+                               match=f"^player {unbounded[0]}: improvement unbounded$"):
+                evaluate_T(game, x)
+            continue
+        for eps in (0.0, 1e-7, *slacks, *(np.nextafter(t, -np.inf) for t in slacks)):
+            op = evaluate_T(game, x, Tolerances(eps_open=float(eps)))
+            for pm, got, t in zip(game.preferences, op.blocks, slacks):
+                _assert_same_bits(got, graded_section(pm, x, eps))
+                seen["edge"] += t == eps
+                g = own_gradient(pm, x)[0]
+                seen["whole" if got.whole_space else "moves" if abs(g) >= 1e-12 else "still"] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_float_pass_sections_at_the_gradient_cut():
+    """A linear block on [0, 1] at 0.5, non-satiated at eps_open 0: its
+    gradient direction enters the section from exactly 1e-12 on."""
+    for c, moves in ((1e-12, True), (np.nextafter(1e-12, 0.0), False),
+                     (np.nextafter(1e-12, 1.0), True), (-1e-12, True), (0.0, False),
+                     (-0.0, False)):
+        pm = _pm(Box([0.0], [1.0]), LinearUtility([c]))
+        got = normal_map(pm, np.array([0.5]), 0.0)
+        want = graded_section(pm, np.array([0.5]), 0.0)
+        _assert_same_bits(got, want)
+        assert got.generators.tolist() == ([[-np.sign(c)]] if moves else [])
+        assert got.whole_space is bool(c == 0.0)
+
+
+def test_fixed_sections_are_read_only():
+    """A boxed block's section is shared between calls, so writing into its
+    generators raises."""
+    pm = _pm(Box([0.0], [1.0]), LinearUtility([1.0]))
+    for x, eps in (([0.5], 1e-7), ([1.0], 1e-7), ([0.0], 1e-7), ([1.0], 1.0)):
+        section = normal_map(pm, np.array(x), eps)
+        with pytest.raises(ValueError, match="read-only"):
+            section.generators[...] = 0.0
+    game = gi.splitting_game()
+    for section in evaluate_T(game, np.array([0.3, 0.3])).blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            section.generators[0, 0] = 2.0
+    assert evaluate_T(game, np.array([0.3, 0.3])).blocks[0].generators.tolist() == [[-1.0]]
+
+
+def test_normal_map_over_a_flat_union_hull():
+    """Two pieces on the plane z_2 = 0.5 in R^3: their hull is the flat
+    rectangle [0, 1]^2 x {0.5}.  In its relative interior the normal cone is
+    the plane's normal line, whose hull of ±e_2 holds 0; above the plane
+    only the side it lies on is active."""
+    from gnepkit.preferences import UnionPref
+
+    plane = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    left = PolyhedralPref.constant([[1.0, 0.0, 0.0], *plane], [0.2, 0.5, -0.5], [False] * 3)
+    right = PolyhedralPref.constant([[-1.0, 0.0, 0.0], *plane], [-0.8, 0.5, -0.5], [False] * 3)
+    pm = _pm(Box([0.0] * 3, [1.0] * 3), UnionPref((left, right)))
+    inside = normal_map(pm, np.array([0.5, 0.5, 0.5]))
+    assert not inside.whole_space
+    assert np.array_equal(inside.generators, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert np.array_equal(inside.min_norm_point(), np.zeros(3))
+    above = normal_map(pm, np.array([0.5, 0.5, 0.9]))
+    assert np.array_equal(above.generators, [[0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("ambient", [Box([0.0, 0.0], [1.0, np.inf]), Box([-np.inf], [0.0])])

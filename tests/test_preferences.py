@@ -79,8 +79,10 @@ def test_union_hull_guard_fires_when_hull_swallows_anchor():
 
 def test_union_hull_guard_skips_a_flat_cloud():
     # two pieces on the plane z_2 = 0.5, either side of x_i: their hull holds
-    # x_i in its relative interior but has no interior in R^3, so hull_body's
-    # EnumerationError skips the guard and no SelfPreferenceError is raised
+    # x_i in its relative interior but has no interior in R^3.  hull_body
+    # builds it in the plane, with z_2 = 0.5 as an equality pair; that pair
+    # is tight at x_i, so x_i is not strictly inside every row, the guard
+    # does not fire and no SelfPreferenceError is raised
     plane = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
     left = PolyhedralPref.constant([[1.0, 0.0, 0.0], *plane], [0.2, 0.5, -0.5], [False] * 3)
     right = PolyhedralPref.constant([[-1.0, 0.0, 0.0], *plane], [-0.8, 0.5, -0.5], [False] * 3)
