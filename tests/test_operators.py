@@ -323,7 +323,7 @@ def _edge_coordinates(lo, hi):
     for b, inward in ((lo, 1.0), (hi, -1.0)):
         if np.isfinite(b):
             tol = _EPS * (1.0 + abs(b))
-            out += [b, b + inward * 0.5 * tol, b + inward * 2.0 * tol,
+            out += [b, b + inward * 0.5 * tol, b + inward * 2.0 * tol, b + inward * tol,
                     np.nextafter(b + inward * tol, -inward * np.inf),
                     np.nextafter(b + inward * tol, inward * np.inf), b - inward * 1e-9]
     if np.isfinite(lo) and np.isfinite(hi):

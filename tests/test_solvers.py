@@ -719,8 +719,7 @@ def test_oracle_batch_matches_the_per_group_loop(seed):
     tol = Tolerances()
     for pm in game.preferences:
         first, _ = _rival_groups(nodes, pm.block)
-        A2 = pm.variant.Q[pm.block, pm.block] if isinstance(pm.variant, QuadUtility) \
-            else np.zeros((pm.block_dim, pm.block_dim))
+        A2 = pm.variant.Q[pm.block, pm.block] if isinstance(pm.variant, QuadUtility) else None
         a1 = np.array([_own_quadratic(pm, x)[1] for x in nodes[first]])
         assert _group_maxima(game, pm, nodes[first], A2, a1) is not None  # batched
         got = _improvements_for_player(game, pm, nodes, tol, 0)
@@ -729,6 +728,26 @@ def test_oracle_batch_matches_the_per_group_loop(seed):
         assert np.array_equal(np.isinf(got), inf), pm.player
         assert inf.any() and not inf.all(), pm.player
         assert np.allclose(got[~inf], want[~inf], rtol=0.0, atol=1e-12), pm.player
+
+
+def test_oracle_batch_keeps_the_zero_matrix_bits_for_linear_players():
+    """A linear player's batch takes no zero A2: its improvements have the
+    bits the zero matrix's +0.0 term gave them, down to a signed zero (a
+    player with c < 0 at its own lower bound improves by -0.0)."""
+    X = [Box([0.0], [1.0]), Box([0.0], [1.0])]
+    game = jointly_convex_game(X, [LinearUtility([-1.0]), LinearUtility([0.5])],
+                               HPoly([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.5, 0.0, 0.0]))
+    axis = np.linspace(0.0, 1.0, 5)
+    nodes = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    for pm in game.preferences:
+        first, inverse = S._rival_groups(nodes, pm.block)
+        a1 = np.array([_own_quadratic(pm, x)[1] for x in nodes[first]])
+        M, Z = S._group_maxima(game, pm, nodes[first], None, a1), nodes[:, pm.block]
+        want = M[inverse] - (0.5 * np.einsum("kj,jl,kl->k", Z, np.zeros((1, 1)), Z)
+                             + np.einsum("kj,kj->k", Z, a1[inverse]))
+        got = S._improvements_for_player(game, pm, nodes, Tolerances(), 0)
+        assert got.tobytes() == want.tobytes(), pm.player
+        assert bool(np.signbit(got[got == 0.0]).any()) is (pm.player == 0)
 
 
 def test_vertex_form_game_runs_no_support_lp(monkeypatch):
