@@ -45,13 +45,6 @@ _VERTEX_SUBSET_CAP = 200_000
 # as long as its LP (about 2 ms) at about 2,500 candidates, over 2 or 3
 # interval coordinates on the same host (mean of 5 calls on random vertex sets)
 _VERTEX_FORM_SUBSETS = 2_000
-# numpy's minimum and maximum reduce a contiguous run of this many float64
-# or more in SIMD lanes (4 under AVX2, 8 under AVX-512), and a shorter run
-# one element at a time, the order HPoly._interval follows.  A numpy whose
-# registers hold 2 float64 (SSE2, NEON) also vectorises runs of 2 and 3, so
-# there the two could give opposite signs for a zero end; the test of
-# _interval against _intervals would show it.
-_SIMD_RUN = 4
 
 
 class EmptyBodyError(ValueError):
@@ -321,38 +314,16 @@ class HPoly(ConvexBody):
     @cached_property
     def _interval(self):
         """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty:
-        _intervals on this one body, read as Python floats, and equal to it
-        bit for bit (tests/test_convexsets.py holds the two together).
-
-        The min and max keep the later of two equal ratios, as numpy's
-        reductions do one element at a time; that decides a tie of +0.0 with
-        -0.0.  numpy reduces a run of _SIMD_RUN or more consecutive rows of
-        one side in vector lanes instead, so a body with such a run and a
-        tie at zero, or with a NaN ratio, is left to _intervals.
-        """
+        _ratio_interval on the rows read as Python floats, equal to
+        _intervals on this one body bit for bit (tests/test_convexsets.py
+        holds the two together).  A NaN ratio is left to _intervals."""
         if self._poisoned:
             return None
-        col = self.A[:, 0].tolist()
-        lo, hi, zero_tie, nan = -math.inf, math.inf, False, False
-        for a, r in zip(col, self.b.tolist()):
-            r /= a
-            nan |= r != r
-            if a > 0:
-                if r <= hi:
-                    zero_tie |= r == hi == 0.0
-                    hi = r
-            elif r >= lo:
-                zero_tie |= r == lo == 0.0
-                lo = r
-        if nan or zero_tie and _has_simd_run(col):
+        out = _ratio_interval(self.A[:, 0].tolist(), self.b.tolist())
+        if out is not None and (out[0] != out[0] or out[1] != out[1]):
             lo, hi, empty = _intervals(self.A[:, 0], self.b[None])
             return None if empty[0] else (float(lo[0]), float(hi[0]))
-        gap = lo - hi
-        if gap > 0:
-            if gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi)):
-                return None
-            lo = hi = 0.5 * (lo + hi)
-        return lo, hi
+        return out
 
     @cached_property
     def _chebyshev(self):
@@ -691,29 +662,52 @@ def project_simplex(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def _has_simd_run(col) -> bool:
-    """Whether _SIMD_RUN or more consecutive coefficients of col share a sign."""
-    run, prev = 0, None
-    for a in col:
-        up = a > 0
-        run = run + 1 if up is prev else 1
-        if run == _SIMD_RUN:
-            return True
-        prev = up
-    return False
+def _ratio_interval(col, rhs):
+    """(lo, hi) of {z : a z <= r for each a in col, r in rhs} by the ratio
+    test over lists of floats (each a nonzero), or None when it is empty.
+
+    The min and max take one row at a time and keep the later of two equal
+    ratios, which decides a tie of +0.0 with -0.0; _intervals states the
+    same rule.  A NaN ratio makes its end NaN, as numpy's minimum and
+    maximum do.  The body is empty iff lo - hi exceeds the rounding
+    threshold of _lp.project_polyhedron relative to |lo| + |hi|; a smaller
+    crossing is rounding noise and collapses to the midpoint.  The one 1-D
+    ratio test off the grid oracle's batch: HPoly._interval and the
+    verifier's float path (game.verify_equilibrium) read it.
+    """
+    lo, hi = -math.inf, math.inf
+    for a, r in zip(col, rhs):
+        r /= a
+        if a > 0:
+            if r <= hi or r != r:
+                hi = r
+        elif r >= lo or r != r:
+            lo = r
+    gap = lo - hi
+    if gap > 0:
+        if gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi)):
+            return None
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
 
 
 def _intervals(a, B):
     """(lo, hi, empty): the closed interval of each 1-D body {z : a z <= B[g]}
     by the ratio test, one body per row of B, and the mask of empty ones.
 
-    A body is empty iff lo - hi exceeds the rounding threshold of
-    _lp.project_polyhedron relative to |lo| + |hi|; a smaller crossing is
-    rounding noise and collapses to the midpoint.
+    A zero end takes its sign from the last row that attains it, the rule
+    of _ratio_interval, one element at a time: numpy reduces a long run of
+    rows of one side in SIMD lanes, whose order depends on the host.  The
+    emptiness test and the midpoint of a small crossing are _ratio_interval's.
     """
     R, up = B / a, a > 0
     hi = np.minimum.reduce(R, axis=1, where=up, initial=np.inf)
     lo = np.maximum.reduce(R, axis=1, where=~up, initial=-np.inf)
+    for end, side in ((hi, up), (lo, ~up)):
+        zero = np.flatnonzero(end == 0.0)
+        if len(zero):
+            hits = side & (R[zero] == 0.0)
+            end[zero] = R[zero, hits.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1)]
     gap = lo - hi
     empty = gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi))
     if gap.max() > 0:
@@ -1044,11 +1038,8 @@ def maximize(body: ConvexBody, c, Q=None):
         interval = body._interval  # None when empty, poisoned included
         if interval is None:
             raise EmptyBodyError("maximization over an empty polyhedron")
-        c0 = float(c[0])
-        z = np.array([_interval_argmax(c0, float(q[0]), *interval)])
-        if quadratic:
-            return float(0.5 * z @ Q @ z + c @ z), z
-        return (c0 * float(z[0]) if c0 != 0.0 else 0.0), z
+        val, z = _interval_max(float(c[0]), float(q[0]), quadratic, *interval)
+        return val, np.array([z])
     if body._poisoned:
         raise EmptyBodyError("maximization over an empty polyhedron")
     if not quadratic and body._form is not None:
@@ -1118,6 +1109,18 @@ def _interval_argmax(c, q, lo, hi):
     if not math.isfinite(t):
         raise _lp.UnboundedLP("maximum over an unbounded box or interval")
     return t
+
+
+def _interval_max(c, q, quad, lo, hi):
+    """(value, argmax) of 0.5 q z^2 + c z over [lo, hi] on floats, q taken
+    as zero unless quad: maximize's rule for a 1-D body.  The value is
+    0.5 z'Qz + c'z as numpy's matmul forms it on one coordinate, each
+    product summed from +0.0, and c z for a linear objective (0.0 when c is
+    zero); raises UnboundedLP as _interval_argmax does."""
+    z = _interval_argmax(c, q if quad else 0.0, lo, hi)
+    if quad:
+        return (0.0 + (0.0 + 0.5 * z * q) * z) + (0.0 + c * z), z
+    return (c * z if c != 0.0 else 0.0), z
 
 
 def support_max(body: ConvexBody, c) -> float:

@@ -6,11 +6,14 @@ constraint shapes cover everything here: the slice of a shared joint set
 sets).  ``verify_equilibrium`` is the ground-truth check used everywhere:
 x is an equilibrium iff every player is feasible (x_i in K_i(x)) and no
 player can strictly improve inside K_i(x).  No operator, no VI -- just the
-definition, so solver output can be certified independently.
+definition, so solver output can be certified independently.  A graded
+player with a 1-D block over a shared slice is certified on Python floats
+(the float path, _flat_slacks), with the general path's bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -27,6 +30,7 @@ from .convexsets import (
     EnumerationError,
     HPoly,
     VertexForm,
+    _ratio_interval,
     _unit_norms,
     intersect,
     is_polyhedral,
@@ -40,6 +44,7 @@ from .preferences import (
     RelationOracle,
     UnionPref,
     UnboundedPreferenceError,
+    _improvement_1d,
     _own_quadratic,
     embed_variant,
     max_improvement,
@@ -182,6 +187,26 @@ class GameInstance:
         from .operators import GradedRows
 
         return GradedRows.of(self.preferences, self.n)
+
+    @cached_property
+    def _flat_slices(self):
+        """Per player, the float data with which verify_equilibrium certifies
+        it (_flat_slacks), else None.  A player has them when its block is
+        a flat one of _graded_rows (one coordinate, a curvature maximize
+        separates) under a shared slice, and X_i has a row with a finite
+        right-hand side, so that the slice's worst margin is finite:
+        (i, j, at, c, q, quad) (GradedRows.flat, i the player), the column
+        of K_i(x)'s rows and X_i's right-hand sides as float lists, and the
+        moving rows (b, rival, scale) of _slice_rows."""
+        R = self._graded_rows
+        out = [None] * self.n_players
+        if self.shared_set is None or R is None:
+            return tuple(out)
+        for i, own in zip(R.index, R.flat):
+            A, _, b_X, b, rival, scale = self._slice_rows[i]
+            if own is not None and np.isfinite(b_X).any():
+                out[i] = (i, *own, A[:, 0].tolist(), b_X.tolist(), b, rival, scale)
+        return tuple(out)
 
     @cached_property
     def _slice_forms(self):
@@ -328,41 +353,100 @@ class EquilibriumCertificate:
 
 def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
                        seed: int = 0) -> EquilibriumCertificate:
+    """Certify x from the definition: for every player, the worst violation
+    of x_i in K_i(x) (feasibility) and the best strict improvement inside
+    K_i(x) (emptiness, preferences.max_improvement).  x is an equilibrium
+    iff every feasibility slack is at most tol.eps_feas and every emptiness
+    slack at most tol.eps_open.  A player whose slice is empty gets slacks
+    (inf, 0) and a note; one whose improvement is unbounded over a nonempty
+    slice gets an infinite emptiness slack and a note.
+
+    A graded player whose block is one coordinate, with a curvature that
+    maximize separates, over a shared slice (GameInstance._flat_slices) is
+    certified on Python floats (_flat_slacks), with the bits of the general
+    path; a NaN or an unbounded improvement sends it back to the general
+    path, which every other player takes.
+    Raises ValueError when x is not a vector of the game's size or has a
+    non-finite coordinate.
+    """
     x = np.asarray(x, dtype=float)
-    if x.size != game.n:
-        raise ValueError(f"point has dim {x.size}, game has {game.n}")
-    if not np.isfinite(x).all():
+    if x.shape != (game.n,):
+        raise ValueError(f"point has dim {x.size} (shape {x.shape}), game has {game.n}")
+    xs = x.tolist()
+    if not all(map(math.isfinite, xs)):
         raise ValueError("point has a non-finite coordinate")
-    feas = np.empty(game.n_players)
-    empt = np.empty(game.n_players)
-    notes = []
+    flats = game._flat_slices
+    qx = None
+    if any(flats) and game._graded_rows.Q is not None:
+        R = game._graded_rows
+        qx = np.take(R.Q @ x, R.gather).tolist()
+    feas, empt, notes = [], [], []
     for i, pm in enumerate(game.preferences):
-        if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
-            # trips the self-preference guard; graded variants cannot trip it
-            pref_set(pm, x, tol.eps_open, seed)
-        # an empty slice surfaces while building it, in the closed-form
-        # (EmptyBodyError) or LP (InfeasibleLP) support of the improvement,
-        # or as a quadratic improvement without a KKT point
-        empty = False
-        xi = pm.own(x)
-        try:
-            K = constraint_body(game, i, x)
-            feas[i] = max(membership_violation(K, xi), membership_violation(pm.ambient, xi))
-            empt[i] = max_improvement(pm, x, K, tol.eps_open, seed)
-        except (EmptyBodyError, _lp.InfeasibleLP):
-            empty = True
-        except UnboundedPreferenceError as e:
-            empty = K.is_empty(eps_open=0.0)
-            if not empty:
-                empt[i] = np.inf
-                notes.append(str(e))  # the error names the player
-        if empty:
-            feas[i], empt[i] = np.inf, 0.0
-            notes.append(f"player {i}: constraint slice empty")
-    ok = bool((feas <= tol.eps_feas).all() and (empt <= tol.eps_open).all())
-    return EquilibriumCertificate(
-        x.copy(), feas, empt, ok, tol, game.sampled, seed, tuple(notes)
-    )
+        got = flats[i] and _flat_slacks(flats[i], x, xs, qx)
+        f, e, note = got or _slacks(game, i, pm, x, tol, seed)
+        feas.append(f)
+        empt.append(e)
+        if note:
+            notes.append(note)
+    ok = all(f <= tol.eps_feas for f in feas) and all(e <= tol.eps_open for e in empt)
+    return EquilibriumCertificate(x.copy(), np.array(feas), np.array(empt), ok, tol,
+                                  game.sampled, seed, tuple(notes))
+
+
+def _empty_slice(i):
+    return math.inf, 0.0, f"player {i}: constraint slice empty"
+
+
+def _slacks(game: GameInstance, i: int, pm: PreferenceMap, x, tol: Tolerances, seed: int):
+    """(feasibility, emptiness, note or None) of player i at x, the general
+    path of verify_equilibrium."""
+    if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
+        # trips the self-preference guard; graded variants cannot trip it
+        pref_set(pm, x, tol.eps_open, seed)
+    # an empty slice surfaces while building it, in the closed-form
+    # (EmptyBodyError) or LP (InfeasibleLP) support of the improvement,
+    # or as a quadratic improvement without a KKT point
+    xi = pm.own(x)
+    try:
+        K = constraint_body(game, i, x)
+        feas = max(membership_violation(K, xi), membership_violation(pm.ambient, xi))
+        return feas, max_improvement(pm, x, K, tol.eps_open, seed), None
+    except (EmptyBodyError, _lp.InfeasibleLP):
+        return _empty_slice(i)
+    except UnboundedPreferenceError as e:
+        if K.is_empty(eps_open=0.0):
+            return _empty_slice(i)
+        return feas, math.inf, str(e)  # the error names the player
+
+
+def _flat_slacks(F, x, xs, qx):
+    """verify_equilibrium's (feasibility, emptiness, note) of a player of
+    GameInstance._flat_slices on floats, or None to take the general path.
+
+    The right-hand side of K_i(x) is constraint_body's numpy expression.
+    The interval is _ratio_interval's and the improvement
+    _improvement_1d's.  Membership is numpy's A @ z - b read one row at a
+    time, (0.0 + a z) - r, whose zeros are all +0.0, so the first maximum
+    is numpy's max; K_i(x)'s rows begin with X_i's, so it is also X_i's.
+    """
+    i, j, at, c, q, quad, col, b_X, b, rival, scale = F
+    rhs = b_X + ((b - rival @ x) / scale).tolist()
+    interval = _ratio_interval(col, rhs)
+    if interval is None:
+        return _empty_slice(i)
+    lo, hi = interval
+    if lo != lo or hi != hi:
+        return None
+    xo, feas = xs[j], -math.inf
+    for a, r in zip(col, rhs):
+        m = (0.0 + a * xo) - r
+        if m > feas:
+            feas = m
+    try:
+        empt = _improvement_1d(None if at is None else qx[at], c, q, quad, xo, lo, hi)
+    except _lp.UnboundedLP:
+        return None
+    return (feas, empt, None) if empt == empt else None
 
 
 # --------------------------------------------------------------------------

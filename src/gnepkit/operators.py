@@ -13,9 +13,9 @@ The graded blocks (linear and quadratic utilities) are evaluated in one pass
 (_graded_sections) over data fixed once per game (GradedRows): one product
 Q @ x gives every quadratic own gradient.  A block over a 1-D box then runs
 on Python floats, since numpy's per-call cost dwarfs arithmetic on one
-coordinate: its satiation test is the verifier's clip (_interval_argmax) and
-its section one of a few fixed ones.  A graded block over any other X_i
-tests satiation with maximize.  Set-valued blocks go block by block through
+coordinate: its satiation test is the verifier's 1-D improvement rule
+(preferences._improvement_1d) and its section one of a few fixed ones.  A
+graded block over any other X_i tests satiation with maximize.  Set-valued blocks go block by block through
 their convexified region's geometry.
 """
 
@@ -32,7 +32,6 @@ from .convexsets import (
     EPS_ACTIVE,
     Box,
     ConeSection,
-    _interval_argmax,
     tangent_projector,
 )
 from .game import Tolerances
@@ -41,6 +40,7 @@ from .preferences import (
     PreferenceMap,
     QuadUtility,
     UnboundedPreferenceError,
+    _improvement_1d,
     convexified_set,
     embed_variant,
     is_satiated,
@@ -87,21 +87,25 @@ class GradedRows:
     block; a stacked product is each player's own Q @ x bit for bit, the
     product _own_quadratic and the verifier take.
 
-    A block is boxed when X_i is a 1-D Box with lo < hi and maximize
-    separates its own curvature (a linear objective up to 1e-13, else a
-    nonpositive one).  boxed holds a tuple of floats per such block,
-    (k, j, at, c, q, quad, lo, hi, lo_thr, hi_thr): its joint coordinate j,
-    its position at in gather (None when linear), its own c and curvature q,
-    whether maximize takes q as quadratic, its bounds and the thresholds of
-    their face tests in _active_normals (inf for an infinite bound, which
-    has no row).  general holds (k, slice of gather or None, own c, tangent
-    projector or None) of the other blocks, which keep the per-block test.
+    flat[k] is (j, at, c, q, quad) when block k is one coordinate whose
+    curvature maximize separates (a linear objective up to 1e-13, else a
+    nonpositive one), the floats that preferences._improvement_1d reads:
+    its joint coordinate j, its position at in gather (None when linear),
+    its own c and curvature q, and whether maximize takes q as quadratic;
+    else None.  The verifier certifies such a player of a shared slice on
+    floats (GameInstance._flat_slices).  A flat block is boxed when X_i is
+    a Box with lo < hi: boxed holds (k, lo, hi, lo_thr, hi_thr), its bounds
+    and the thresholds of their face tests in _active_normals (inf for an
+    infinite bound, which has no row).  general holds (k, slice of gather
+    or None, own c, tangent projector or None) of the other blocks, which
+    keep the per-block test.
     """
 
     index: tuple
     pms: tuple
     Q: np.ndarray | None
     gather: np.ndarray
+    flat: tuple
     boxed: tuple
     general: tuple
 
@@ -109,7 +113,7 @@ class GradedRows:
     def of(prefs, n: int) -> "GradedRows | None":
         """The rows of the graded players among prefs, a game's n coordinates
         long; None when no player is graded."""
-        index, pms, Qs, gather, boxed, general = [], [], [], [], [], []
+        index, pms, Qs, gather, flat, boxed, general = [], [], [], [], [], [], []
         for i, pm in enumerate(prefs):
             if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
                 continue
@@ -126,20 +130,22 @@ class GradedRows:
                 # maximize's rules: a linear objective up to 1e-13, else a
                 # separable one only with a nonpositive diagonal
                 q, quad = float(A2[0, 0]), bool(np.abs(A2).max() > 1e-13)
+            at = None if span is None else span.start
+            flat.append((j, at, float(v.c[j]), q, quad) if d == 1 and (not quad or q <= 0.0)
+                        else None)
             # a pinned coordinate (lo == hi) is an equality: general, as a simplex
             P = tangent_projector(X) if len(X.equalities()[1]) else None
-            if isinstance(X, Box) and d == 1 and P is None and (not quad or q <= 0.0):
+            if isinstance(X, Box) and flat[k] is not None and P is None:
                 lo, hi = float(X.lo[0]), float(X.hi[0])
                 lo_thr, hi_thr = (-EPS_ACTIVE * (1.0 + abs(b)) if math.isfinite(b) else math.inf
                                   for b in (lo, hi))
-                at = None if span is None else span.start
-                boxed.append((k, j, at, float(v.c[j]), q, quad, lo, hi, lo_thr, hi_thr))
+                boxed.append((k, lo, hi, lo_thr, hi_thr))
             else:
                 general.append((k, span, v.c[pm.block], P))
         if not pms:
             return None
         return GradedRows(tuple(index), tuple(pms), np.array(Qs) if Qs else None,
-                          np.array(gather, dtype=int), tuple(boxed), tuple(general))
+                          np.array(gather, dtype=int), tuple(flat), tuple(boxed), tuple(general))
 
     def gradient_rows(self, k: int):
         """(G, c): block k's own gradient at x is G @ x + c, projected onto
@@ -162,10 +168,10 @@ def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
     gradient plus the active face normals of the player's own choice set --
     exactly the normals of the sup-level set at its boundary point x_i.
 
-    A boxed block runs on floats read from the one product Q @ x, with the
-    terms of maximize and _own_quadratic in their IEEE order, so every
-    verdict at eps_open is the verifier's; the first boxed block whose
-    clip is unbounded raises.  Its unit gradient is exactly -sign(g) and a
+    A boxed block runs on floats read from the one product Q @ x: its slack
+    is preferences._improvement_1d, the verifier's, so every verdict at
+    eps_open is the verifier's; the first boxed block whose clip is
+    unbounded raises.  Its unit gradient is exactly -sign(g) and a
     face normal repeats it only when they are equal, the 1e-12 rule of
     ConeSection.from_vectors; so its section is one of the fixed ones,
     unless g is infinite and the unit gradient NaN.  A general block tests
@@ -176,18 +182,18 @@ def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
     gq = None if R.Q is None else np.take(R.Q @ x, R.gather)
     qx, xs = ([] if gq is None else gq.tolist()), x.tolist()
     out = [None] * len(R.pms)
-    for k, j, at, c, q, quad, lo, hi, lo_thr, hi_thr in R.boxed:
-        xo, gx = xs[j], (0.0 if at is None else qx[at])
-        g, a1 = gx + c, gx - q * xo + c
+    for k, lo, hi, lo_thr, hi_thr in R.boxed:
+        j, at, c, q, quad = R.flat[k]
+        xo, gx = xs[j], (None if at is None else qx[at])
         try:
-            z = _interval_argmax(a1, q if quad else 0.0, lo, hi)
+            slack = _improvement_1d(gx, c, q, quad, xo, lo, hi)
         except _lp.UnboundedLP:
             raise UnboundedPreferenceError(
                 f"player {R.pms[k].player}: improvement unbounded") from None
-        gain = 0.5 * z * q * z + a1 * z if quad else a1 * z
-        if gain - (0.5 * xo * q * xo + a1 * xo) <= eps_open:
+        if slack <= eps_open:
             out[k] = _WHOLE_1
             continue
+        g = (0.0 if gx is None else gx) + c
         rows = (-g / abs(g),) if abs(g) >= 1e-12 else ()
         # a face normal equal to the unit gradient (exactly ±1.0, or NaN for
         # an infinite g) is not repeated

@@ -31,6 +31,7 @@ from .convexsets import (
     EmptyBodyError,
     EnumerationError,
     HPoly,
+    _interval_max,
     _pair_masks,
     hull_body,
     intersect,
@@ -229,6 +230,27 @@ def _own_quadratic(pm: PreferenceMap, x):
         return None, a1, -(0.0 + a1 @ xi)
     A2 = v.Q[pm.block, pm.block] if v.Q.shape[0] == x.size else v.Q
     return A2, a1, -(0.5 * xi @ A2 @ xi + a1 @ xi)
+
+
+def _improvement_1d(g, c, q, quad, xo, lo, hi) -> float:
+    """max_improvement over [lo, hi] of a graded player whose block is one
+    coordinate, on floats: the one 1-D improvement rule, which the
+    verifier's float path and T's boxed blocks read.
+
+    g is the player's entry of Q @ x (None for a linear player), c its own
+    linear coefficient, q its own curvature and quad whether maximize takes
+    it as quadratic; xo is x_i.  a1, a0 and the value follow _own_quadratic
+    and _interval_max term by term, each one-coordinate matmul summed from
+    +0.0 as numpy sums it, so the slack has their bits.  Raises UnboundedLP
+    when the maximum is unbounded.
+    """
+    if g is None:
+        a1 = c
+        a0 = -(0.0 + a1 * xo)
+    else:
+        a1 = g - (0.0 + q * xo) + c
+        a0 = -((0.0 + (0.0 + 0.5 * xo * q) * xo) + (0.0 + a1 * xo))
+    return _interval_max(a1, q, quad, lo, hi)[0] + a0
 
 
 def _own_linear_terms(pm: PreferenceMap, X) -> np.ndarray:

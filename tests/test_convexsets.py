@@ -444,10 +444,48 @@ def test_interval_floats_equal_intervals_bit_for_bit():
                 assert np.float64(got[1]).tobytes() == hi.tobytes(), (k, P.b, got, hi)
 
 
+def _one_row_at_a_time(a, b):
+    """The ratio test's ends as a plain loop: each row in order, the later
+    of two equal ratios kept."""
+    lo, hi = -np.inf, np.inf
+    for ai, bi in zip(a, b):
+        r = bi / ai
+        if ai > 0:
+            if r <= hi:
+                hi = r
+        elif r >= lo:
+            lo = r
+    return lo, hi
+
+
+@pytest.mark.parametrize("length", [8, 9, 10])
+def test_intervals_zero_ties_follow_the_rows_in_order(length):
+    # runs of 8 to 10 rows of one side over every pattern of {+0.0, -0.0, 1}
+    # (numpy reduces runs this long in SIMD lanes, whose order depends on
+    # the host), then seeded bodies with both sides: each zero end has the
+    # sign of the last row that attains it, byte for byte
+    from gnepkit.convexsets import _intervals
+
+    B = np.array(list(itertools.product([0.0, -0.0, 1.0], repeat=length)))
+    rng = np.random.default_rng(length)
+    cases = [(np.ones(length), B), (-np.ones(length), B)]
+    for _ in range(20):
+        a = rng.choice([1.0, -1.0], length)
+        cases.append((a, rng.choice([0.0, -0.0, 1.0, -1.0], (200, length)) * a))
+    for a, B in cases:
+        lo, hi, empty = _intervals(a, B)
+        for g, b in enumerate(B):
+            ref_lo, ref_hi = _one_row_at_a_time(a, b)
+            if ref_lo - ref_hi > 0:
+                continue  # a crossing: emptiness or its midpoint
+            assert not empty[g]
+            assert lo[g].tobytes() == np.float64(ref_lo).tobytes(), (a, b)
+            assert hi[g].tobytes() == np.float64(ref_hi).tobytes(), (a, b)
+
+
 def test_interval_reads_a_zero_tie_as_floats(monkeypatch):
     # a benchmark grid slice: [0, 1/2] cut by x >= 0 and x <= 0.3 ties the
-    # lower ends +0.0 and -0.0 in a run of two rows, which numpy reduces one
-    # element at a time; the float form reads it without _intervals
+    # lower ends +0.0 and -0.0; the float form reads it without _intervals
     from gnepkit import convexsets
 
     monkeypatch.setattr(convexsets, "_intervals", None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,39 @@ def test_verify_1d_game_runs_no_lp(monkeypatch):
     assert calls == []
 
 
+def test_verify_flat_players_build_no_slice(monkeypatch):
+    # a graded player with a 1-D block over a shared slice is certified on
+    # floats: no slice is built, maximized or scanned, at grid nodes,
+    # solved points and points off them (outside X_i, empty slices)
+    from gnepkit import convexsets, preferences
+    from gnepkit.solvers import solve_vi
+
+    games = [g for g in gi.grid_aligned_instances() if g.n == g.n_players]
+    games += [g for g, _ in _benchmark_grid_games() if g.n == g.n_players]
+    games += [gi.random_jointly_convex(seed) for seed in range(5)]
+    points = {id(g): _grid_nodes(g, 0.1) for g in games}
+    for g in games[-5:]:
+        x = solve_vi(g).point
+        points[id(g)] += [x, x + 1e-3, x - 0.3, x + 1.0]
+    assert all(F is not None for g in games for F in g._flat_slices)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the general path ran")
+
+    monkeypatch.setattr(HPoly, "_on_unit_rows", refused)
+    monkeypatch.setattr(convexsets, "maximize", refused)
+    monkeypatch.setattr(preferences, "maximize", refused)
+    monkeypatch.setattr(game_module, "membership_violation", refused)
+    verdicts, notes = set(), set()
+    for g in games:
+        for x in points[id(g)]:
+            cert = verify_equilibrium(g, x)
+            verdicts.add(cert.is_equilibrium)
+            notes.update(cert.notes)
+    assert verdicts == {True, False}
+    assert any("constraint slice empty" in n for n in notes)
+
+
 def test_verify_shared_slice_builds_no_rows(monkeypatch):
     # the slices are built on the game's stored unit rows, and membership
     # and the maxima read rows in place: no row is normalised or copied
@@ -429,6 +464,43 @@ def _benchmark_grid_games():
     return [(split(1.0), 0.1), (split(-1.0), 0.1), (block, 0.05)]
 
 
+def _flat_path_edges():
+    """Games and points at the edges of the verifier's float path: points
+    outside X_i and points whose slices are empty, signed zero coordinates
+    and bounds, own curvatures either side of maximize's 1e-13 cut, joint
+    Q with couplings and a block-sized Q, a convex own block and an X_i
+    without rows (the general path), and unbounded slices (an unbounded
+    improvement takes the general path too)."""
+    split = HPoly(np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0] * 3 + [0.5])
+    X = Box([-0.0], [0.5])
+    axis = [-0.25, -0.0, 0.0, 0.125, 0.25, 0.5, 0.75]
+    points = [np.array(p) for p in itertools.product(axis, repeat=3)]
+    cases = []
+    for q in (-1e-13, -1.0000000000000002e-13, 1e-13, 1.0000000000000002e-13,
+              -0.0, -2.0, 2.0):
+        # player 0's own curvature q, coupled to player 1 by a joint Q
+        Q = np.array([[q, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        variants = [QuadUtility(Q, [1.0, 0.0, -0.0]), QuadUtility([[-2.0]], [0.5]),
+                    LinearUtility([-0.0])]
+        cases.append((jointly_convex_game([X] * 3, variants, split), points))
+    # upper ends at -0.0, where a zero gain and a0 keep their signs
+    below = [np.array(p) for p in itertools.product([-0.5, -0.25, -0.0, 0.0], repeat=3)]
+    for c in (1.0, -1.0, -0.0):
+        variants = [LinearUtility([c]), QuadUtility([[-2.0]], [c]), QuadUtility([[-2.0]], [-c])]
+        cases.append((jointly_convex_game([Box([-0.5], [-0.0])] * 3, variants, split), below))
+    # X_i without rows: its membership is 0 inside, so no slice margin shows
+    free = jointly_convex_game(
+        [Box([-np.inf], [np.inf])] * 2, [QuadUtility([[-2.0]], [1.0])] * 2,
+        HPoly([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0]))
+    cases.append((free, [np.array(p) for p in itertools.product([-0.5, -0.0, 0.25, 2.0], repeat=2)]))
+    one = jointly_convex_game([Box([0.0], [1.0])], [QuadUtility([[-2.0]], [1.0])],
+                              HPoly([[1.0], [-1.0]], [0.7, -0.0]))
+    cases.append((one, [np.array([v]) for v in (-0.5, -0.0, 0.0, 0.3, 0.5, 0.7, 0.9, 1.5)]))
+    line = [np.array(p) for p in itertools.product([-1.0, -0.0, 0.0, 0.5, 3.0], repeat=2)]
+    cases += [(gi.coercive_inward_game(), line), (gi.coercive_outward_game(), line)]
+    return cases
+
+
 def test_certificates_equal_the_reference_verifier_bit_for_bit():
     # every node of the h = 0.1 grid over the bundled grid games (feasible
     # or not), every node of the benchmark-shaped grid games (216, 216, 441),
@@ -440,6 +512,9 @@ def test_certificates_equal_the_reference_verifier_bit_for_bit():
     grids = [(g, 0.1) for g in gi.grid_aligned_instances()] + _benchmark_grid_games()
     for g, h in grids:
         for x in _grid_nodes(g, h):
+            verdicts.add(_assert_same_certificate(g, x))
+    for g, points in _flat_path_edges():
+        for x in points:
             verdicts.add(_assert_same_certificate(g, x))
     for seed in range(50):
         for g, solve in ((gi.random_jointly_convex(seed), solve_vi),
