@@ -198,9 +198,9 @@ class GameInstance:
         (i, j, at, c, q, quad) (GradedRows.flat, i the player), the column
         of K_i(x)'s rows and X_i's right-hand sides as float lists, and the
         moving rows (b, rival, scale) of _slice_rows."""
-        R = self._graded_rows
         out = [None] * self.n_players
-        if self.shared_set is None or R is None:
+        R = None if self.shared_set is None else self._graded_rows
+        if R is None:
             return tuple(out)
         for i, own in zip(R.index, R.flat):
             A, _, b_X, b, rival, scale = self._slice_rows[i]
