@@ -430,8 +430,6 @@ def test_verify_shared_slice_builds_no_rows(monkeypatch):
 
 def _grid_nodes(game, h):
     """Every node of the grid the oracle lays over the X_i at step h."""
-    import itertools
-
     from gnepkit.solvers import _block_grid
 
     grids = [_block_grid(pm.ambient, h) for pm in game.preferences]
@@ -504,8 +502,8 @@ def _flat_path_edges():
 def test_certificates_equal_the_reference_verifier_bit_for_bit():
     # every node of the h = 0.1 grid over the bundled grid games (feasible
     # or not), every node of the benchmark-shaped grid games (216, 216, 441),
-    # and the solved points of the random families with two points off
-    # each: slacks byte for byte, signed zeros included
+    # the float path's edges, and the solved points of the random families
+    # with two points off each: slacks byte for byte, signed zeros included
     from gnepkit.solvers import solve_qvi, solve_vi
 
     verdicts = set()
