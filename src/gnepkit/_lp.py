@@ -1,13 +1,11 @@
-"""Linear-programming helpers (scipy/HiGHS), exact polyhedral projection
-(one NNLS), and a tiny exact QP maximizer.
+"""Linear-programming helpers (scipy/HiGHS) and exact polyhedral projection
+(one NNLS), which with one KKT solve also maximizes a concave quadratic.
 
 All solver-facing feasibility, slack, and support computations funnel through
 here so tolerances and failure modes stay in one place.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -139,72 +137,65 @@ def project_polyhedron(y, A, b):
     return y - (s / r[-1]) * r[:-1]
 
 
-_ACTIVE_SET_CAP = 100_000
+def concave_factor(Q):
+    """L with L L' = -Q + s I, the metric of a negative semidefinite Q:
+    s = max(0, 1e-10 lmax - lmin) over the eigenvalues of -Q shifts only a
+    singular or nearly singular Q.  Raises UnboundedLP for Q = 0."""
+    lam = np.linalg.eigvalsh(-Q)
+    try:
+        return np.linalg.cholesky(-Q + max(0.0, 1e-10 * lam[-1] - lam[0]) * np.eye(len(Q)))
+    except np.linalg.LinAlgError:
+        raise UnboundedLP("Q = 0 has no metric") from None
 
 
 def max_concave_quad(Q, c, A, b, A_eq=None, b_eq=None):
-    """Maximize 0.5 z'Qz + c'z over {A z <= b, A_eq z = b_eq} exactly.
+    """Maximize 0.5 z'Qz + c'z over {A z <= b, A_eq z = b_eq}, Q negative
+    semidefinite and nonzero; returns (value, z).
 
-    Active-set enumeration: every KKT system over a subset of tight rows is
-    solved directly and validated (primal feasibility, multiplier signs).
-    Exact and deterministic, but exponential in the row count -- intended for
-    the small per-player blocks this package works with.  Raises UnboundedLP
-    when no KKT point validates (unbounded or badly degenerate problem).
+    A concave QP is a least-distance program in the metric of -Q (Lawson &
+    Hanson ch. 23): with L from concave_factor, z = L^-T w for the point w
+    of {A L^-T w <= b} nearest L^-1 c, one project_polyhedron on unit rows
+    (an equality as its +/- pair).  One KKT solve with the true Q refines z
+    on the rows tight there (within 1e-9 on unit rows) that an NNLS gives a
+    positive multiplier, so a degenerate vertex keeps independent rows, and
+    a free multiplier per equality: np.linalg.solve at full rank, else
+    least squares.  z is returned only when it validates: A z - b <=
+    1e-8 (1 + max|b|), multipliers >= -1e-8 and a KKT residual at rounding
+    size.  Raises InfeasibleLP when the least-distance program finds the
+    polyhedron empty, UnboundedLP when z does not validate (an unbounded
+    maximum).
     """
     Q = np.asarray(Q, dtype=float)
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(-1, Q.shape[0])
-    b = np.asarray(b, dtype=float).reshape(-1)
     d = Q.shape[0]
-    m = A.shape[0]
-    n_eq = 0 if A_eq is None else len(b_eq)
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=float).reshape(n_eq, d)
-        b_eq = np.asarray(b_eq, dtype=float).reshape(n_eq)
+    c = np.asarray(c, dtype=float).reshape(d)
+    A = np.asarray(A, dtype=float).reshape(-1, d)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    A_eq = np.zeros((0, d)) if A_eq is None else np.asarray(A_eq, dtype=float).reshape(-1, d)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
 
-    total = sum(
-        _ncr(m, k) for k in range(0, min(m, d - n_eq) + 1)
-    )
-    if total > _ACTIVE_SET_CAP:
-        raise LPError(f"active-set enumeration too large ({total} subsets)")
+    Li = np.linalg.inv(concave_factor(Q))
+    M = np.vstack([A, A_eq, -A_eq]) @ Li.T
+    norms = np.linalg.norm(M, axis=1)
+    M /= norms[:, None]
+    beta = np.concatenate([b, b_eq, -b_eq]) / norms
+    w = project_polyhedron(Li @ c, M, beta)
+    m = len(b)
+    S = np.flatnonzero(M[:m] @ w - beta[:m] >= -1e-9 * (1.0 + np.abs(beta[:m])))
+    if len(S):
+        mu, _ = nnls(np.hstack([A[S].T, A_eq.T, -A_eq.T]), c + Q @ (Li.T @ w))
+        S = S[mu[: len(S)] > 0.0]
 
-    best_val, best_z = -np.inf, None
-    scale = 1.0 + np.abs(b).max(initial=0.0)
-    for k in range(0, min(m, max(d - n_eq, 0)) + 1):
-        for S in itertools.combinations(range(m), k):
-            rows = A[list(S)]
-            rhs = b[list(S)]
-            if A_eq is not None:
-                rows = np.vstack([rows, A_eq]) if rows.size else A_eq
-                rhs = np.concatenate([rhs, b_eq]) if rhs.size else b_eq
-            na = rows.shape[0] if rows.size else 0
-            kkt = np.zeros((d + na, d + na))
-            kkt[:d, :d] = Q
-            if na:
-                kkt[:d, d:] = -rows.T
-                kkt[d:, :d] = rows
-            rhs_full = np.concatenate([-c, rhs if na else np.zeros(0)])
-            try:
-                sol = np.linalg.solve(kkt, rhs_full)
-            except np.linalg.LinAlgError:
-                continue
-            z, mu = sol[:d], sol[d : d + k]
-            if m and np.any(A @ z - b > 1e-8 * scale):
-                continue
-            if k and np.any(mu < -1e-8):
-                continue
-            val = 0.5 * z @ Q @ z + c @ z
-            if val > best_val:
-                best_val, best_z = val, z
-    if best_z is None:
+    # assembled as tests/qp_reference.py does: an equal active set, equal bits
+    rows = np.vstack([A[S], A_eq])
+    kkt = np.block([[Q, -rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+    rhs = np.concatenate([-c, b[S], b_eq])
+    sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    if rank == len(kkt):
+        sol = np.linalg.solve(kkt, rhs)
+    z, mu = sol[:d], sol[d : d + len(S)]
+    residual = np.abs(kkt @ sol - rhs).max()
+    if (np.any(A @ z - b > 1e-8 * (1.0 + np.abs(b).max(initial=0.0)))
+            or np.any(mu < -1e-8)
+            or residual > 1e-8 * (1.0 + np.abs(rhs).max() + np.abs(kkt).max() * np.abs(sol).max())):
         raise UnboundedLP("no validated KKT point (unbounded or degenerate)")
-    return best_val, best_z
-
-
-def _ncr(n, r):
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
+    return 0.5 * z @ Q @ z + c @ z, z

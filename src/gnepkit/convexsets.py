@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from . import _lp
@@ -352,7 +353,7 @@ class HPoly(ConvexBody):
     def _form(self):
         """The VertexForm of a bounded body's rows within the gate, else
         None; VertexForm.body shares one.  Never read in 1-D (intervals)."""
-        if self._poisoned or _lp._ncr(*self.A.shape) > _VERTEX_FORM_SUBSETS or not self._bounded:
+        if self._poisoned or math.comb(*self.A.shape) > _VERTEX_FORM_SUBSETS or not self._bounded:
             return None
         return VertexForm._factored(self.A)
 
@@ -746,7 +747,7 @@ class VertexForm:
         one column, more than cap row subsets, or rank < n.  Only subsets
         of rank n are kept, so no candidate is a point of an edge."""
         m, n = A.shape
-        if n < 2 or _lp._ncr(m, n) > cap:
+        if n < 2 or math.comb(m, n) > cap:
             return None
         S = np.array(list(itertools.combinations(range(m), n)), dtype=int).reshape(-1, n)
         full = np.linalg.matrix_rank(A[S]) == n
@@ -859,7 +860,7 @@ class ConeSection:
         """Min-norm point of co(generators); 0 for whole_space or zero cone.
 
         One generator is its own hull; a 1-D hull with generators of both
-        signs contains 0.  Anything else goes to the enumeration.
+        signs contains 0.  Anything else is one NNLS (_min_norm_hull_point).
         """
         if self.whole_space or self.n_generators == 0:
             return np.zeros(self.dim)
@@ -871,34 +872,14 @@ class ConeSection:
 
 
 def _min_norm_hull_point(G):
-    """Exact min-norm point of co(rows of G) by support enumeration (Wolfe)."""
+    """Exact min-norm point of co(rows of G), one NNLS: min |[G'; 1'] mu -
+    e_{n+1}| over mu >= 0 gives p = G'mu / sum(mu).  At the best scale of mu
+    the residual is |p|^2 / (1 + |p|^2), least at the min-norm point."""
     k, n = G.shape
-    best, best_norm = G[0], np.linalg.norm(G[0])
-    for size in range(1, min(k, n + 1) + 1):
-        for S in itertools.combinations(range(k), size):
-            Gs = G[list(S)]
-            M = np.zeros((size + 1, size + 1))
-            M[:size, :size] = Gs @ Gs.T
-            M[:size, size] = -1.0
-            M[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[size] = 1.0
-            try:
-                sol = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            lam = sol[:size]
-            if np.any(lam < -1e-12):
-                continue
-            p = Gs.T @ lam
-            # Wolfe optimality over the full generator set
-            if np.all(G @ p >= p @ p - 1e-10):
-                nn = np.linalg.norm(p)
-                if nn < best_norm - 1e-15:
-                    best, best_norm = p, nn
-                if nn <= 1e-10:
-                    return p
-    return best
+    f = np.zeros(n + 1)
+    f[-1] = 1.0
+    mu, _ = nnls(np.vstack([G.T, np.ones(k)]), f)
+    return G.T @ mu / mu.sum()
 
 
 def separate(body: ConvexBody, y):
@@ -1004,14 +985,15 @@ def maximize(body: ConvexBody, c, Q=None):
     2 or more dimensions within the _VERTEX_FORM_SUBSETS gate (HPoly._form),
     else one LP.  A nonzero Q must be negative semidefinite.  A diagonal Q
     over a Box or a 1-D HPoly separates into one clip per coordinate; any
-    other Q is
-    answered by exact KKT enumeration over the rows and equalities (hrep()
-    rows are the closure's: only the strict flags differ; an equality's
-    +/- pair is passed as the equality).
-    Raises
-    UnboundedLP when the maximum is unbounded, EmptyBodyError when a zero
-    row empties the polyhedron, EnumerationError for a Ball with a nonzero
-    Q, the one body with neither a closed form nor an H-representation.
+    other Q is one least-distance NNLS and one KKT solve over the rows and
+    equalities (_lp.max_concave_quad; hrep() rows are the closure's: only
+    the strict flags differ; an equality's +/- pair is passed as the
+    equality), or the hull of a vertex-form body's vertices when the NNLS
+    finds it empty within its rounding.  Raises UnboundedLP when the
+    maximum is unbounded, EmptyBodyError when the polyhedron is empty
+    (InfeasibleLP from a linear program's LP), EnumerationError for a Ball
+    with a nonzero Q, the one body with neither a closed form nor an
+    H-representation.
     """
     c = _as_vec(c, body.dim)
     quadratic = Q is not None and np.abs(Q).max(initial=0.0) > 1e-13
@@ -1054,10 +1036,22 @@ def maximize(body: ConvexBody, c, Q=None):
     first, paired = _pair_masks(*h)
     A, b = h[0][~paired], h[1][~paired]
     eq = (h[0][first], h[1][first]) if first.any() else (None, None)
-    if quadratic:
-        val, z = _lp.max_concave_quad(Q, c, A, b, *eq)
-    else:
+    if not quadratic:
         val, z = _lp.max_linear(c, A, b, *eq)
+        return float(val), z
+    try:
+        val, z = _lp.max_concave_quad(Q, c, A, b, *eq)
+    except _lp.InfeasibleLP:
+        # a vertex-form body thinner than the least-distance program's
+        # rounding is still the hull of its vertices; in the metric of -Q
+        # its argmax is the hull's point nearest L^-1 c, one min-norm NNLS
+        V = body.vertices() if body._form is not None else ()
+        if not len(V):
+            raise EmptyBodyError("maximization over an empty polyhedron") from None
+        L = _lp.concave_factor(Q)
+        u = np.linalg.solve(L, c)
+        z = np.linalg.solve(L.T, u + _min_norm_hull_point(V @ L - u))
+        val = 0.5 * z @ Q @ z + c @ z
     return float(val), z
 
 

@@ -192,9 +192,9 @@ class GameInstance:
     def _flat_slices(self):
         """Per player, the float data with which verify_equilibrium certifies
         it (_flat_slacks), else None.  A player has them when its block is
-        a flat one of _graded_rows (one coordinate, a curvature maximize
-        separates) under a shared slice, and X_i has a row with a finite
-        right-hand side, so that the slice's worst margin is finite:
+        a flat one of _graded_rows (one coordinate) under a shared slice,
+        and X_i has a row with a finite right-hand side, so that the
+        slice's worst margin is finite:
         (i, j, at, c, q, quad) (GradedRows.flat, i the player), the column
         of K_i(x)'s rows and X_i's right-hand sides as float lists, and the
         moving rows (b, rival, scale) of _slice_rows."""
@@ -361,11 +361,11 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
     (inf, 0) and a note; one whose improvement is unbounded over a nonempty
     slice gets an infinite emptiness slack and a note.
 
-    A graded player whose block is one coordinate, with a curvature that
-    maximize separates, over a shared slice (GameInstance._flat_slices) is
-    certified on Python floats (_flat_slacks), with the bits of the general
-    path; a NaN or an unbounded improvement sends it back to the general
-    path, which every other player takes.
+    A graded player whose block is one coordinate, over a shared slice
+    (GameInstance._flat_slices), is certified on Python floats
+    (_flat_slacks), with the bits of the general path; a NaN or an
+    unbounded improvement sends it back to the general path, which every
+    other player takes.
     Raises ValueError when x is not a vector of the game's size or has a
     non-finite coordinate.
     """
@@ -403,9 +403,10 @@ def _slacks(game: GameInstance, i: int, pm: PreferenceMap, x, tol: Tolerances, s
     if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
         # trips the self-preference guard; graded variants cannot trip it
         pref_set(pm, x, tol.eps_open, seed)
-    # an empty slice surfaces while building it, in the closed-form
-    # (EmptyBodyError) or LP (InfeasibleLP) support of the improvement,
-    # or as a quadratic improvement without a KKT point
+    # an empty slice surfaces while building it, or in maximize: as
+    # EmptyBodyError from a closed form, the vertex candidates or a
+    # quadratic improvement's least-distance program, or as InfeasibleLP
+    # from an LP support
     xi = pm.own(x)
     try:
         K = constraint_body(game, i, x)

@@ -87,9 +87,9 @@ class GradedRows:
     block; a stacked product is each player's own Q @ x bit for bit, the
     product _own_quadratic and the verifier take.
 
-    flat[k] is (j, at, c, q, quad) when block k is one coordinate whose
-    curvature maximize separates (a linear objective up to 1e-13, else a
-    nonpositive one), the floats that preferences._improvement_1d reads:
+    flat[k] is (j, at, c, q, quad) when block k is one coordinate, whose
+    curvature maximize separates (PreferenceMap refuses a positive one),
+    the floats that preferences._improvement_1d reads:
     its joint coordinate j, its position at in gather (None when linear),
     its own c and curvature q, and whether maximize takes q as quadratic;
     else None.  The verifier certifies such a player of a shared slice on
@@ -127,12 +127,10 @@ class GradedRows:
                 gather.extend(range(len(Qs) * n + j, len(Qs) * n + j + d))
                 Qs.append(v.Q)
                 A2 = v.Q[pm.block, pm.block]
-                # maximize's rules: a linear objective up to 1e-13, else a
-                # separable one only with a nonpositive diagonal
+                # maximize's rule: a linear objective up to 1e-13
                 q, quad = float(A2[0, 0]), bool(np.abs(A2).max() > 1e-13)
             at = None if span is None else span.start
-            flat.append((j, at, float(v.c[j]), q, quad) if d == 1 and (not quad or q <= 0.0)
-                        else None)
+            flat.append((j, at, float(v.c[j]), q, quad) if d == 1 else None)
             # a pinned coordinate (lo == hi) is an equality: general, as a simplex
             P = tangent_projector(X) if len(X.equalities()[1]) else None
             if isinstance(X, Box) and flat[k] is not None and P is None:

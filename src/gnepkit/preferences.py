@@ -72,7 +72,8 @@ class QuadUtility:
     """u(x) = 0.5 x'Qx + <c, x>; the player's own diagonal block must be NSD.
 
     The full Q may be indefinite (bilinear couplings are how profit terms
-    <p, b> enter); concavity is only required in the player's own variables.
+    <p, b> enter); concavity is only required in the player's own variables,
+    and PreferenceMap checks it once the block is known.
     """
 
     Q: np.ndarray
@@ -147,7 +148,11 @@ Variant = (LinearUtility, QuadUtility, PolyhedralPref, UnionPref, RelationOracle
 
 @dataclass(frozen=True)
 class PreferenceMap:
-    """A variant bound to a player: block location plus own choice set X_i."""
+    """A variant bound to a player: block location plus own choice set X_i.
+
+    Refuses (ValueError) a QuadUtility whose own block has an eigenvalue
+    above maximize's 1e-13 cut: a convex block has no concave best response.
+    """
 
     player: int
     block_start: int
@@ -162,6 +167,12 @@ class PreferenceMap:
                 self.ambient):
             raise ValueError(f"player {self.player}: X_i kind={self.ambient.kind!r} is not "
                              "polyhedral, but the preference is given by rows")
+        if isinstance(self.variant, QuadUtility):
+            Q = self.variant.Q
+            own = Q if len(Q) == self.block_dim else Q[self.block, self.block]
+            if np.linalg.eigvalsh(own).max(initial=0.0) > 1e-13:
+                raise ValueError(f"player {self.player}: the own block of Q is not negative "
+                                 "semidefinite")
 
     # read several times per player in every operator evaluation and
     # certificate, so kept once per (frozen) map

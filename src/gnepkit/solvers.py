@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,7 +262,7 @@ def _hull_intervals(op: OperatorEval):
 def _n_hull_candidates(m: int, d: int) -> int:
     """The number of rows _interval_hull_candidates builds for m pieces
     over d interval coordinates."""
-    return sum(_lp._ncr(d, f) * 2 ** (d - f) * (_lp._ncr(m, f + 1) if f else 1)
+    return sum(math.comb(d, f) * 2 ** (d - f) * (math.comb(m, f + 1) if f else 1)
                for f in range(d + 1))
 
 
@@ -745,8 +746,6 @@ def _group_maxima(game: GameInstance, pm, reps: np.ndarray, A2, a1):
     if pm.block_dim == 1:
         # maximize's 1-D forms: a linear maximum reads no curvature
         q = 0.0 if linear else A2[0, 0]
-        if q > 0.0:
-            return None
         lo, hi, empty = _intervals(A[:, 0], B)
         lo[empty] = hi[empty] = 0.0
         c = a1[:, 0]

@@ -307,6 +307,20 @@ def test_box_with_lo_above_hi_exit_2(tmp_path):
     assert run("solve", _split_file(tmp_path, lo=2.0), "--out-dir", tmp_path / "o") == 2
 
 
+def test_convex_own_block_exit_2(tmp_path, capsys):
+    # a quadratic player whose own curvature is positive has no concave best
+    # response: refused at load
+    game = json.loads(_split_file(tmp_path).read_text())
+    game["players"][1]["variant"] = {"kind": "quad", "Q": [[0.0, 0.0], [0.0, 2.0]],
+                                     "c": [0.0, 1.0]}
+    path = tmp_path / "convex.json"
+    path.write_text(json.dumps(game))
+    assert run("verify", path, "--point", "0.5,0.5", "--out-dir", tmp_path / "v") == 2
+    assert run("solve", path, "--out-dir", tmp_path / "s") == 2
+    assert capsys.readouterr().err.count("player 1: the own block of Q is not negative") == 2
+    assert not any((tmp_path / d).exists() for d in ("v", "s"))
+
+
 def test_non_polyhedral_shared_set_or_choice_set_exit_2(tmp_path, capsys):
     # a Ball cannot be a shared set or a consumer choice set, so these files
     # are written by hand: the splitting game over a disc, and the pure

@@ -110,7 +110,7 @@ def test_ball_projection():
 
 def test_hpoly_projection_matches_exact(rng):
     # random bounded polyhedra: least-distance NNLS vs exact QP enumeration
-    from gnepkit import _lp
+    from qp_reference import max_concave_quad
 
     for _ in range(30):
         d = int(rng.integers(1, 4))
@@ -120,7 +120,7 @@ def test_hpoly_projection_matches_exact(rng):
         P = HPoly(A, b)
         y = rng.standard_normal(d) * 2
         z = P.project(y)
-        _, z_exact = _lp.max_concave_quad(-np.eye(d), y, A, b)
+        _, z_exact = max_concave_quad(-np.eye(d), y, A, b)
         assert np.allclose(z, z_exact, atol=1e-9)
 
 
@@ -128,7 +128,7 @@ def test_hpoly_projection_exact_on_seeded_family():
     # 300 polytopes (n <= 5, m <= 19) with thin slack on some rows.  Draws
     # 12, 84, 96, 126, 245 and 256 defeat sweep methods that stop on a small
     # move (Dykstra): they end feasible but 2e-3 to 3e-2 off the projection.
-    from gnepkit import _lp
+    from qp_reference import max_concave_quad
 
     rng = np.random.default_rng(0)
     for k in range(300):
@@ -139,7 +139,7 @@ def test_hpoly_projection_exact_on_seeded_family():
         b = A @ c + rng.uniform(0.05, 1.0, len(A))
         y = c + rng.uniform(1.0, 3.0) * rng.standard_normal(d)
         z = HPoly(A, b).project(y)
-        _, z_exact = _lp.max_concave_quad(-np.eye(d), y, A, b)
+        _, z_exact = max_concave_quad(-np.eye(d), y, A, b)
         assert np.allclose(z, z_exact, atol=1e-9), (k, z, z_exact)
 
 
@@ -835,6 +835,23 @@ def test_maximize_quadratic_matches_grid(rng):
             assert P.contains(z, eps=1e-9)
 
 
+@pytest.mark.parametrize("g", [-2e-8, -5e-9, -1e-9, -1e-10, 0.0, 1e-9])
+def test_quadratic_maximum_over_a_thin_or_crossing_slab(g):
+    # {x0 <= g, x0 >= 0} x [0, 1]: empty at -2e-8 by its vertex form; from
+    # -5e-9 to -1e-10 the least-distance program finds it empty within its
+    # rounding and the hull of its vertices answers, as HPoly.project does
+    body = HPoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [g, 0.0, 1.0, 0.0])
+    for c in ([0.3, 0.4], [-0.3, 0.4], [1.0, 1.0], [-1.0, 2.0], [0.0, 0.0]):
+        if g == -2e-8:
+            with pytest.raises(EmptyBodyError):
+                maximize(body, c, -np.eye(2))
+            continue
+        val, z = maximize(body, c, -np.eye(2))
+        assert np.allclose(z, body.project(c), rtol=0.0, atol=1e-15), c
+        assert val == -0.5 * z @ z + np.dot(c, z)
+        assert body.margins(z).max() <= 1e-8
+
+
 def test_maximize_errors():
     from gnepkit import _lp
 
@@ -891,14 +908,14 @@ def _separable_family(rng, q_lo, q_hi):
 
 def test_maximize_separable_matches_enumerator():
     # the per-coordinate clips against the active-set enumeration they replace
-    from gnepkit import _lp
+    from qp_reference import max_concave_quad
 
     rng = np.random.default_rng(17)
     # |q| < 1: the enumerator's KKT solve pivots on the bound's row and lands
     # exactly on the bound, so 1-D bodies agree bit for bit
     for body, c, Q in _separable_family(rng, 0.05, 0.95):
         A, b, _ = body.hrep()
-        want_val, want_z = _lp.max_concave_quad(Q, c, A, b)
+        want_val, want_z = max_concave_quad(Q, c, A, b)
         val, z = maximize(body, c, Q)
         if body.dim == 1:
             assert (val, z[0]) == (want_val, want_z[0]), body
@@ -909,7 +926,7 @@ def test_maximize_separable_matches_enumerator():
     # the clip returns the bound itself
     for body, c, Q in _separable_family(rng, 1.0, 5.0):
         A, b, _ = body.hrep()
-        want_val, want_z = _lp.max_concave_quad(Q, c, A, b)
+        want_val, want_z = max_concave_quad(Q, c, A, b)
         val, z = maximize(body, c, Q)
         assert val == pytest.approx(want_val, abs=1e-12), body
         assert np.allclose(z, want_z, rtol=0.0, atol=1e-12), body
@@ -1083,7 +1100,7 @@ def test_min_norm_point_wolfe_condition(rng):
 
 
 def test_min_norm_point_closed_forms_match_enumeration():
-    from gnepkit.convexsets import _min_norm_hull_point
+    from qp_reference import min_norm_hull_point
 
     rng = np.random.default_rng(23)
     cones = [ConeSection.from_vectors(rng.uniform(0.1, 10.0) * rng.standard_normal(d), d)
@@ -1092,8 +1109,22 @@ def test_min_norm_point_closed_forms_match_enumeration():
                                         [-s * rng.uniform(0.1, 10.0)]], 1)
               for s in (1.0, -1.0) for _ in range(50)]
     for C in cones:
-        want = _min_norm_hull_point(C.generators)
+        want = min_norm_hull_point(C.generators)
         assert C.min_norm_point().tobytes() == want.tobytes(), C.generators
+
+
+def test_min_norm_point_equals_the_support_reference():
+    # one NNLS against Wolfe's support enumeration, hulls of 2-6 generators
+    from qp_reference import min_norm_hull_point
+
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        d = int(rng.integers(1, 5))
+        C = ConeSection.from_vectors(rng.standard_normal((int(rng.integers(2, 7)), d)), d)
+        if C.n_generators < 2:
+            continue
+        want = min_norm_hull_point(C.generators)
+        assert np.allclose(C.min_norm_point(), want, rtol=0.0, atol=1e-12), C.generators
 
 
 def test_polar_check():

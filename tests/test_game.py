@@ -462,25 +462,36 @@ def _benchmark_grid_games():
     return [(split(1.0), 0.1), (split(-1.0), 0.1), (block, 0.05)]
 
 
+def _coupled_variants(q):
+    """Player 0's own curvature q, coupled to player 1 by a joint Q."""
+    Q = np.array([[q, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    return [QuadUtility(Q, [1.0, 0.0, -0.0]), QuadUtility([[-2.0]], [0.5]),
+            LinearUtility([-0.0])]
+
+
+@pytest.mark.parametrize("q", [1.0000000000000002e-13, 2.0])
+def test_a_convex_own_curvature_is_refused(q):
+    # one ulp above maximize's 1e-13 cut is convex: no concave best response
+    split = HPoly(np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0] * 3 + [0.5])
+    with pytest.raises(ValueError, match="player 0: the own block of Q is not negative"):
+        jointly_convex_game([Box([-0.0], [0.5])] * 3, _coupled_variants(q), split)
+
+
 def _flat_path_edges():
     """Games and points at the edges of the verifier's float path: points
     outside X_i and points whose slices are empty, signed zero coordinates
-    and bounds, own curvatures either side of maximize's 1e-13 cut, joint
-    Q with couplings and a block-sized Q, a convex own block and an X_i
-    without rows (the general path), and unbounded slices (an unbounded
-    improvement takes the general path too)."""
+    and bounds, flat own curvatures either side of -1e-13 and up to
+    maximize's 1e-13 cut (one ulp above it is refused:
+    test_a_convex_own_curvature_is_refused), joint Q with couplings and a
+    block-sized Q, an X_i without rows (the general path), and unbounded
+    slices (an unbounded improvement takes the general path too)."""
     split = HPoly(np.vstack([-np.eye(3), np.ones((1, 3))]), [0.0] * 3 + [0.5])
     X = Box([-0.0], [0.5])
     axis = [-0.25, -0.0, 0.0, 0.125, 0.25, 0.5, 0.75]
     points = [np.array(p) for p in itertools.product(axis, repeat=3)]
     cases = []
-    for q in (-1e-13, -1.0000000000000002e-13, 1e-13, 1.0000000000000002e-13,
-              -0.0, -2.0, 2.0):
-        # player 0's own curvature q, coupled to player 1 by a joint Q
-        Q = np.array([[q, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]])
-        variants = [QuadUtility(Q, [1.0, 0.0, -0.0]), QuadUtility([[-2.0]], [0.5]),
-                    LinearUtility([-0.0])]
-        cases.append((jointly_convex_game([X] * 3, variants, split), points))
+    for q in (-1e-13, -1.0000000000000002e-13, 1e-13, -0.0, -2.0):
+        cases.append((jointly_convex_game([X] * 3, _coupled_variants(q), split), points))
     # upper ends at -0.0, where a zero gain and a0 keep their signs
     below = [np.array(p) for p in itertools.product([-0.5, -0.25, -0.0, 0.0], repeat=3)]
     for c in (1.0, -1.0, -0.0):
@@ -667,3 +678,55 @@ def test_far_point_just_outside_orthant_has_shrinking_improvement(seed, x):
         g.shared_set, 1e-7, np.random.default_rng(0))
     assert np.linalg.norm(z) < np.linalg.norm(x) - 1e-9
     _assert_improvement(g, A, b, x, z, np.linalg.norm(x), True)
+
+
+def _box_block_game(d, seed):
+    """Three players, each with a d-D block on [-0.5, 1.5]^d and a linear
+    or diagonal concave quadratic utility (player 0 always quadratic), under
+    the unit cube cut by one row, as in instances.random_jointly_convex."""
+    rng = np.random.default_rng(seed)
+    n = 3 * d
+    a = rng.standard_normal(n)
+    a /= np.linalg.norm(a)
+    cut = 0.5 * a.sum() + rng.uniform(0.1, 0.4)
+    shared = HPoly(np.vstack([np.eye(n), -np.eye(n), a]),
+                   np.concatenate([np.ones(n), np.zeros(n), [cut]]))
+    variants = []
+    for i in range(3):
+        if i and rng.uniform() < 0.5:
+            variants.append(LinearUtility(rng.choice([-1.0, 1.0], d)))
+        else:
+            gamma = rng.uniform(0.1, 0.27, d)
+            m = rng.uniform(-0.3, 1.3, d)
+            variants.append(QuadUtility(np.diag(-2.0 * gamma), 2.0 * gamma * m))
+    return jointly_convex_game([Box(np.full(d, -0.5), np.full(d, 1.5))] * 3, variants, shared)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 16])
+def test_certificates_on_box_blocks_up_to_16_dimensions(d, monkeypatch):
+    # a quadratic best response over a d-D slice is one NNLS and one KKT
+    # solve; up to 4-D its slacks equal those of the active-set enumeration.
+    # Some slices of player 0 (d = 1 and 5) are empty, by an LP too.
+    from gnepkit import _lp
+    from qp_reference import max_concave_quad
+
+    for seed in range(3):
+        game = _box_block_game(d, seed)
+        for t in (0.4, 0.1, 0.0):
+            x = np.full(game.n, t)
+            cert = verify_equilibrium(game, x)
+            for i, f in enumerate(cert.feasibility_slacks):
+                if np.isfinite(f):
+                    continue
+                assert f"player {i}: constraint slice empty" in cert.notes
+                K = constraint_body(game, i, x)
+                with pytest.raises(_lp.InfeasibleLP):
+                    _lp.max_linear(np.zeros(d), K.A, K.b)
+            assert len(cert.notes) == np.isinf(cert.feasibility_slacks).sum()
+            if d <= 4:
+                with monkeypatch.context() as m:
+                    m.setattr(_lp, "max_concave_quad", max_concave_quad)
+                    want = verify_equilibrium(game, x)
+                assert np.allclose(cert.emptiness_slacks, want.emptiness_slacks,
+                                   rtol=0.0, atol=1e-12)
+                assert np.array_equal(cert.feasibility_slacks, want.feasibility_slacks)

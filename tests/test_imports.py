@@ -1,5 +1,6 @@
-"""Every name a gnepkit module imports is used in that module, and every
-private module-level function or class is named somewhere in the package.
+"""Every name a gnepkit module imports is used in that module, every
+private module-level function or class is named somewhere in the package,
+and every function of _lp is named by another of its modules.
 
 Read with the standard library's ast: a name counts as used when it
 appears as a name anywhere in the module's code (an annotation included,
@@ -65,3 +66,14 @@ def test_every_private_definition_is_named():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in named]
     assert not dead, f"defined but never named: {dead}"
+
+
+def test_every_lp_function_is_named_by_another_module():
+    """Each module-level function of _lp serves some other module of the
+    package, so no test-only oracle (such as the active-set enumeration in
+    tests/qp_reference.py) sits in the solver's helpers."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    lp = trees.pop("_lp.py")
+    named = set().union(*map(_named, trees.values()))
+    functions = [node.name for node in lp.body if isinstance(node, ast.FunctionDef)]
+    assert functions and [f for f in functions if f not in named] == []

@@ -5,6 +5,7 @@ import pytest
 
 from gnepkit import _lp
 from gnepkit.convexsets import project_simplex
+from qp_reference import max_concave_quad
 
 
 def _project_simplex_oracle(y, scale=1.0):
@@ -54,7 +55,7 @@ def test_simplex_projection_fixed_point():
 def _project_poly_oracle(A, b, y):
     # exact euclidean projection via concave-QP enumeration:
     # argmax -0.5|z|^2 + <y, z>  over  Az <= b
-    _, z = _lp.max_concave_quad(-np.eye(len(y)), y, A, b)
+    _, z = max_concave_quad(-np.eye(len(y)), y, A, b)
     return z
 
 

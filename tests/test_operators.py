@@ -155,21 +155,26 @@ def _points(lo, hi, rng, k=40):
     return pts
 
 
-def _cross_game():
+def _cross_game(q1=-1.5):
     """Two players on 3-D and 1-D boxes: diagonal own curvature with one flat
-    coordinate, and couplings between the blocks."""
+    coordinate, and couplings between the blocks; q1 is player 1's own
+    curvature."""
     Q = np.zeros((4, 4))
     Q[:3, :3] = np.diag([-1.0, -2.0, 0.0])
     Q[0, 3] = Q[3, 0] = 0.7
     Q[1, 3] = Q[3, 1] = -0.4
     Q[3, 3] = -1.5
+    Q1 = -Q
+    Q1[3, 3] = q1
     X = [Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), Box([-1.0], [2.0])]
     prefs = (PreferenceMap(0, 0, X[0], QuadUtility(Q, [0.3, 1.1, -0.2, 0.0])),
-             PreferenceMap(1, 3, X[1], QuadUtility(-Q, [0.0, 0.0, 0.0, 0.5])))
+             PreferenceMap(1, 3, X[1], QuadUtility(Q1, [0.0, 0.0, 0.0, 0.5])))
     return GameInstance(prefs, tuple(FixedConstraint(b) for b in X), None, "cross")
 
 
 def test_nd_box_block_with_diagonal_curvature_equals_reference():
+    with pytest.raises(ValueError, match="player 1: the own block of Q is not negative"):
+        _cross_game(1.5)
     game = _cross_game()
     rng = np.random.default_rng(3)
     pts = _points([0.0, 0.0, 0.0, -1.0], [1.0, 1.0, 1.0, 2.0], rng)

@@ -3,10 +3,10 @@ solve per n-row subset, deduplicated pair by pair, kept out of gnepkit,
 whose one enumerator is convexsets.VertexForm."""
 
 import itertools
+import math
 
 import numpy as np
 
-from gnepkit import _lp
 from gnepkit.convexsets import (
     _VERTEX_DEDUP,
     _VERTEX_FEAS_RTOL,
@@ -38,7 +38,7 @@ def _enumerate_vertices(A, b):
     there tells such a point from a vertex.
     """
     m, n = A.shape
-    if _lp._ncr(m, n) > _VERTEX_SUBSET_CAP:
+    if math.comb(m, n) > _VERTEX_SUBSET_CAP:
         raise EnumerationError(f"too many row subsets ({m} choose {n})")
     tol = _VERTEX_FEAS_RTOL * (1.0 + np.abs(b))
     out = []
