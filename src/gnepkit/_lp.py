@@ -1,8 +1,8 @@
 """Linear-programming helpers (scipy/HiGHS) and exact polyhedral projection
 (one NNLS), which with one KKT solve also maximizes a concave quadratic.
 
-All solver-facing feasibility, slack, and support computations funnel through
-here so tolerances and failure modes stay in one place.
+The projection's least-distance program also decides emptiness (Farkas);
+the LPs answer values, centres and recession cones, never emptiness.
 """
 
 from __future__ import annotations
@@ -49,26 +49,22 @@ def max_linear(c, A=None, b=None, A_eq=None, b_eq=None, bounds=None):
     return -res.fun, res.x
 
 
-def max_slack(A, b, strict_mask, cap=1e6):
-    """Largest margin s with A x <= b - s on strict rows (A x <= b elsewhere).
-
-    Rows must be unit-normalized for s to mean Euclidean distance.  Returns
-    (s, x); raises InfeasibleLP when even the closure is empty.  s is capped,
-    so a cap-valued result just means "comfortably nonempty".
+def max_slack(A, b, strict_mask):
+    """Largest margin s <= 1 with A x <= b - s on strict rows (A x <= b
+    elsewhere): a value, not an emptiness test; 1 means "comfortably
+    nonempty".  Rows must be unit-normalized for s to mean Euclidean
+    distance.  Returns (s, x); raises InfeasibleLP when the closure is empty.
     """
     A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    col = np.asarray(strict_mask, dtype=float).reshape(m, 1)
-    A_ext = np.hstack([A, col])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(None, None)] * n + [(None, cap)]
-    res = solve_lp(c, A_ext, b, bounds=bounds)
-    return -res.fun, res.x[:n]
+    col = np.asarray(strict_mask, dtype=float).reshape(-1, 1)
+    c = np.append(np.zeros(A.shape[1]), -1.0)
+    res = solve_lp(c, np.hstack([A, col]), b, bounds=[(None, None)] * A.shape[1] + [(None, 1.0)])
+    return -res.fun, res.x[:-1]
 
 
 def chebyshev_center(A, b):
-    """Deepest point of {A x <= b} (rows unit-normalized): returns (x, r)."""
+    """Deepest point of {A x <= b} (rows unit-normalized): returns (x, r).
+    For HPoly.interior_point and sample; emptiness is project_polyhedron's."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     A_ext = np.hstack([A, np.ones((m, 1))])

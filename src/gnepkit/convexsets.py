@@ -110,7 +110,8 @@ class ConvexBody:
         return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
     def is_empty(self, eps_open: float = DEFAULT_EPS_OPEN) -> bool:
-        """Whether the body (open faces honored) has no point."""
+        """Whether the body has no point with margin eps_open on its open
+        faces; eps_open = 0 asks about the closure."""
         return False
 
     def interior_point(self):
@@ -317,7 +318,8 @@ class HPoly(ConvexBody):
         """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty:
         _ratio_interval on the rows read as Python floats, equal to
         _intervals on this one body bit for bit (tests/test_convexsets.py
-        holds the two together).  A NaN ratio is left to _intervals."""
+        holds the two together).  A NaN end is left to _intervals, whose
+        reduction may keep another NaN (sign bit) than the float loop."""
         if self._poisoned:
             return None
         out = _ratio_interval(self.A[:, 0].tolist(), self.b.tolist())
@@ -328,11 +330,9 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _chebyshev(self):
-        if self._poisoned:
-            return None
+        """(center, radius) for interior_point and sample, read once _empty
+        is False; the origin's projection and 0 where the LP finds none."""
         if self.dim == 1:
-            if self._interval is None:
-                return None
             lo, hi = self._interval
             # the radius cap of _lp.chebyshev_center
             r = min(0.5 * (hi - lo), 1e3)
@@ -342,12 +342,9 @@ class HPoly(ConvexBody):
                 x = lo + r if np.isfinite(lo) else hi - r if np.isfinite(hi) else 0.0
             return np.array([x]), r
         try:
-            x, r = _lp.chebyshev_center(self.A, self.b)
+            return _lp.chebyshev_center(self.A, self.b)
         except _lp.InfeasibleLP:
-            return None
-        # the LP meets its r >= 0 bound only up to its feasibility tolerance:
-        # a negative radius is a crossing of the rows, so the body is empty
-        return None if r < 0 else (x, r)
+            return self.project(np.zeros(self.dim)), 0.0
 
     @cached_property
     def _form(self):
@@ -371,25 +368,26 @@ class HPoly(ConvexBody):
 
     @cached_property
     def _empty(self):
-        """The one emptiness verdict of the closure that every query reads:
-        a violated zero row, the 1-D interval, the vertex form's candidate
-        set (empty exactly when no candidate is feasible) of a bounded body
-        within the gate, else a negative Chebyshev radius."""
+        """The one emptiness verdict of the closure that every query reads,
+        is_empty(0.0) included: a violated zero row, the 1-D interval, the
+        vertex form's candidate set (empty exactly when no candidate is
+        feasible) of a bounded body within the gate, else the least-distance
+        program on the rows (_ldp_empty).  No LP decides it."""
         if self._poisoned:
             return True
         if self.dim == 1:
             return self._interval is None
         if self._form is not None:
             return not len(self._candidates)
-        return self._chebyshev is None
+        return _ldp_empty(self.A, self.b)
 
     def is_empty(self, eps_open=DEFAULT_EPS_OPEN):
-        if self._empty:
-            return True
-        if not self.strict.any():
-            return False
-        s, _ = _lp.max_slack(self.A, self.b, self.strict)
-        return s <= eps_open
+        """_empty when eps_open <= 0 or no row is strict; else the NNLS on
+        the strict rows moved in by eps_open, never the vertex form or the
+        interval, whose tolerances are not small against eps_open."""
+        if eps_open <= 0.0 or not self.strict.any():
+            return self._empty
+        return self._poisoned or _ldp_empty(self.A, self.b - eps_open * self.strict)
 
     def project(self, x):
         x = _as_vec(x, self.dim)
@@ -471,7 +469,7 @@ class HPoly(ConvexBody):
         return self._vertices.copy()
 
     def interior_point(self):
-        if self._empty or self._chebyshev is None:
+        if self._empty:
             return None
         x, r = self._chebyshev
         return x if r > 1e-9 else None
@@ -669,12 +667,12 @@ def _ratio_interval(col, rhs):
 
     The min and max take one row at a time and keep the later of two equal
     ratios, which decides a tie of +0.0 with -0.0; _intervals states the
-    same rule.  A NaN ratio makes its end NaN, as numpy's minimum and
-    maximum do.  The body is empty iff lo - hi exceeds the rounding
-    threshold of _lp.project_polyhedron relative to |lo| + |hi|; a smaller
-    crossing is rounding noise and collapses to the midpoint.  The one 1-D
-    ratio test off the grid oracle's batch: HPoly._interval and the
-    verifier's float path (game.verify_equilibrium) read it.
+    same rule.  A NaN ratio makes its end NaN, which game._flat_slacks
+    reads as its cue to take the general path.  The body is empty iff
+    lo - hi exceeds the rounding threshold of _lp.project_polyhedron
+    relative to |lo| + |hi|; a smaller crossing is rounding noise and
+    collapses to the midpoint.  The one 1-D ratio test off the grid
+    oracle's batch.
     """
     lo, hi = -math.inf, math.inf
     for a, r in zip(col, rhs):
@@ -690,6 +688,15 @@ def _ratio_interval(col, rhs):
             return None
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
+
+
+def _ldp_empty(A, b):
+    """Whether {A z <= b} is empty: one least-distance NNLS (Farkas)."""
+    try:
+        _lp.project_polyhedron(np.zeros(A.shape[1]), A, b)
+    except _lp.InfeasibleLP:
+        return True
+    return False
 
 
 def _intervals(a, B):
@@ -991,7 +998,7 @@ def maximize(body: ConvexBody, c, Q=None):
     equality), or the hull of a vertex-form body's vertices when the NNLS
     finds it empty within its rounding.  Raises UnboundedLP when the
     maximum is unbounded, EmptyBodyError when the polyhedron is empty
-    (InfeasibleLP from a linear program's LP), EnumerationError for a Ball
+    (whichever of these finds it so), EnumerationError for a Ball
     with a nonzero Q, the one body with neither a closed form nor an
     H-representation.
     """
@@ -1036,13 +1043,13 @@ def maximize(body: ConvexBody, c, Q=None):
     first, paired = _pair_masks(*h)
     A, b = h[0][~paired], h[1][~paired]
     eq = (h[0][first], h[1][first]) if first.any() else (None, None)
-    if not quadratic:
-        val, z = _lp.max_linear(c, A, b, *eq)
-        return float(val), z
     try:
+        if not quadratic:
+            val, z = _lp.max_linear(c, A, b, *eq)
+            return float(val), z
         val, z = _lp.max_concave_quad(Q, c, A, b, *eq)
     except _lp.InfeasibleLP:
-        # a vertex-form body thinner than the least-distance program's
+        # a vertex-form body (only a quadratic's) thinner than the NNLS's
         # rounding is still the hull of its vertices; in the metric of -Q
         # its argmax is the hull's point nearest L^-1 c, one min-norm NNLS
         V = body.vertices() if body._form is not None else ()

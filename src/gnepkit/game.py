@@ -403,16 +403,13 @@ def _slacks(game: GameInstance, i: int, pm: PreferenceMap, x, tol: Tolerances, s
     if not isinstance(pm.variant, (LinearUtility, QuadUtility)):
         # trips the self-preference guard; graded variants cannot trip it
         pref_set(pm, x, tol.eps_open, seed)
-    # an empty slice surfaces while building it, or in maximize: as
-    # EmptyBodyError from a closed form, the vertex candidates or a
-    # quadratic improvement's least-distance program, or as InfeasibleLP
-    # from an LP support
+    # an empty slice raises EmptyBodyError, in building it or in maximize
     xi = pm.own(x)
     try:
         K = constraint_body(game, i, x)
         feas = max(membership_violation(K, xi), membership_violation(pm.ambient, xi))
         return feas, max_improvement(pm, x, K, tol.eps_open, seed), None
-    except (EmptyBodyError, _lp.InfeasibleLP):
+    except EmptyBodyError:
         return _empty_slice(i)
     except UnboundedPreferenceError as e:
         if K.is_empty(eps_open=0.0):
@@ -596,7 +593,7 @@ def _joint_improvement_lp(game: GameInstance, x, bodies, radius, shared):
     A = np.vstack([gain, lifted[0], h[0], np.eye(n), -np.eye(n)])
     b = np.concatenate([a0s, lifted[1], h[1], np.full(2 * n, radius / np.sqrt(n) * (1 - 1e-6))])
     try:
-        s, z = _lp.max_slack(A, b, np.arange(len(b)) < len(gain), cap=1.0)
+        s, z = _lp.max_slack(A, b, np.arange(len(b)) < len(gain))
     except (_lp.InfeasibleLP, _lp.UnboundedLP):
         return None
     return z if s > 1e-9 else None

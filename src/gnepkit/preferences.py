@@ -531,7 +531,7 @@ def _poly_slack(rows, over: ConvexBody) -> float:
         s_mask = np.concatenate([np.ones(len(b_p), dtype=bool),
                                  ~_pair_masks(A_o, b_o, strict_o)[1]])
     try:
-        s, _ = _lp.max_slack(A, b, s_mask, cap=1.0)
+        s, _ = _lp.max_slack(A, b, s_mask)
     except _lp.InfeasibleLP:
         return -1.0
     return float(s)

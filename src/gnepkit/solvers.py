@@ -795,14 +795,13 @@ def _improvements_per_group(game: GameInstance, pm, nodes_f: np.ndarray,
     first, inverse = _rival_groups(nodes_f, pm.block)
     for g, rep in enumerate(nodes_f[first]):
         idx = np.nonzero(inverse == g)[0]
-        # an empty slice scores inf, whether building it, its closed-form
-        # support, the support LP or the QP finds it empty
+        # an empty slice scores inf, found in building it or in maximize
         try:
             K = constraint_body(game, i, rep)
             if graded:
                 A2, a1, _ = _own_quadratic(pm, rep)
                 M, _ = maximize(K, a1, A2)
-        except (EmptyBodyError, _lp.InfeasibleLP, _lp.UnboundedLP):
+        except (EmptyBodyError, _lp.UnboundedLP):
             out[idx] = np.inf
             continue
         if graded:

@@ -618,9 +618,9 @@ def test_hull_body_round_trip_enumerates_qhull_vertices():
 def test_is_bounded_is_one_recession_lp(monkeypatch):
     # no bounding-box LPs: a vertex-form body, a hull and a 1-D interval
     # need no LP, rows of rank < n none either, and any other n-D body one
-    # LP on its recession cone, which its emptiness verdict runs first (a
-    # bounded body is then decided by its vertex candidates, an unbounded
-    # one by one Chebyshev LP)
+    # LP on its recession cone, which its emptiness verdict runs first to
+    # know whether it has a vertex form (a bounded body is then decided by
+    # its vertex candidates, an unbounded one by the least-distance NNLS)
     from gnepkit import _lp
     from gnepkit.convexsets import VertexForm
 
@@ -630,9 +630,9 @@ def test_is_bounded_is_one_recession_lp(monkeypatch):
              (HPoly([[1.0], [-1.0]], [1.0, 0.0]), True, []),
              (HPoly([[1.0], [-2.0]], [1.0, 5.0]), True, []),
              (HPoly([[1.0]], [1.0]), False, []),
-             (HPoly(square[:2], [1.0, 1.0]), False, ["lp"]),  # a strip: rank 1
+             (HPoly(square[:2], [1.0, 1.0]), False, []),  # a strip: rank 1
              (triangle(), True, ["cone", "lp"]),
-             (HPoly(-np.eye(2), np.zeros(2)), False, ["cone", "lp", "lp"])]  # the orthant
+             (HPoly(-np.eye(2), np.zeros(2)), False, ["cone", "lp"])]  # the orthant
     for P, bounded, lps in cases:
         calls = []
         monkeypatch.setattr(_lp, "solve_lp",
@@ -1398,3 +1398,165 @@ def test_quadratic_maximum_over_a_one_point_simplex():
     # Simplex(1, 2) is the point {2}: the maximum of -0.5 z^2 - z there is -4
     val, z = maximize(Simplex(1, 2.0), [-1.0], [[-1.0]])
     assert z.tolist() == [2.0] and val == pytest.approx(-4.0, abs=1e-12)
+
+
+# -- open faces ---------------------------------------------------------------
+
+
+_SQUARE_ROWS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _open_face_bodies(rng):
+    """Seeded strict bodies in 1-3 dimensions at scales 0.1 to 1e3, each as
+    (kind, scale, body): rows near a random point inside a box of side
+    2 scale ("bounded"), without the box and with every other draw's first
+    row opposed ("unbounded"), and the bounded rows in a vertex form
+    ("vertex_form"), about half of them strict.  Every third nonempty
+    body's strict rows are moved so that its largest strict margin is
+    eps_open = 1e-7 off by 2e-9 to 1e-7 times 1 + scale, either way."""
+    from emptiness_reference import max_strict_margin
+    from gnepkit.convexsets import VertexForm
+
+    out = []
+    for k in range(660):
+        d, kind = 1 + k % 3, ("bounded", "unbounded", "vertex_form")[k // 3 % 3]
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        m = int(rng.integers(1, d + 2)) if kind == "unbounded" else int(rng.integers(d + 1, 2 * d + 2))
+        A = rng.standard_normal((m, d))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        b = A @ rng.uniform(-scale, scale, d) + scale * rng.uniform(-0.4, 1.0, m)
+        strict = rng.random(m) < 0.5
+        strict[0] = True
+        if kind == "unbounded" and k % 2:
+            A, b = np.vstack([A, -A[0]]), np.append(b, scale * rng.uniform(-0.3, 0.3) - b[0])
+            strict = np.append(strict, rng.random() < 0.5)
+        if kind != "unbounded":
+            A = np.vstack([A, np.eye(d), -np.eye(d)])
+            b = np.concatenate([b, np.full(2 * d, scale)])
+            strict = np.concatenate([strict, rng.random(2 * d) < 0.25])
+        margin = max_strict_margin(A, b, strict) if k % 3 == 0 else None
+        if margin is not None and margin < 1e6:
+            off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(np.log10(2e-9), -7.0)
+            b = b + (1e-7 + off * (1.0 + scale) - margin) * strict
+        if kind == "vertex_form" and d > 1:
+            out.append((kind, scale, VertexForm.of(A).body(b, strict)))
+        else:
+            out.append((kind, scale, HPoly(A, b, strict)))
+    return out
+
+
+def test_open_face_verdict_equals_the_max_slack_reference():
+    # one least-distance NNLS on the strict rows moved in by eps_open
+    # against the LP of the largest strict margin, on every seeded body
+    # whose margin is off eps_open by more than 1e-9 (1 + scale)
+    from emptiness_reference import max_strict_margin
+
+    eps_open, seen = 1e-7, {}
+    for kind, scale, P in _open_face_bodies(np.random.default_rng(28)):
+        s = max_strict_margin(P.A, P.b, P.strict)
+        if s is not None and abs(s - eps_open) <= 1e-9 * (1.0 + scale):
+            continue
+        want = s is None or s <= eps_open
+        assert P.is_empty(eps_open) is want, (kind, scale, s)
+        seen[kind, want] = seen.get((kind, want), 0) + 1
+    assert sum(seen.values()) >= 600
+    assert all(seen.get((kind, v), 0) >= 20 for kind in ("bounded", "unbounded", "vertex_form")
+               for v in (True, False)), seen
+
+
+def _box_cut(L, margin, dim):
+    """{z in [0, L]^dim : sum(z) > dim L - sqrt(dim) margin}, its largest
+    strict margin `margin` (at z = L 1), as a plain HPoly, in vertex form
+    (dim > 1) and with its rows given as a VertexForm body's."""
+    from gnepkit.convexsets import VertexForm
+
+    A = np.vstack([np.eye(dim), -np.eye(dim), -np.ones(dim) / np.sqrt(dim)])
+    b = np.concatenate([np.full(dim, float(L)), np.zeros(dim), [-(np.sqrt(dim) * L - margin)]])
+    strict = np.arange(len(b)) == len(b) - 1
+    bodies = [HPoly(A, b, strict)]
+    if dim > 1:
+        bodies.append(VertexForm.of(A).body(b, strict))
+    return bodies
+
+
+@pytest.mark.parametrize("L", [1, 10, 100])
+@pytest.mark.parametrize("margin,empty", [(0.0, True), (5e-8, True), (9e-8, True), (1.1e-7, False)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_box_cut_open_face_verdict(L, margin, empty, dim):
+    # the vertex form and the interval accept a candidate within 1e-8 (1 +
+    # |b|) and 1e-10 (|lo| + |hi|): read through them, the strict row moved
+    # in by eps_open would leave z = L 1 at L = 10 and 100, margin 0
+    from emptiness_reference import is_empty
+
+    for P in _box_cut(L, margin, dim):
+        assert P.is_empty() is empty and is_empty(P, 1e-7) is empty
+        assert not P.is_empty(eps_open=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_is_empty_at_zero_asks_about_the_closure(dim):
+    # {z0 < 0, z0 >= 0} (x [0, 1]) has no strict interior, so no point with
+    # any margin, but its closure is a point or a segment: is_empty(0.0),
+    # which normal_cone_generators, the verifier and the probes ask, is the
+    # closure's verdict, as for a body without strict rows
+    from gnepkit import _lp
+    from gnepkit.convexsets import VertexForm
+
+    A, b = _SQUARE_ROWS[:2 * dim, :dim], np.array([0.0, 0.0, 1.0, 0.0][:2 * dim])
+    strict = np.arange(2 * dim) == 0
+    bodies = [HPoly(A, b, strict)] + ([VertexForm.of(A).body(b, strict)] if dim > 1 else [])
+    for P in bodies:
+        assert not P.is_empty(eps_open=0.0) and P.is_empty() and P.is_empty(eps_open=1e-12)
+        assert not P.closure().is_empty()
+        assert not normal_cone_generators(P, np.full(dim, 0.5)).whole_space
+    if dim > 1:
+        # crossed by 1e-9: a segment to the vertex candidates, empty to the
+        # least-distance program; is_empty(0.0) is still the closure's verdict
+        P = VertexForm.of(A).body(b - [0.0, 1e-9, 0.0, 0.0], strict)
+        assert not P.is_empty(eps_open=0.0) and not P.closure().is_empty()
+        with pytest.raises(_lp.InfeasibleLP):
+            _lp.project_polyhedron(np.zeros(2), P.A, P.b)
+
+
+def test_emptiness_runs_no_lp(monkeypatch):
+    # every emptiness verdict, of the closure and of the open faces, is the
+    # interval, the vertex candidates or the least-distance NNLS.  A plain
+    # n-D body's boundedness (one recession LP, which tells whether it has
+    # a vertex form) is asked first; it is not an emptiness test
+    from gnepkit import _lp
+
+    bodies = [P for _, _, P in _open_face_bodies(np.random.default_rng(5))[:60]]
+    bodies += _box_cut(10, 0.0, 2) + _box_cut(10, 1.1e-7, 1) + [
+        HPoly(_SQUARE_ROWS[:2], [-1.0, 0.0]),  # the crossed strip: rank 1
+        HPoly(-np.eye(2), np.zeros(2), [True, False]),  # the orthant
+        HPoly([[1.0, 1.0], [-1.0, -1.0]], [-1.0, 0.0]),  # a crossed unbounded slab
+        _regular_polygon(300),  # over the vertex form's gate
+        HPoly([[1.0, 0.0], [0.0, 0.0]], [1.0, -1.0], [True, False])]  # poisoned
+    for P in bodies:
+        if P.dim > 1:
+            P._form
+    monkeypatch.setattr(_lp, "solve_lp", lambda *a, **k: pytest.fail("an LP decided emptiness"))
+    verdicts = [(P._empty, P.is_empty(eps_open=0.0), P.is_empty()) for P in bodies]
+    assert {v[0] for v in verdicts} == {True, False} and {v[2] for v in verdicts} == {True, False}
+
+
+def test_maximize_over_an_empty_strip_raises_one_error():
+    # {x0 <= -1, x0 >= 0} in 2-D has rank 1, so no vertex form: its linear
+    # maximum is one LP, its quadratic one NNLS, and both say EmptyBodyError
+    P = HPoly(_SQUARE_ROWS[:2], [-1.0, 0.0])
+    assert P.is_empty()
+    for Q in (None, -np.eye(2)):
+        with pytest.raises(EmptyBodyError):
+            maximize(P, [0.3, 0.4], Q)
+
+
+def test_unbounded_body_beyond_the_chebyshev_box_is_not_empty():
+    # {x0 >= 2e6, |x1| <= 1} lies outside the Chebyshev LP's box of 1e6, so
+    # that LP finds no centre; the least-distance NNLS calls it nonempty, and
+    # interior_point and sample start from the projection of the origin
+    P = HPoly([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-2e6, 1.0, 1.0])
+    assert not P.is_empty() and not P.is_bounded()
+    assert P.interior_point() is None
+    pts = P.sample(np.random.default_rng(0), 3)
+    assert pts.shape == (3, 2) and np.allclose(pts, [2e6, 0.0], atol=1e-2)
+    assert np.allclose(P.project(np.zeros(2)), [2e6, 0.0], rtol=0.0, atol=1e-6)

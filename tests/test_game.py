@@ -334,7 +334,9 @@ def test_empty_slice_reported_infeasible(case):
         # slice {0 <= z <= -0.2}: the closed-form support raises EmptyBodyError
         g, x, player = gi.splitting_game(), np.array([1.2, 0.5]), 1
     elif case == "2d-lp":
-        # the support LP raises InfeasibleLP
+        # the 2-D slice has a vertex form, and none of its candidates is
+        # feasible: maximize raises EmptyBodyError without an LP (an LP
+        # support over rows without a vertex form raises it too)
         g, x = _rival_empties_first_slice(Box([0.0, 0.0], [1.0, 1.0]),
                                           LinearUtility([1.0, 1.0]))
         player = 0

@@ -77,3 +77,11 @@ def test_every_lp_function_is_named_by_another_module():
     named = set().union(*map(_named, trees.values()))
     functions = [node.name for node in lp.body if isinstance(node, ast.FunctionDef)]
     assert functions and [f for f in functions if f not in named] == []
+
+
+def test_convexsets_decides_emptiness_without_an_lp_margin():
+    """Emptiness in convexsets is the interval, the vertex candidates or the
+    least-distance NNLS: the module names neither the strict-margin LP nor
+    the raw LP, so neither can come back into the verdict unseen."""
+    tree = ast.parse((PACKAGE / "convexsets.py").read_text())
+    assert not {"max_slack", "solve_lp"} & _named(tree)

@@ -455,3 +455,61 @@ def test_unbounded_improvement_raises_in_pass_and_reference(ambient):
     for section in (normal_map, graded_section):
         with pytest.raises(UnboundedPreferenceError, match="player 0: improvement unbounded"):
             section(pm, x, 1e-7)
+
+
+def _nonordered_game(seed):
+    """2-3 players with [0, 1] or [0, 1]^2 blocks under the cube cut by one
+    row a z <= 0.6 sum(a), a >= 0; player i strictly prefers {z : (z - x_i)
+    g_k(x) > 0 for each k}, 1 or 2 rows g_k affine in all of x: a
+    preference neither complete nor transitive in general."""
+    from gnepkit.game import jointly_convex_game
+
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 3, int(rng.integers(2, 4)))
+    n = int(dims.sum())
+    a = rng.uniform(0.0, 1.0, n)
+    shared = HPoly(np.vstack([np.eye(n), -np.eye(n), a]),
+                   np.concatenate([np.ones(n), np.zeros(n), [0.6 * a.sum()]]))
+    variants, at = [], 0
+    for d in map(int, dims):
+        K = int(rng.integers(1, 3))
+        G0, G1, sl = rng.normal(size=(K, d)), 0.5 * rng.normal(size=(K, d, n)), slice(at, at + d)
+
+        def build(x, G0=G0, G1=G1, sl=sl):
+            G = G0 + G1 @ x
+            return -G, -G @ x[sl], np.ones(len(G), dtype=bool)
+        variants.append(PolyhedralPref(build))
+        at += d
+    game = jointly_convex_game([Box(np.zeros(d), np.ones(d)) for d in dims], variants, shared)
+    return game, 0.6 * rng.uniform(0.0, 1.0, (10, n))
+
+
+def test_nonordered_sections_run_no_lp_and_equal_the_max_slack_path(monkeypatch):
+    """Open preferred sets are decided by the least-distance NNLS: after a
+    game is built, evaluate_T runs no LP, and its sections equal, bit for
+    bit, those of the path that asked an LP for the largest strict margin
+    (tests/emptiness_reference.py; is_empty(0.0) of a strict region read
+    its margin as well).  Seeds 0-5, 10 points each."""
+    import emptiness_reference
+    from gnepkit import _lp
+
+    def max_slack_verdict(P, eps_open=convexsets.DEFAULT_EPS_OPEN):
+        if not P.strict.any():
+            return P._empty
+        return emptiness_reference.is_empty(P, eps_open)
+
+    sections = []
+    for seed in range(6):
+        game, points = _nonordered_game(seed)
+        with monkeypatch.context() as m:
+            m.setattr(_lp, "solve_lp", lambda *a, **k: pytest.fail("evaluate_T ran an LP"))
+            got = [evaluate_T(game, x) for x in points]
+        with monkeypatch.context() as m:
+            m.setattr(HPoly, "is_empty", max_slack_verdict)
+            want = [evaluate_T(game, x) for x in points]
+        for op, ref in zip(got, want):
+            for sec, ref_sec in zip(op.blocks, ref.blocks):
+                _assert_same_section(sec, ref_sec)
+                sections.append(sec)
+    assert sum(sec.whole_space for sec in sections) >= 10
+    assert sum(sec.n_generators > 0 for sec in sections) >= 10
