@@ -21,8 +21,12 @@ def max_strict_margin(A, b, strict, cap=1e6):
     return -res.fun
 
 
-def is_empty(P, eps_open):
-    """The old verdict on an HPoly with strict rows: the closure empty, or
-    its largest strict margin at most eps_open."""
+def is_empty(P, eps_open=1e-7):
+    """The old HPoly.is_empty: the closure's verdict, then, on a body with
+    strict rows, its largest strict margin at most eps_open."""
+    if P._empty:
+        return True
+    if not P.strict.any():
+        return False
     s = max_strict_margin(P.A, P.b, P.strict)
-    return P._poisoned or s is None or s <= eps_open
+    return s is None or s <= eps_open

@@ -1403,9 +1403,6 @@ def test_quadratic_maximum_over_a_one_point_simplex():
 # -- open faces ---------------------------------------------------------------
 
 
-_SQUARE_ROWS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-
-
 def _open_face_bodies(rng):
     """Seeded strict bodies in 1-3 dimensions at scales 0.1 to 1e3, each as
     (kind, scale, body): rows near a random point inside a box of side
@@ -1465,9 +1462,9 @@ def test_open_face_verdict_equals_the_max_slack_reference():
 
 
 def _box_cut(L, margin, dim):
-    """{z in [0, L]^dim : sum(z) > dim L - sqrt(dim) margin}, its largest
-    strict margin `margin` (at z = L 1), as a plain HPoly, in vertex form
-    (dim > 1) and with its rows given as a VertexForm body's."""
+    """{z in [0, L]^dim : sum(z) > dim L - sqrt(dim) margin}, whose largest
+    strict margin is `margin` (at z = L 1), as a plain HPoly and, for
+    dim > 1, as a VertexForm body."""
     from gnepkit.convexsets import VertexForm
 
     A = np.vstack([np.eye(dim), -np.eye(dim), -np.ones(dim) / np.sqrt(dim)])
@@ -1502,7 +1499,7 @@ def test_is_empty_at_zero_asks_about_the_closure(dim):
     from gnepkit import _lp
     from gnepkit.convexsets import VertexForm
 
-    A, b = _SQUARE_ROWS[:2 * dim, :dim], np.array([0.0, 0.0, 1.0, 0.0][:2 * dim])
+    A, b = _SLAB_A[:2 * dim, :dim], np.array([0.0, 0.0, 1.0, 0.0][:2 * dim])
     strict = np.arange(2 * dim) == 0
     bodies = [HPoly(A, b, strict)] + ([VertexForm.of(A).body(b, strict)] if dim > 1 else [])
     for P in bodies:
@@ -1527,7 +1524,7 @@ def test_emptiness_runs_no_lp(monkeypatch):
 
     bodies = [P for _, _, P in _open_face_bodies(np.random.default_rng(5))[:60]]
     bodies += _box_cut(10, 0.0, 2) + _box_cut(10, 1.1e-7, 1) + [
-        HPoly(_SQUARE_ROWS[:2], [-1.0, 0.0]),  # the crossed strip: rank 1
+        HPoly(_SLAB_A[:2], [-1.0, 0.0]),  # the crossed strip: rank 1
         HPoly(-np.eye(2), np.zeros(2), [True, False]),  # the orthant
         HPoly([[1.0, 1.0], [-1.0, -1.0]], [-1.0, 0.0]),  # a crossed unbounded slab
         _regular_polygon(300),  # over the vertex form's gate
@@ -1543,7 +1540,7 @@ def test_emptiness_runs_no_lp(monkeypatch):
 def test_maximize_over_an_empty_strip_raises_one_error():
     # {x0 <= -1, x0 >= 0} in 2-D has rank 1, so no vertex form: its linear
     # maximum is one LP, its quadratic one NNLS, and both say EmptyBodyError
-    P = HPoly(_SQUARE_ROWS[:2], [-1.0, 0.0])
+    P = HPoly(_SLAB_A[:2], [-1.0, 0.0])
     assert P.is_empty()
     for Q in (None, -np.eye(2)):
         with pytest.raises(EmptyBodyError):

@@ -493,11 +493,6 @@ def test_nonordered_sections_run_no_lp_and_equal_the_max_slack_path(monkeypatch)
     import emptiness_reference
     from gnepkit import _lp
 
-    def max_slack_verdict(P, eps_open=convexsets.DEFAULT_EPS_OPEN):
-        if not P.strict.any():
-            return P._empty
-        return emptiness_reference.is_empty(P, eps_open)
-
     sections = []
     for seed in range(6):
         game, points = _nonordered_game(seed)
@@ -505,7 +500,7 @@ def test_nonordered_sections_run_no_lp_and_equal_the_max_slack_path(monkeypatch)
             m.setattr(_lp, "solve_lp", lambda *a, **k: pytest.fail("evaluate_T ran an LP"))
             got = [evaluate_T(game, x) for x in points]
         with monkeypatch.context() as m:
-            m.setattr(HPoly, "is_empty", max_slack_verdict)
+            m.setattr(HPoly, "is_empty", emptiness_reference.is_empty)
             want = [evaluate_T(game, x) for x in points]
         for op, ref in zip(got, want):
             for sec, ref_sec in zip(op.blocks, ref.blocks):
