@@ -379,7 +379,7 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
     qx = None
     if any(flats) and game._graded_rows.Q is not None:
         R = game._graded_rows
-        qx = np.take(R.Q @ x, R.gather).tolist()
+        qx = (R.Q @ x).take(R.gather).tolist()
     feas, empt, notes = [], [], []
     for i, pm in enumerate(game.preferences):
         got = flats[i] and _flat_slacks(flats[i], x, xs, qx)

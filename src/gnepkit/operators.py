@@ -177,7 +177,7 @@ def _graded_sections(R: GradedRows, x, eps_open: float) -> list:
     generators through from_vectors.
     """
     x = np.asarray(x, dtype=float)
-    gq = None if R.Q is None else np.take(R.Q @ x, R.gather)
+    gq = None if R.Q is None else (R.Q @ x).take(R.gather)
     qx, xs = ([] if gq is None else gq.tolist()), x.tolist()
     out = [None] * len(R.pms)
     for k, lo, hi, lo_thr, hi_thr in R.boxed:

@@ -695,14 +695,22 @@ def _feasible_mask(game: GameInstance, nodes: np.ndarray) -> np.ndarray:
 
 def _rival_groups(nodes: np.ndarray, block: slice):
     """(first, inverse): the nodes sharing a rival profile (off-block
-    columns) form one group; first[g] is the first node of group g and
-    inverse[k] the group of node k."""
+    columns, rounded to 12 decimals) form one group; first[g] is the lowest
+    node index in group g and inverse[k] the group of node k.  Groups come
+    in ascending lexicographic order of their profile, -0.0 and +0.0 fall
+    in one group, and a one-player game has one group.  One stable lexsort
+    with the first rival column as primary key finds them."""
     rivals = np.delete(nodes, np.arange(block.start, block.stop), axis=1)
     if rivals.shape[1] == 0:
         return np.zeros(1, dtype=int), np.zeros(len(nodes), dtype=int)
-    _, first, inverse = np.unique(np.round(rivals, 12), axis=0, return_index=True,
-                                  return_inverse=True)
-    return first, inverse.reshape(-1)
+    rounded = np.round(rivals, 12)
+    order = np.lexsort(rounded.T[::-1])
+    srt = rounded[order]
+    start = np.ones(len(srt), dtype=bool)
+    start[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    inverse = np.empty(len(srt), dtype=int)
+    inverse[order] = np.cumsum(start) - 1
+    return order[start], inverse
 
 
 def _batch_support(body: ConvexBody, C: np.ndarray) -> np.ndarray:

@@ -85,3 +85,15 @@ def test_convexsets_decides_emptiness_without_an_lp_margin():
     the raw LP, so neither can come back into the verdict unseen."""
     tree = ast.parse((PACKAGE / "convexsets.py").read_text())
     assert not {"max_slack", "solve_lp"} & _named(tree)
+
+
+def test_no_module_calls_unique_with_an_axis():
+    """np.unique(..., axis=...) sorts each row as a structured record
+    through numpy's generic comparator; the package groups rows with a
+    lexsort (solvers._rival_groups), so that sort cannot come back unseen."""
+    calls = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unique"
+             and any(k.arg == "axis" for k in node.keywords)]
+    assert not calls, f"np.unique with axis= at {calls}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gnepkit.convexsets import (Ball, Box, ConeSection, EmptyBodyError, EnumerationError, HPoly,
-                                hull_body)
+                                Simplex, hull_body)
 from gnepkit.economy import to_gnep
 from gnepkit.game import (
     FixedConstraint,
@@ -38,6 +38,7 @@ from gnepkit.solvers import (
 )
 import gnepkit.solvers as S
 from gnepkit import instances as gi
+import grouping_reference
 from hull_reference import hull_residual_lp
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -748,6 +749,88 @@ def test_oracle_batch_keeps_the_zero_matrix_bits_for_linear_players():
         got = S._improvements_for_player(game, pm, nodes, Tolerances(), 0)
         assert got.tobytes() == want.tobytes(), pm.player
         assert bool(np.signbit(got[got == 0.0]).any()) is (pm.player == 0)
+
+
+def _grouping_cases():
+    """(nodes, block) pairs for _rival_groups, with ties big enough (up to
+    66 rows a group) that a sort which is not stable reorders them."""
+    rng = np.random.default_rng(29)
+    axis = np.linspace(-1.0, 1.0, 21)
+    box2 = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    levels = rng.choice([-0.5, -0.25, 0.0, 0.25], size=(600, 4))
+    zeros = rng.choice([-0.0, 0.0, 1.0], size=(300, 3))
+    simplex, box = S._block_grid(Simplex(3), 0.1), S._block_grid(Box([-1.0], [1.0]), 0.1)
+    joined = np.hstack([np.repeat(simplex, len(box), axis=0), np.tile(box, (len(simplex), 1))])
+    return {
+        "one-rival-column": (box2, slice(1, 2)),
+        "three-rival-columns": (levels, slice(1, 2)),
+        "signed-zeros": (zeros, slice(2, 3)),
+        "offsets": (_offset_nodes(), slice(0, 1)),
+        "simplex-box/simplex-player": (joined, slice(0, 3)),
+        "simplex-box/box-player": (joined, slice(3, 4)),
+        "single-node": (np.array([[0.5, -0.5, 0.0]]), slice(1, 2)),
+        "one-player": (box2, slice(0, 2)),
+    }
+
+
+def _offset_nodes():
+    """Rows whose two rival columns sit on three levels, moved by +-1e-13
+    (which round to the level) or by 6e-13 (which does not)."""
+    rng = np.random.default_rng(31)
+    base = rng.choice([-0.3, 0.2, 0.7], size=(400, 3))
+    return base + rng.choice([-1e-13, 0.0, 1e-13, 6e-13], size=base.shape)
+
+
+@pytest.mark.parametrize("case", list(_grouping_cases()))
+def test_rival_groups_equal_the_unique_reference(case):
+    nodes, block = _grouping_cases()[case]
+    first, inverse = S._rival_groups(nodes, block)
+    want_first, want_inverse = grouping_reference.rival_groups(nodes, block)
+    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+
+
+def test_rival_groups_round_and_merge_signed_zeros():
+    # -0.0 and +0.0 are one profile; +-1e-13 rounds onto its level and
+    # 6e-13 does not, so the offset rows make more groups than the three
+    # levels squared and fewer than their raw profiles
+    first, inverse = S._rival_groups(np.array([[1.0, -0.0], [2.0, 0.0], [3.0, -0.0]]),
+                                     slice(0, 1))
+    assert np.array_equal(first, [0]) and np.array_equal(inverse, [0, 0, 0])
+    nodes = _offset_nodes()
+    first, _ = S._rival_groups(nodes, slice(0, 1))
+    assert 9 < len(first) < len(np.unique(nodes[:, 1:], axis=0))
+
+
+def test_rival_groups_equal_the_reference_on_random_node_sets():
+    rng = np.random.default_rng(2901)
+    for _ in range(300):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(1, 120))
+        nodes = rng.choice([-1.5, -0.5, -0.0, 0.0, 0.5], size=(n, k))
+        nodes += rng.choice([0.0, 1e-13, -1e-13], size=(n, k))
+        lo = int(rng.integers(0, k))
+        block = slice(lo, int(rng.integers(lo + 1, k + 1)))
+        first, inverse = S._rival_groups(nodes, block)
+        want_first, want_inverse = grouping_reference.rival_groups(nodes, block)
+        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+
+
+def _oracle_fields(orc):
+    return (orc.certified.tobytes(), orc.improvements.tobytes(), orc.feasible_count,
+            orc.cross_checked,
+            [(d["node"].tobytes(), d["verifier"], d["oracle"]) for d in orc.disagreements])
+
+
+@pytest.mark.parametrize("games, h", [
+    (gi.grid_aligned_instances, 0.02),
+    (lambda: [gi.simplex_argmax_game(), gi.box_argmax_game(), gi.union_chase_game()], 0.05),
+], ids=["grid-aligned", "argmax-and-union-chase"])
+def test_grid_oracle_keeps_its_bits_under_the_reference_grouping(games, h, monkeypatch):
+    """union_chase_game's relation oracle takes the per-group path
+    (_improvements_per_group); the others score groups in one batch."""
+    got = [_oracle_fields(grid_oracle(g, h=h, cross_check=True)) for g in games()]
+    monkeypatch.setattr(S, "_rival_groups", grouping_reference.rival_groups)
+    want = [_oracle_fields(grid_oracle(g, h=h, cross_check=True)) for g in games()]
+    assert got == want
 
 
 def test_vertex_form_game_runs_no_support_lp(monkeypatch):
