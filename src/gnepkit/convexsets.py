@@ -318,15 +318,8 @@ class HPoly(ConvexBody):
         """Closed [lo, hi] of a 1-D body by the ratio test, or None if empty:
         _ratio_interval on the rows read as Python floats, equal to
         _intervals on this one body bit for bit (tests/test_convexsets.py
-        holds the two together).  A NaN end is left to _intervals, whose
-        reduction may keep another NaN (sign bit) than the float loop."""
-        if self._poisoned:
-            return None
-        out = _ratio_interval(self.A[:, 0].tolist(), self.b.tolist())
-        if out is not None and (out[0] != out[0] or out[1] != out[1]):
-            lo, hi, empty = _intervals(self.A[:, 0], self.b[None])
-            return None if empty[0] else (float(lo[0]), float(hi[0]))
-        return out
+        holds the two together)."""
+        return None if self._poisoned else _ratio_interval(self.A[:, 0].tolist(), self.b.tolist())
 
     @cached_property
     def _chebyshev(self):
@@ -667,20 +660,20 @@ def _ratio_interval(col, rhs):
 
     The min and max take one row at a time and keep the later of two equal
     ratios, which decides a tie of +0.0 with -0.0; _intervals states the
-    same rule.  A NaN ratio makes its end NaN, which game._flat_slacks
-    reads as its cue to take the general path.  The body is empty iff
-    lo - hi exceeds the rounding threshold of _lp.project_polyhedron
-    relative to |lo| + |hi|; a smaller crossing is rounding noise and
-    collapses to the midpoint.  The one 1-D ratio test off the grid
-    oracle's batch.
+    same rule.  The body is empty iff a ratio is NaN or lo - hi exceeds
+    the rounding threshold of _lp.project_polyhedron relative to |lo| +
+    |hi|; a smaller crossing is rounding noise and collapses to the
+    midpoint.  The one 1-D ratio test off the grid oracle's batch.
     """
     lo, hi = -math.inf, math.inf
     for a, r in zip(col, rhs):
         r /= a
+        if r != r:
+            return None
         if a > 0:
-            if r <= hi or r != r:
+            if r <= hi:
                 hi = r
-        elif r >= lo or r != r:
+        elif r >= lo:
             lo = r
     gap = lo - hi
     if gap > 0:
@@ -706,7 +699,9 @@ def _intervals(a, B):
     A zero end takes its sign from the last row that attains it, the rule
     of _ratio_interval, one element at a time: numpy reduces a long run of
     rows of one side in SIMD lanes, whose order depends on the host.  The
-    emptiness test and the midpoint of a small crossing are _ratio_interval's.
+    emptiness test (a NaN ratio empties its body, and so does a crossing
+    beyond rounding) and the midpoint of a small crossing are
+    _ratio_interval's.
     """
     R, up = B / a, a > 0
     hi = np.minimum.reduce(R, axis=1, where=up, initial=np.inf)
@@ -717,8 +712,8 @@ def _intervals(a, B):
             hits = side & (R[zero] == 0.0)
             end[zero] = R[zero, hits.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1)]
     gap = lo - hi
-    empty = gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi))
-    if gap.max() > 0:
+    empty = (gap > _lp._LDP_EMPTY_RTOL * (1.0 + abs(lo) + abs(hi))) | np.isnan(R).any(axis=1)
+    if (gap > 0).any():
         mid = 0.5 * (lo + hi)
         lo, hi = np.where(gap > 0, mid, lo), np.where(gap > 0, mid, hi)
     return lo, hi, empty

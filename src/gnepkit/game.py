@@ -433,8 +433,6 @@ def _flat_slacks(F, x, xs, qx):
     if interval is None:
         return _empty_slice(i)
     lo, hi = interval
-    if lo != lo or hi != hi:
-        return None
     xo, feas = xs[j], -math.inf
     for a, r in zip(col, rhs):
         m = (0.0 + a * xo) - r

@@ -11,11 +11,13 @@ sigma_X the support function of X's closure, drops below
 SolverConfig.residual_tol, by default the certificate's eps_open (a single t
 must witness every point of X -- that is the existential quantifier in the
 VI).  hull_residual reads it from the support function alone, over a
-bounded or unbounded X, with or without a vertex list; it is exact, save
-that a whole-space block of 2 or more dimensions enters as a cross polytope,
-which can only raise r.  Any point passing this test solves the VI, and
-solving the VI is a *sufficient* condition for equilibrium; the converse
-direction is not claimed and genuinely fails on easy examples.
+bounded or unbounded X: with t as convex weights on each block's
+generators, a finite enumeration of the epigraph's vertices over X's vertex
+list, else one LP in X's rows.  It is exact, save that a whole-space block
+of 2 or more dimensions enters as a cross polytope, which can only raise
+r.  Any point passing this test solves the VI, and solving the VI is a
+*sufficient* condition for equilibrium; the converse direction is not
+claimed and genuinely fails on easy examples.
 
 The QVI route projects blockwise onto the moving sets K_i(x).  Both co T(x)
 and K(x) are products over the blocks, so its residual is the sum of one
@@ -141,47 +143,45 @@ def hull_residual(op: OperatorEval, x, body: ConvexBody):
     sigma is the support function of body's closure, so on the body r >= 0,
     and r = 0 exactly when x maximises <-t, .> over it for some t in
     co T(x); off the body r may be negative, and r is returned unclipped.
+    Each block's hull is co G_i of its generators (_hull_weights: the
+    cross polytope co{±e_k} for a whole-space block, none for a zero cone).
     The first case that applies gives r:
-      1. every block's hull co G_i is a point (one generator, or 0 for a
-         zero cone): r = <t, x> + maximize(body, -t);
+      1. every hull is a point: r = <t, x> + maximize(body, -t);
       2. a Ball: r = 0 at t = 0 when every block is the whole space or a
          zero cone, so that 0 is in co T(x); else EnumerationError;
-      3. every hull is a point or an interval, body.vertices() enumerates
-         a vertex list V (so sigma_body(-t) = max_v <-t, v>) and the
-         candidates fit _VERTEX_FORM_SUBSETS: the least of max_v <t, x - v>
-         over the epigraph's vertices (_interval_hull_candidates), exact and
-         finite;
+      3. body.vertices() enumerates a vertex list V (so sigma_body(-t) =
+         max_v <-t, v>) and the candidates fit _VERTEX_FORM_SUBSETS: the
+         least of max_v <t, x - v> over the epigraph's vertices
+         (_vertex_residual), exact and finite;
       4. one LP in the closure's rows (_rows_lp).
-    A whole-space block of 2 or more dimensions enters 4 as the cross
-    polytope co{±e_k}, which contains 0 and lies in the unit ball, so r can
-    only come out too large and a convergence claim stays sound.  Raises
-    EmptyBodyError when the closure is empty.
+    The cross polytope contains 0 and lies in the unit ball, so a
+    whole-space block of 2 or more dimensions can only raise r, and a
+    convergence claim stays sound.  Raises EmptyBodyError when the closure
+    is empty.
     """
     x = np.asarray(x, dtype=float)
     C = body.closure()
     if C.is_empty():
         raise EmptyBodyError("hull residual over an empty body")
-    intervals = _hull_intervals(op)
-    if intervals is not None and not intervals[1]:
-        return _support_residual(C, x, intervals[0])
+    if not any(cone.whole_space or cone.n_generators > 1 for cone in op.blocks):
+        t = np.zeros(op.dim)
+        for start, cone in zip(op.starts, op.blocks):
+            if cone.n_generators:
+                t[start:start + cone.dim] = cone.generators[0]
+        return _support_residual(C, x, t)
     if C._rows is None:
         if all(cone.whole_space or not cone.n_generators for cone in op.blocks):
             return 0.0, np.zeros(op.dim)
         raise EnumerationError("no hull residual over a Ball unless every block's hull "
                                "is a point, or every block is the whole space or 0")
+    T, sums = _hull_weights(op)
     try:
         V = C.vertices()
     except EnumerationError:
-        return _rows_lp(op, x, C)
-    if intervals is None or _n_hull_candidates(len(V), len(intervals[1])) > _VERTEX_FORM_SUBSETS:
-        return _rows_lp(op, x, C)
-    t, W, lo, hi = intervals
-    W, lo, hi = np.array(W), np.array(lo), np.array(hi)
-    # max_v <t, x - v> = a_v + B_v t_W, with t_W in the box [lo, hi]
-    a, B = (x - V) @ t, x[W] - V[:, W]
-    S = _interval_hull_candidates(a, B, lo, hi)
-    t[W] = S[np.argmin(np.max(a[:, None] + B @ S.T, axis=0))]
-    return float(np.max((x - V) @ t)), t
+        return _rows_lp(x, C, T, sums)
+    if _n_hull_candidates(len(V), sums) > _VERTEX_FORM_SUBSETS:
+        return _rows_lp(x, C, T, sums)
+    return _vertex_residual(x, V, T, sums)
 
 
 def residual_with_filter(op, x, body):
@@ -200,109 +200,97 @@ def _support_residual(body: ConvexBody, x, t):
         return np.inf, t
 
 
-def _whole_block_generators(d):
-    """LP-representable under-approximation of the unit ball: co{±e_k}."""
-    eye = np.eye(d)
-    return np.vstack([eye, -eye])
+def _hull_weights(op: OperatorEval):
+    """(T, sums): t = T[:, 0] + T[:, 1:] mu ranges over co T(x) as the
+    weights mu >= 0 range with sums @ mu <= 1.
 
-
-def _rows_lp(op: OperatorEval, x, body: ConvexBody):
-    """hull_residual by one LP in the rows (A, b) of the nonempty closure
-    body: by LP duality sigma_body(-t) = min b'mu over mu >= 0 with A'mu +
-    t = 0, so r is the least of <t, x> + b'mu over t = sum_i G_i' lam_i
-    (each block's weights lam_i >= 0 summing to 1; the cross polytope for a
-    whole-space block, none for a zero cone) and such mu.  An infeasible LP
-    means sigma_body(-t) = +inf for every t of the hull: r = +inf at the
-    generators' mean.  Otherwise r is read again at the LP's t by maximize,
-    so a convergence claim rests on a t it evaluated."""
-    A, b, _ = body._rows
-    gens = [(op.block_slice(i),
-             _whole_block_generators(cone.dim) if cone.whole_space else cone.generators)
-            for i, cone in enumerate(op.blocks) if cone.whole_space or cone.n_generators]
-    n = op.dim
-    at = np.cumsum([0] + [len(G) for _, G in gens])
-    A_eq = np.zeros((n + len(gens), at[-1] + len(b)))
-    A_eq[:n, at[-1]:] = A.T
-    for k, (sl, G) in enumerate(gens):
-        A_eq[sl, at[k]:at[k + 1]] = G.T
-        A_eq[n + k, at[k]:at[k + 1]] = 1.0
-    c = np.concatenate([G @ x[sl] for sl, G in gens] + [b])
-    b_eq = np.concatenate([np.zeros(n), np.ones(len(gens))])
-    t = np.zeros(n)
-    try:
-        lam = _lp.solve_lp(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None)).x
-    except _lp.InfeasibleLP:
-        for sl, G in gens:
-            t[sl] = G.mean(axis=0)
-        return np.inf, t
-    for k, (sl, G) in enumerate(gens):
-        t[sl] = G.T @ lam[at[k]:at[k + 1]]
-    return _support_residual(body, x, t)
-
-
-def _hull_intervals(op: OperatorEval):
-    """(t, W, lo, hi) when every block's co G_i is a point or an interval,
-    else None: t holds the points (0 on the intervals), and coordinate W[k]
-    ranges over [lo[k], hi[k]] (lists, empty when every hull is a point)."""
-    t = np.zeros(op.dim)
-    W, lo, hi = [], [], []
+    Block i's hull is co G_i (the cross polytope co{±e_j} for a whole-space
+    block, none for a zero cone): t_i = G_i' lam_i with lam_i in the
+    simplex, whose first weight is 1 less the others, mu_i.  So T[:, 0]
+    holds every block's first generator, T[:, 1:] one column g - g_first
+    per other generator g, and row i of sums marks the i-th block's
+    weights."""
+    T = [np.zeros(op.dim)]
     for start, cone in zip(op.starts, op.blocks):
-        G = cone.generators
-        if cone.dim == 1 and (cone.whole_space or len(G) > 1):
-            W.append(start)
-            lo.append(-1.0 if cone.whole_space else G.min())
-            hi.append(1.0 if cone.whole_space else G.max())
-        elif len(G) == 1:
-            t[start:start + cone.dim] = G[0]
-        elif cone.whole_space or len(G):
-            return None
-    return t, W, lo, hi
+        if cone.whole_space or cone.n_generators:
+            G = _cross_polytope(cone.dim) if cone.whole_space else cone.generators
+            T[0][start:start + cone.dim] = G[0]
+            if len(G) > 1:
+                D = np.zeros((op.dim, len(G) - 1))
+                D[start:start + cone.dim] = (G[1:] - G[0]).T
+                T.append(D)
+    sizes = [D.shape[1] for D in T[1:]]
+    return np.column_stack(T), np.repeat(np.eye(len(sizes)), sizes, axis=1)
 
 
-def _n_hull_candidates(m: int, d: int) -> int:
-    """The number of rows _interval_hull_candidates builds for m pieces
-    over d interval coordinates."""
-    return sum(math.comb(d, f) * 2 ** (d - f) * (math.comb(m, f + 1) if f else 1)
-               for f in range(d + 1))
+@functools.lru_cache(maxsize=16)
+def _cross_polytope(d: int) -> np.ndarray:
+    """co{±e_j} of R^d (read-only: every caller shares the cached array)."""
+    eye = np.eye(d)
+    G = np.vstack([eye, -eye])
+    G.flags.writeable = False
+    return G
 
 
-def _interval_hull_candidates(a, B, lo, hi) -> np.ndarray:
-    """Points s of the box [lo, hi] among which one minimises max_v (a_v +
-    B_v s): the s of every vertex of the epigraph, clipped into the box.
+def _n_hull_candidates(m: int, sums) -> int:
+    """The number of row subsets _vertex_residual solves for m vertices and
+    the weights of _hull_weights: those of F + 1 rows (F weights) whose
+    first row is a piece."""
+    nb, F = sums.shape
+    return math.comb(m + F + nb, F + 1) - math.comb(F + nb, F + 1)
 
-    A vertex has d + 1 independent tight rows.  So p of the coordinates are
-    pinned at a bound and f = d - p are free, with f + 1 pieces equal there:
-    one f x f solve per choice of coordinates, bounds and pieces (a singular
-    choice has no vertex).  By the fundamental theorem of linear programming
-    a minimiser is among them; a row that rounding puts outside the box is
-    clipped back, which keeps it feasible.
+
+def _vertex_residual(x, V, T, sums):
+    """hull_residual over a body with vertex list V, exact and finite, for
+    t = T[:, 0] + T[:, 1:] mu (_hull_weights).
+
+    max_v <t, x - v> = a_v + B_v mu, so r is the least tau of the epigraph
+    {a + B mu <= tau, mu >= 0, sums @ mu <= 1}, at one of its vertices.  A
+    vertex has F + 1 independent tight rows (F weights), the first of them
+    a piece a_v + B_v mu <= tau: taking it from the other tight pieces
+    leaves F x F, one batched solve per row subset (a singular subset has
+    no vertex).  Each solution is put back into the simplices (negative
+    weights to 0, a block's sum above 1 scaled to 1), which keeps a vertex
+    and makes every other candidate feasible, and the best is taken; r is
+    read again at its t.
     """
-    m, d = B.shape
-    out = []
-    for f in range(d + 1):
-        S = _subsets(m, f + 1)
-        if not len(S):
-            break
-        for F in itertools.combinations(range(d), f):
-            P = [k for k in range(d) if k not in F]
-            corners = np.array(list(itertools.product(*zip(lo[P], hi[P]))))
-            corners = corners.reshape(2 ** len(P), len(P))
-            if f == 0:
-                out.append(corners)
-                continue
-            F = list(F)
-            ap = a + corners @ B[:, P].T  # (corners, m): the pieces with P pinned
-            M = B[S[:, 1:]][..., F] - B[S[:, :1]][..., F]
-            rhs = ap[:, S[:, :1]] - ap[:, S[:, 1:]]
-            ok = np.linalg.det(M) != 0.0
-            # one factorisation per choice of pieces, one column per corner
-            sol = np.linalg.solve(M[ok], rhs[:, ok].transpose(1, 2, 0)).transpose(2, 0, 1)
-            s = np.empty(sol.shape[:2] + (d,))
-            s[..., P] = corners[:, None, :]
-            s[..., F] = sol
-            out.append(s.reshape(-1, d))
-    S = np.vstack(out)
-    return np.clip(S[np.isfinite(S).all(axis=1)], lo, hi)
+    X = x - V
+    P = X @ T
+    a, B = P[:, 0], P[:, 1:]
+    m, F = B.shape
+    R = np.vstack([B, -np.eye(F), sums])
+    h = np.concatenate([-a, np.zeros(F), np.ones(len(sums))])
+    S = _subsets(len(R), F + 1)[:_n_hull_candidates(m, sums)]
+    u, rest = S[:, 0], S[:, 1:]
+    piece = rest < m
+    M = R[rest] - piece[..., None] * B[u][:, None]
+    rhs = h[rest] + piece * a[u][:, None]
+    ok = np.linalg.det(M) != 0.0
+    mu = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
+    mu = np.maximum(mu[np.isfinite(mu).all(axis=1)], 0.0)
+    mu /= np.maximum(mu @ sums.T @ sums, 1.0)
+    best = mu[np.argmin(np.max(a + mu @ B.T, axis=1))]
+    t = T[:, 0] + T[:, 1:] @ best
+    return float(np.max(X @ t)), t
+
+
+def _rows_lp(x, body: ConvexBody, T, sums):
+    """hull_residual by one LP in the rows (A, b) of the nonempty closure
+    body: by LP duality sigma_body(-t) = min b'nu over nu >= 0 with A'nu +
+    t = 0, so r is the least of <t, x> + b'nu over such nu and t = T[:, 0]
+    + T[:, 1:] mu, mu >= 0 with sums @ mu <= 1 (_hull_weights).  An
+    infeasible LP means sigma_body(-t) = +inf for every t of the hull: r =
+    +inf at t = T[:, 0].  Otherwise r is read again at the LP's t by
+    maximize, so a convergence claim rests on a t it evaluated."""
+    A, b, _ = body._rows
+    t0, D = T[:, 0], T[:, 1:]
+    try:
+        z = _lp.solve_lp(np.concatenate([x @ D, b]),
+                         np.hstack([sums, np.zeros((len(sums), len(b)))]), np.ones(len(sums)),
+                         np.hstack([D, A.T]), -t0, bounds=(0, None)).x
+    except _lp.InfeasibleLP:
+        return np.inf, t0
+    return _support_residual(body, x, t0 + D @ z[:D.shape[1]])
 
 
 @functools.lru_cache(maxsize=64)
@@ -733,7 +721,10 @@ def _group_maxima(game: GameInstance, pm, reps: np.ndarray, A2, a1):
     A shared-set slice of a 1-D block is an interval by the ratio test and
     the maximum is a clip; an n-D slice with a vertex form and a linear
     objective takes its best feasible candidate.  A fixed body with a
-    linear objective is one support evaluation per group.
+    linear objective is one support evaluation per group.  A slice's
+    right-hand side takes one matrix-vector product per group (a stacked
+    matmul), the product constraint_body takes, so a group scores with the
+    verifier's bits.
     """
     con = game.constraints[pm.player]
     linear = A2 is None or np.abs(A2).max(initial=0.0) <= 1e-13
@@ -750,7 +741,7 @@ def _group_maxima(game: GameInstance, pm, reps: np.ndarray, A2, a1):
         return None
     A, _, b_X, b, rival, scale = game._slice_rows[pm.player]
     B = np.hstack([np.broadcast_to(b_X, (len(reps), len(b_X))),
-                   (b - reps @ rival.T) / scale])
+                   (b - (rival @ reps[..., None])[..., 0]) / scale])
     if pm.block_dim == 1:
         # maximize's 1-D forms: a linear maximum reads no curvature
         q = 0.0 if linear else A2[0, 0]

@@ -431,17 +431,23 @@ def _interval_inputs():
 
 def test_interval_floats_equal_intervals_bit_for_bit():
     # HPoly._interval reads the ratio test as floats; _intervals, the batched
-    # numpy rule, is its reference: lo, hi and the empty verdict, byte for byte
+    # numpy rule, is its reference: lo, hi and the empty verdict, byte for
+    # byte.  A NaN ratio empties the body under both rules
     from gnepkit.convexsets import _intervals
 
+    nan_bodies = 0
     with np.errstate(invalid="ignore"):
         for k, P in enumerate(_interval_inputs()):
             lo, hi, empty = _intervals(P.A[:, 0], P.b[None])
             got = P._interval
+            if np.isnan(P.b).any():
+                nan_bodies += 1
+                assert got is None and empty[0], k
             assert (got is None) == bool(empty[0]), k
             if got is not None:
                 assert np.float64(got[0]).tobytes() == lo.tobytes(), (k, P.b, got, lo)
                 assert np.float64(got[1]).tobytes() == hi.tobytes(), (k, P.b, got, hi)
+    assert nan_bodies > 1000
 
 
 def _one_row_at_a_time(a, b):

@@ -338,6 +338,35 @@ def test_grid_oracle_reads_the_verifiers_a1_bit_for_bit(monkeypatch):
             assert np.array_equal(row, _own_quadratic(pm, rep)[1])
 
 
+def _grid_nodes(game, h):
+    """Every node of grid_oracle's h-grid, feasible or not."""
+    grids = [S._block_grid(pm.ambient, h) for pm in game.preferences]
+    nodes = grids[0]
+    for g in grids[1:]:
+        nodes = np.hstack([np.repeat(nodes, len(g), axis=0), np.tile(g, (len(nodes), 1))])
+    return nodes
+
+
+def test_grid_oracle_improvements_equal_the_verifiers_slacks_bit_for_bit():
+    # the oracle forms K_i's right-hand sides for a batch of rival groups,
+    # constraint_body and the verifier's float path for one point; on
+    # splitting-3, whose rivals are two columns, a plain matrix product of
+    # the batch was 1 ulp off the verifier's matrix-vector product at 12 of
+    # its 858 scores
+    for game in gi.grid_aligned_instances(0.1):
+        nodes = _grid_nodes(game, 0.1)
+        nodes = nodes[S._feasible_mask(game, nodes)]
+        certs = [verify_equilibrium(game, z) for z in nodes]
+        for pm in game.preferences:
+            imp = S._improvements_for_player(game, pm, nodes, Tolerances(), 0)
+            want = np.array([c.emptiness_slacks[pm.player] for c in certs])
+            assert imp.tobytes() == want.tobytes(), game.name
+        orc = grid_oracle(game, h=0.1, cross_check=False)
+        assert len(orc.certified), game.name
+        for z, row in zip(orc.certified, orc.improvements):
+            assert verify_equilibrium(game, z).emptiness_slacks.tobytes() == row.tobytes()
+
+
 def test_whole_space_blocks_enter_residual_conservatively():
     # at a satiated block the residual must still catch other players' slack
     g = gi.splitting_game()
@@ -349,21 +378,32 @@ def test_whole_space_blocks_enter_residual_conservatively():
 # -- the hull residual without an LP ---------------------------------------------
 #
 # When every block's hull co G_i is a point, hull_residual is one support
-# evaluation; when some hull is an interval, it enumerates the vertices of the
-# epigraph of max_v <t, x - v> over the box of interval coordinates.  The
-# oracle is the LP of hull_reference.
+# evaluation; otherwise, over a body with a vertex list, it enumerates the
+# vertices of the epigraph of max_v <t, x - v> over the generator weights.
+# The oracle is the LP of hull_reference.
 
 
 def _section_hull_holds(op, t):
-    """t lies in co T(x): each block's point, or its interval ([-1, 1] for a
-    whole-space 1-D block)."""
+    """t lies in co T(x): each block's point, its interval ([-1, 1] for a
+    whole-space 1-D block), or, for an n-D block, its generators' hull (the
+    cross polytope |t_i|_1 <= 1 for a whole-space block) to 1e-12."""
+    from scipy.optimize import nnls
+
     for i, cone in enumerate(op.blocks):
         ti = t[op.block_slice(i)]
-        if cone.dim == 1 and (cone.whole_space or cone.n_generators > 1):
-            G = [-1.0, 1.0] if cone.whole_space else cone.generators[:, 0]
+        G = cone.generators
+        if cone.whole_space and cone.dim > 1:
+            if np.abs(ti).sum() > 1.0 + 1e-12:
+                return False
+        elif cone.dim == 1 and (cone.whole_space or cone.n_generators > 1):
+            G = [-1.0, 1.0] if cone.whole_space else G[:, 0]
             if not min(G) <= ti[0] <= max(G):
                 return False
-        elif not np.array_equal(ti, cone.generators[0] if cone.n_generators else 0 * ti):
+        elif cone.n_generators > 1:
+            lam, res = nnls(np.vstack([G.T, np.ones(len(G))]), np.append(ti, 1.0))
+            if res > 1e-12:
+                return False
+        elif not np.array_equal(ti, G[0] if cone.n_generators else 0 * ti):
             return False
     return True
 
@@ -371,8 +411,8 @@ def _section_hull_holds(op, t):
 def _assert_exact_hull_residual(op, x, body, rel=1e-12):
     x, V = np.asarray(x, dtype=float), body.vertices()
     r, t = hull_residual(op, x, body)
-    d = _interval_dim(op)
-    if d and S._n_hull_candidates(len(V), d) <= S._VERTEX_FORM_SUBSETS:
+    sums = S._hull_weights(op)[1]
+    if sums.shape[1] and S._n_hull_candidates(len(V), sums) <= S._VERTEX_FORM_SUBSETS:
         assert r == float(np.max((x - V) @ t))  # bit for bit: the epigraph's vertices
     else:
         assert r == pytest.approx(float(np.max((x - V) @ t)), rel=0.0, abs=1e-15)
@@ -453,6 +493,111 @@ def test_hull_residual_off_the_set_and_with_two_signed_generators():
                    OperatorEval((_point(1.0), both), (0, 1)),
                    OperatorEval((both, both), (0, 1))):
             _assert_exact_hull_residual(op, x, square)
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name to append 1 to the returned list at every call."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _random_section(rng, dim):
+    """A block's section: the whole space, or 1-3 unit generators."""
+    k = int(rng.integers(4))
+    return ConeSection.whole(dim) if k == 0 else ConeSection.from_vectors(
+        rng.normal(size=(k, dim)), dim)
+
+
+_LAYOUTS = {2: ([2], [1, 1]), 3: ([3], [2, 1], [1, 2], [1, 1, 1]),
+            4: ([2, 2], [3, 1], [1, 2, 1], [2, 1, 1])}
+
+
+def test_hull_residual_over_a_vertex_list_runs_no_lp(monkeypatch):
+    # any mix of point, interval, n-D and whole-space hulls over a body with
+    # a vertex list, within the gate, is enumerated: no LP, and the
+    # reference LP's r to 1e-12.  The bodies are box_argmax_game's shared
+    # Box at T's own sections and seeded hulls of 5-7 points in 2-4 D,
+    # whose boundedness is asked first (one recession LP each)
+    from gnepkit import _lp
+
+    game = gi.box_argmax_game()
+    rng = np.random.default_rng(30)
+    bodies = [hull_body(rng.uniform(-1.0, 1.0, (int(rng.integers(5, 8)), d)))
+              for d in (2, 3, 4) for _ in range(4)]
+    for body in bodies:
+        body.closure().vertices()
+    lps = _counted(monkeypatch, _lp, "solve_lp")
+
+    def check(op, x, body):
+        before = len(lps)
+        hull_residual(op, x, body)
+        assert len(lps) == before
+        _assert_exact_hull_residual(op, x, body)
+
+    nd = 0
+    for x in ([1.0, 1.0], [0.0, 1.0], [1.0, 0.3], [0.5, 0.5], [1.0 + 1e-9, 1.0]):
+        op = evaluate_T(game, x)
+        nd += op.blocks[0].n_generators > 1
+        check(op, np.array(x), game.shared_set)
+    assert nd
+    cases = 0
+    for body in bodies:
+        d, V = body.dim, body.closure().vertices()
+        for _ in range(25):
+            sizes = _LAYOUTS[d][rng.integers(len(_LAYOUTS[d]))]
+            op = OperatorEval(tuple(_random_section(rng, s) for s in sizes),
+                              tuple(np.cumsum([0] + sizes[:-1])))
+            sums = S._hull_weights(op)[1]
+            if not sums.shape[1] or S._n_hull_candidates(len(V), sums) > S._VERTEX_FORM_SUBSETS:
+                continue
+            x = body.project(rng.uniform(-1.5, 1.5, d))
+            x = x + rng.uniform(-0.1, 0.1, d) * rng.integers(2)  # on the body or off it
+            check(op, x, body)
+            cases += 1
+    assert cases > 200
+
+
+def test_hull_residual_reaches_the_rows_lp_without_a_vertex_list_or_over_the_gate(monkeypatch):
+    rows = _counted(monkeypatch, S, "_rows_lp")
+    whole = OperatorEval((ConeSection.whole(2),), (0,))
+    # the orthant has no vertex list, and sigma(-t) is finite for t >= 0:
+    # the cross polytope's t = 0 gives r = 0, the segment co{e_0, e_1} r =
+    # min(x_0, x_1)
+    orthant = gi.coercive_inward_game().shared_set
+    x = np.array([1.0, 2.0])
+    assert hull_residual(whole, x, orthant)[0] == pytest.approx(0.0, rel=0.0, abs=1e-12)
+    segment = OperatorEval((ConeSection(2, np.eye(2)),), (0,))
+    r, t = hull_residual(segment, x, orthant)
+    assert r == pytest.approx(1.0, rel=0.0, abs=1e-12) and t == pytest.approx([1.0, 0.0])
+    assert len(rows) == 2
+    # a 40-gon has a vertex list, but with a whole-space 2-D block its
+    # 135,750 candidates are over the gate
+    angles = 2 * np.pi * np.arange(40) / 40
+    gon = HPoly(np.stack([np.cos(angles), np.sin(angles)], axis=1), np.ones(40))
+    V = gon.vertices()
+    sums = S._hull_weights(whole)[1]
+    assert len(V) == 40 and S._n_hull_candidates(40, sums) > S._VERTEX_FORM_SUBSETS
+    for x in ([0.3, -0.2], [1.2, 0.1]):
+        x = np.array(x)
+        r, t = hull_residual(whole, x, gon)
+        assert _section_hull_holds(whole, t)
+        assert max(r, 0.0) == pytest.approx(hull_residual_lp(whole, x, V)[0], rel=0.0, abs=1e-9)
+    assert len(rows) == 4
+
+
+def test_hull_residual_is_inf_where_every_t_leaves_the_support_unbounded():
+    # over the orthant, sigma(-t) is finite exactly when t >= 0
+    orthant = gi.coercive_inward_game().shared_set
+    x = np.array([1.0, 2.0])
+    # a point hull pointing out of it: maximize raises UnboundedLP
+    r, t = hull_residual(OperatorEval((_point(-1.0), ConeSection.zero(1)), (0, 1)), x, orthant)
+    assert r == np.inf and np.array_equal(t, [-1.0, 0.0])
+    # a 2-D hull each of whose points has a negative coordinate: the LP in
+    # the orthant's rows is infeasible, and t is the first generator
+    out = ConeSection(2, np.array([[-1.0, 0.0], [0.0, -1.0]]))
+    r, t = hull_residual(OperatorEval((out,), (0,)), x, orthant)
+    assert r == np.inf and np.array_equal(t, [-1.0, 0.0])
 
 
 def _load_gnepbench_inputs():
@@ -729,6 +874,45 @@ def test_oracle_batch_matches_the_per_group_loop(seed):
         assert np.array_equal(np.isinf(got), inf), pm.player
         assert inf.any() and not inf.all(), pm.player
         assert np.allclose(got[~inf], want[~inf], rtol=0.0, atol=1e-12), pm.player
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_oracle_fixed_polytope_support_matches_the_per_group_loop(empty):
+    # a linear 2-D player over a FixedConstraint(HPoly) scores every rival
+    # group by _batch_support's vertex list; an empty body scores inf
+    rows = [[-1.0, 0.0], [0.0, -1.0], [1.0, 2.0]]
+    body = HPoly(rows + [[1.0, 0.0]], [0.0, 0.0, 1.0, -1.0 if empty else 0.8])
+    assert body.is_empty() is empty
+    X = Box([-0.5, -0.5], [1.5, 1.5])
+    prefs = (PreferenceMap(0, 0, X, LinearUtility([0.3, -1.0, 0.7])),
+             PreferenceMap(1, 2, Box([0.0], [1.0]), LinearUtility([1.0])))
+    game = GameInstance(prefs, (FixedConstraint(body), FixedConstraint(Box([0.0], [1.0]))))
+    nodes = np.random.default_rng(31).uniform(-0.5, 1.5, (40, 3))
+    nodes[:, 2] = np.round(nodes[:, 2], 1)  # about ten rival groups
+    pm = game.preferences[0]
+    got = S._improvements_for_player(game, pm, nodes, Tolerances(), 0)
+    want = S._improvements_per_group(game, pm, nodes, Tolerances(), 0)
+    assert np.isinf(got).all() if empty else np.isfinite(got).all()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15) if not empty else np.isinf(want).all()
+
+
+def test_oracle_per_node_parametric_feasibility_matches_the_batch():
+    # a ParametricConstraint without batch_feasible is checked node by node
+    # (one build and one membership test each); the economy's batched
+    # budgets are the reference, mask and oracle result alike
+    from gnepkit.game import ParametricConstraint
+
+    for econ in (gi.pure_exchange_economy(), gi.production_economy()):
+        game = to_gnep(econ)
+        cons = tuple(ParametricConstraint(c.build) if isinstance(c, ParametricConstraint) else c
+                     for c in game.constraints)
+        assert cons != game.constraints
+        loop = GameInstance(game.preferences, cons, game.shared_set, game.name)
+        nodes = _grid_nodes(game, 0.25)
+        mask = S._feasible_mask(game, nodes)
+        assert mask.any() and not mask.all()
+        assert np.array_equal(S._feasible_mask(loop, nodes), mask)
+        assert _oracle_fields(grid_oracle(loop, 0.25)) == _oracle_fields(grid_oracle(game, 0.25))
 
 
 def test_oracle_batch_keeps_the_zero_matrix_bits_for_linear_players():
