@@ -8,7 +8,8 @@ x is an equilibrium iff every player is feasible (x_i in K_i(x)) and no
 player can strictly improve inside K_i(x).  No operator, no VI -- just the
 definition, so solver output can be certified independently.  A graded
 player with a 1-D block over a shared slice is certified on Python floats
-(the float path, _flat_slacks), with the general path's bits.
+(the float path, _flat_slacks), with the general path's bits, and
+verify_equilibria certifies a stack of points with the same bits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .convexsets import (
     EnumerationError,
     HPoly,
     VertexForm,
+    _clip_argmax,
+    _intervals,
     _ratio_interval,
     _unit_norms,
     intersect,
@@ -191,10 +194,10 @@ class GameInstance:
     @cached_property
     def _flat_slices(self):
         """Per player, the float data with which verify_equilibrium certifies
-        it (_flat_slacks), else None.  A player has them when its block is
-        a flat one of _graded_rows (one coordinate) under a shared slice,
-        and X_i has a row with a finite right-hand side, so that the
-        slice's worst margin is finite:
+        it (_flat_slacks; _flat_stack for a stack of points), else None.  A
+        player has them when its block is a flat one of _graded_rows (one
+        coordinate) under a shared slice, and X_i has a row with a finite
+        right-hand side, so that the slice's worst margin is finite:
         (i, j, at, c, q, quad) (GradedRows.flat, i the player), the column
         of K_i(x)'s rows and X_i's right-hand sides as float lists, and the
         moving rows (b, rival, scale) of _slice_rows."""
@@ -365,7 +368,8 @@ def verify_equilibrium(game: GameInstance, x, tol: Tolerances = Tolerances(),
     (GameInstance._flat_slices), is certified on Python floats
     (_flat_slacks), with the bits of the general path; a NaN or an
     unbounded improvement sends it back to the general path, which every
-    other player takes.
+    other player takes.  verify_equilibria certifies a stack of points
+    with the same bits, one pass per player (the grid oracle's cross-check).
     Raises ValueError when x is not a vector of the game's size or has a
     non-finite coordinate.
     """
@@ -443,6 +447,67 @@ def _flat_slacks(F, x, xs, qx):
     except _lp.UnboundedLP:
         return None
     return (feas, empt, None) if empt == empt else None
+
+
+def verify_equilibria(game: GameInstance, X, tol: Tolerances = Tolerances(),
+                      seed: int = 0):
+    """verify_equilibrium at every row of X, with its bits: the arrays
+    (feasibility_slacks, emptiness_slacks, is_equilibrium), one row per
+    point.  A player of GameInstance._flat_slices is certified over all
+    rows at once (_flat_stack); the rows it hands back, and every other
+    player, take the general path (_slacks) one row at a time.  Raises
+    ValueError when X is not a stack of the game's points or has a
+    non-finite coordinate.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != game.n:
+        raise ValueError(f"points have shape {X.shape}, game has {game.n} coordinates")
+    if not np.isfinite(X).all():
+        raise ValueError("point has a non-finite coordinate")
+    feas = np.empty((len(X), game.n_players))
+    empt = np.empty_like(feas)
+    flats = game._flat_slices
+    qx = None
+    if any(flats) and game._graded_rows.Q is not None:
+        R = game._graded_rows
+        qx = (R.Q @ X[:, None, :, None]).reshape(len(X), R.Q.shape[0] * game.n)[:, R.gather]
+    for i, pm in enumerate(game.preferences):
+        rows = range(len(X)) if flats[i] is None else _flat_stack(
+            flats[i], X, qx, feas[:, i], empt[:, i])
+        for r in rows:
+            feas[r, i], empt[r, i], _ = _slacks(game, i, pm, X[r], tol, seed)
+    ok = (feas <= tol.eps_feas).all(axis=1) & (empt <= tol.eps_open).all(axis=1)
+    return feas, empt, ok
+
+
+def _flat_stack(F, X, qx, feas, empt):
+    """_flat_slacks at every row of X, written into feas and empt; returns
+    the rows handed back to the general path.  The same arithmetic in
+    numpy: the right-hand sides by one stacked matrix-vector product,
+    _intervals (held to _ratio_interval bit for bit), and
+    _improvement_1d's terms with _clip_argmax.  The rows have unit norm,
+    so a NaN margin comes only with a NaN right-hand side, which empties
+    the slice: the row max is the float loop's.
+    """
+    _, j, at, c, q, quad, col, b_X, b, rival, scale = F
+    col = np.array(col)
+    B = np.hstack([np.broadcast_to(b_X, (len(X), len(b_X))),
+                   (b - (rival @ X[..., None])[..., 0]) / scale])
+    lo, hi, empty = _intervals(col, B)
+    xo = X[:, j]
+    feas[:] = ((0.0 + col * xo[:, None]) - B).max(axis=1)
+    if at is None:
+        a1 = c
+        a0 = -(0.0 + a1 * xo)
+    else:
+        a1 = qx[:, at] - (0.0 + q * xo) + c
+        a0 = -((0.0 + (0.0 + 0.5 * xo * q) * xo) + (0.0 + a1 * xo))
+    z = _clip_argmax(a1, q if quad else 0.0, lo, hi)
+    val = ((0.0 + (0.0 + 0.5 * z * q) * z) + (0.0 + a1 * z) if quad
+           else np.where(a1 != 0.0, a1 * z, 0.0))
+    empt[:] = val + a0
+    feas[empty], empt[empty] = math.inf, 0.0
+    return np.flatnonzero(~empty & ~(np.isfinite(z) & (empt == empt)))
 
 
 # --------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .game import (
     Tolerances,
     constraint_body,
     membership_violation,
+    verify_equilibria,
     verify_equilibrium,
 )
 from .operators import OperatorEval, evaluate_T, select
@@ -806,8 +807,8 @@ def _improvements_per_group(game: GameInstance, pm, nodes_f: np.ndarray,
         if graded:
             Z = nodes_f[idx][:, pm.block]
             quad = 0.0 if A2 is None else 0.5 * np.einsum("kj,jl,kl->k", Z, A2, Z)
-            vals = quad + Z @ a1
-            out[idx] = M - vals
+            # node by node, as _improvements_for_player scores: the verifier's bits
+            out[idx] = M - (quad + np.einsum("kj,kj->k", Z, np.tile(a1, (len(idx), 1))))
         else:
             for j in idx:
                 out[j] = max_improvement(pm, nodes_f[j], K, tol.eps_open, seed)
@@ -823,7 +824,9 @@ def grid_oracle(game: GameInstance, h: float, tol: Tolerances = Tolerances(),
     passes iff it is feasible and no player can strictly improve within their
     constraint slice (improvements computed by direct maximization).  When
     cross_check is on, every certified node and a sample of rejected ones are
-    re-judged by verify_equilibrium and disagreements are reported.
+    re-judged in one stack by verify_equilibria (verify_equilibrium's bits,
+    computed apart from the oracle's group maxima) and disagreements are
+    reported.
     Raises ValueError unless h is finite and positive.
     """
     if not (np.isfinite(h) and h > 0.0):
@@ -854,15 +857,13 @@ def grid_oracle(game: GameInstance, h: float, tol: Tolerances = Tolerances(),
         idx_no = np.nonzero(~ok)[0]
         if len(idx_no) > cross_sample:
             idx_no = rng.choice(idx_no, size=cross_sample, replace=False)
-        for node, oracle_ok in itertools.chain(
-            ((certified[j], True) for j in range(len(certified))),
-            ((nodes_f[j], False) for j in idx_no),
-        ):
-            cert = verify_equilibrium(game, node, tol, seed=seed)
-            checked += 1
-            if cert.is_equilibrium != oracle_ok:
-                disagreements.append(
-                    {"node": node, "verifier": cert.is_equilibrium, "oracle": oracle_ok})
+        judged = np.vstack([certified, nodes_f[idx_no]])
+        oracle_ok = np.arange(len(judged)) < len(certified)
+        verdicts = verify_equilibria(game, judged, tol, seed=seed)[2]
+        checked = len(judged)
+        disagreements = [{"node": judged[k], "verifier": bool(verdicts[k]),
+                          "oracle": bool(oracle_ok[k])}
+                         for k in np.flatnonzero(verdicts != oracle_ok)]
 
     order = np.lexsort(certified.T[::-1]) if len(certified) else np.array([], dtype=int)
     return OracleResult(

@@ -15,10 +15,12 @@ from gnepkit.game import (
     jointly_convex_game,
     membership_violation,
     slice_body,
+    verify_equilibria,
     verify_equilibrium,
 )
 from gnepkit.jsonio import jsonable
-from gnepkit.preferences import LinearUtility, PolyhedralPref, PreferenceMap, QuadUtility
+from gnepkit.preferences import (LinearUtility, PolyhedralPref, PreferenceMap, QuadUtility,
+                                 RelationOracle)
 from gnepkit import game as game_module
 from gnepkit import instances as gi
 
@@ -534,6 +536,116 @@ def test_certificates_equal_the_reference_verifier_bit_for_bit():
             for y in (x, x + 1e-3, x - 0.3):
                 verdicts.add(_assert_same_certificate(g, y))
     assert verdicts == {True, False}
+
+
+# -- the batched verifier -------------------------------------------------------
+
+
+def _assert_batch_equals_the_verifier(g, X):
+    """verify_equilibria on the stack X against verify_equilibrium row by
+    row: slacks byte for byte, verdicts equal; returns the verdicts."""
+    X = np.asarray(X, dtype=float).reshape(-1, g.n)
+    feas, empt, ok = verify_equilibria(g, X)
+    certs = [verify_equilibrium(g, x) for x in X]
+    assert feas.shape == empt.shape == (len(X), g.n_players) and ok.shape == (len(X),)
+    for r, c in enumerate(certs):
+        assert feas[r].tobytes() == c.feasibility_slacks.tobytes(), (g.name, X[r])
+        assert empt[r].tobytes() == c.emptiness_slacks.tobytes(), (g.name, X[r])
+        assert ok[r] == c.is_equilibrium, (g.name, X[r])
+    return set(ok.tolist())
+
+
+def test_batched_certificates_equal_the_verifier_on_the_grid_games():
+    # every node, feasible or not, of the bundled grid games (h = 0.1), the
+    # argmax games and union_chase (h = 0.05), and the benchmark-shaped games
+    from gnepkit.solvers import _feasible_mask
+
+    grids = [(g, 0.1) for g in gi.grid_aligned_instances(0.1)]
+    grids += [(g, 0.05) for g in (gi.simplex_argmax_game(), gi.box_argmax_game(),
+                                  gi.union_chase_game())]
+    verdicts = set()
+    for g, h in grids + _benchmark_grid_games():
+        X = np.array(_grid_nodes(g, h))
+        assert _feasible_mask(g, X).any()
+        verdicts |= _assert_batch_equals_the_verifier(g, X)
+    assert verdicts == {True, False}
+
+
+def _crossing_game():
+    """Two linear players sharing x0 + x1 <= 1 over [0, 1] each: at
+    x1 = 1 + d player 0's slice is [0, -d], a crossing by d."""
+    split = HPoly([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+    return jointly_convex_game([Box([0.0], [1.0])] * 2,
+                               [LinearUtility([1.0]), LinearUtility([-1.0])], split)
+
+
+def _relation_game():
+    """A relation-oracle player (the general path) beside a linear one of a
+    shared slice (the batch) in one game."""
+    nearer = RelationOracle(lambda x, z: abs(z[0] - 0.3) < abs(x[0] - 0.3) - 1e-9, budget=16)
+    return jointly_convex_game([Box([0.0], [1.0])] * 2, [nearer, LinearUtility([1.0])],
+                               HPoly([[1.0, 1.0]], [1.0]))
+
+
+def test_batched_certificates_equal_the_verifier_at_the_edges(monkeypatch):
+    """The float path's edges (signed zeros, points outside X_i, empty and
+    unbounded slices), crossings within and beyond the ratio test's
+    rounding threshold (_LDP_EMPTY_RTOL: 1e-10 relative), overflowing
+    coordinates whose argmax or slack is not finite, and a relation-oracle
+    player; a row that the batch hands back takes the general path alone."""
+    from gnepkit import _lp
+
+    cases = list(_flat_path_edges())
+    rtol = _lp._LDP_EMPTY_RTOL
+    cross = [[0.0, 1.0 + d] for d in (0.0, 0.5 * rtol, 0.9 * rtol, 1.5 * rtol, 3 * rtol, 1e-3)]
+    cases.append((_crossing_game(), cross + [[-0.0, 1.0], [0.5, 0.5], [1.0, -0.0]]))
+    big = [-1e308, -1e200, -0.0, 1e155, 1e308]
+    cases.append((gi.coercive_inward_game(), list(itertools.product(big, repeat=2))))
+    # a finite argmax at x = 1e300 whose slack is inf - inf
+    steep = jointly_convex_game([Box([0.0], [1.0])], [QuadUtility([[-2.0]], [1e10])],
+                                HPoly([[1.0], [-1.0]], [0.7, -0.0]))
+    cases.append((steep, [[v] for v in (1e300, -1e300, 1e200, 0.5)]))
+    cases.append((_relation_game(), list(itertools.product([-0.0, 0.0, 0.3, 0.5, 1.0], repeat=2))))
+    verdicts = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, points in cases:
+            verdicts |= _assert_batch_equals_the_verifier(g, points)
+    assert verdicts == {True, False}
+
+    # the crossing: a small one collapses to a point, a larger one is empty
+    feas = verify_equilibria(_crossing_game(), cross)[0][:, 0]
+    assert np.isfinite(feas[:3]).all() and np.isinf(feas[3:]).all()
+    # only the rows handed back run the general path: a NaN slack, an
+    # unbounded improvement, every row of a relation-oracle player
+    calls = []
+    slacks = game_module._slacks
+    monkeypatch.setattr(game_module, "_slacks",
+                        lambda g, i, *a: calls.append(i) or slacks(g, i, *a))
+    outward = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -1.0]])
+    assert np.isinf(verify_equilibria(gi.coercive_outward_game(), outward)[1]).all()
+    assert calls == [0, 0, 0, 1, 1, 1]
+    calls.clear()
+    verify_equilibria(_relation_game(), np.array([[0.3, 0.7], [0.2, 0.5]]))
+    assert calls == [0, 0]
+    calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        empt = verify_equilibria(steep, [[0.5], [1e300]])[1][:, 0]
+    assert np.isnan(empt).tolist() == [False, True]
+    assert calls == [0]
+
+
+def test_batched_verifier_refuses_what_the_verifier_refuses():
+    g = gi.splitting_game()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_equilibria(g, [[0.5, 0.5], [0.5, bad]])
+    for X in (np.zeros(2), np.zeros((3, 3)), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            verify_equilibria(g, X)
+    feas, empt, ok = verify_equilibria(g, np.empty((0, 2)))
+    assert feas.shape == empt.shape == (0, 2) and ok.shape == (0,)
+    feas, empt, ok = verify_equilibria(gi.coercive_inward_game(), np.empty((0, 2)))
+    assert feas.shape == (0, 2) and ok.shape == (0,)
 
 
 def test_certificate_serializes():

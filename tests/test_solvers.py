@@ -876,10 +876,9 @@ def test_oracle_batch_matches_the_per_group_loop(seed):
         assert np.allclose(got[~inf], want[~inf], rtol=0.0, atol=1e-12), pm.player
 
 
-@pytest.mark.parametrize("empty", [False, True])
-def test_oracle_fixed_polytope_support_matches_the_per_group_loop(empty):
-    # a linear 2-D player over a FixedConstraint(HPoly) scores every rival
-    # group by _batch_support's vertex list; an empty body scores inf
+def _fixed_polytope_game(empty):
+    """A linear 2-D player over a FixedConstraint(HPoly), empty or not, and
+    40 seeded nodes in about ten rival groups."""
     rows = [[-1.0, 0.0], [0.0, -1.0], [1.0, 2.0]]
     body = HPoly(rows + [[1.0, 0.0]], [0.0, 0.0, 1.0, -1.0 if empty else 0.8])
     assert body.is_empty() is empty
@@ -888,12 +887,29 @@ def test_oracle_fixed_polytope_support_matches_the_per_group_loop(empty):
              PreferenceMap(1, 2, Box([0.0], [1.0]), LinearUtility([1.0])))
     game = GameInstance(prefs, (FixedConstraint(body), FixedConstraint(Box([0.0], [1.0]))))
     nodes = np.random.default_rng(31).uniform(-0.5, 1.5, (40, 3))
-    nodes[:, 2] = np.round(nodes[:, 2], 1)  # about ten rival groups
+    nodes[:, 2] = np.round(nodes[:, 2], 1)
+    return game, nodes
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_oracle_fixed_polytope_support_matches_the_per_group_loop(empty):
+    # the batch scores every rival group by _batch_support's vertex list;
+    # an empty body scores inf
+    game, nodes = _fixed_polytope_game(empty)
     pm = game.preferences[0]
     got = S._improvements_for_player(game, pm, nodes, Tolerances(), 0)
     want = S._improvements_per_group(game, pm, nodes, Tolerances(), 0)
     assert np.isinf(got).all() if empty else np.isfinite(got).all()
     assert np.allclose(got, want, rtol=0.0, atol=1e-15) if not empty else np.isinf(want).all()
+
+
+def test_per_group_scores_equal_the_verifiers_slacks_bit_for_bit():
+    # the per-group path scores a group node by node, as the batch does: a
+    # matrix-vector product over the group's rows was 1 ulp off at 6 of 40
+    game, nodes = _fixed_polytope_game(False)
+    got = S._improvements_per_group(game, game.preferences[0], nodes, Tolerances(), 0)
+    want = np.array([verify_equilibrium(game, z).emptiness_slacks[0] for z in nodes])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_oracle_per_node_parametric_feasibility_matches_the_batch():
@@ -1015,6 +1031,54 @@ def test_grid_oracle_keeps_its_bits_under_the_reference_grouping(games, h, monke
     monkeypatch.setattr(S, "_rival_groups", grouping_reference.rival_groups)
     want = [_oracle_fields(grid_oracle(g, h=h, cross_check=True)) for g in games()]
     assert got == want
+
+
+def _per_point_verdicts(game, X, tol, seed=0):
+    """The cross-check as it was: verify_equilibrium one node at a time."""
+    certs = [verify_equilibrium(game, x, tol, seed=seed) for x in X]
+    return (np.array([c.feasibility_slacks for c in certs]).reshape(len(X), game.n_players),
+            np.array([c.emptiness_slacks for c in certs]).reshape(len(X), game.n_players),
+            np.array([c.is_equilibrium for c in certs], dtype=bool))
+
+
+def _oracle_games():
+    box = Box([0.0], [1.0])
+    nearer = RelationOracle(lambda x, z: abs(z[0] - 0.3) < abs(x[0] - 0.3) - 1e-9, budget=16)
+    relation = jointly_convex_game([box, box], [nearer, LinearUtility([1.0])],
+                                   HPoly([[1.0, 1.0]], [1.0]))
+    return [(g, 0.02) for g in gi.grid_aligned_instances()] + [
+        (gi.simplex_argmax_game(), 0.05), (gi.box_argmax_game(), 0.05),
+        (gi.union_chase_game(), 0.05), (relation, 0.1)]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["oracle", "oracle-certifying-all"])
+def test_cross_check_equals_the_per_point_loop(broken, monkeypatch):
+    """The one batched call per game gives the node-by-node loop's counts and
+    disagreements; with the oracle's scores forced to 0, every node it
+    should have rejected is a disagreement, in the loop's order."""
+    if broken:
+        monkeypatch.setattr(S, "_improvements_for_player",
+                            lambda game, pm, nodes_f, *a: np.zeros(len(nodes_f)))
+    got = [_oracle_fields(grid_oracle(g, h=h, cross_check=True, cross_sample=40))
+           for g, h in _oracle_games()]
+    monkeypatch.setattr(S, "verify_equilibria", _per_point_verdicts)
+    want = [_oracle_fields(grid_oracle(g, h=h, cross_check=True, cross_sample=40))
+            for g, h in _oracle_games()]
+    assert got == want
+    assert all(f[3] > 0 for f in got)
+    assert any(f[4] for f in got) is broken
+
+
+def test_cross_check_makes_no_per_node_verifier_call(monkeypatch):
+    from gnepkit import game as game_module
+
+    calls = []
+    for mod in (S, game_module):
+        monkeypatch.setattr(mod, "verify_equilibrium", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(game_module, "_slacks", lambda *a: calls.append(a))
+    orc = grid_oracle(gi.splitting_game(), h=0.05, cross_check=True)
+    assert orc.cross_checked == orc.feasible_count == 231 and not orc.disagreements
+    assert calls == []
 
 
 def test_vertex_form_game_runs_no_support_lp(monkeypatch):
